@@ -18,8 +18,9 @@ import hashlib
 import json
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +35,8 @@ from .kg import Triplet
 from .services import ServiceConfig, ServiceUnreachable, post_json
 
 TRIPLET_JOIN = "; "
+# the (head, relation, tail) order of Triplet's dataclass comparison, as a C-level key
+_TRIPLET_FIELDS = attrgetter("head", "relation", "tail")
 
 
 def serialize_hypernode(triplets: Iterable[Triplet]) -> str:
@@ -43,7 +46,7 @@ def serialize_hypernode(triplets: Iterable[Triplet]) -> str:
     "head relation tail", joined by "; ". The output is invariant under
     input order, so equal sets always serialize identically.
     """
-    ordered = sorted(triplets)
+    ordered = sorted(triplets, key=_TRIPLET_FIELDS)
     if not ordered:
         raise EmptyHyperNode("cannot serialize an empty triplet set")
     return TRIPLET_JOIN.join(t.as_text() for t in ordered)
@@ -54,13 +57,45 @@ def serialize_hypernode(triplets: Iterable[Triplet]) -> str:
 
 def unit_rows(matrix: np.ndarray) -> np.ndarray:
     """Upcast rows to float64 and normalize each to exact unit length."""
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim == 1:
-        m = m[None, :]
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    m = np.array(matrix, dtype=np.float64, ndmin=2)  # the one float64 copy, divided in place
+    norms = row_norms(m)[:, None]
     if np.any(norms == 0.0):
         raise ZeroVector("cannot normalize a zero row")
-    return m / norms
+    m /= norms
+    return m
+
+
+_ROW_BLOCK = 512
+
+
+def row_norms(rows: np.ndarray, center: np.ndarray | float = 0.0) -> np.ndarray:
+    """Euclidean norm of each row of ``rows - center``.
+
+    Bit-identical to ``np.linalg.norm(rows - center, axis=1)``: the same
+    squares and the same per-row reduction. Works in blocks of rows, so no
+    temporary is the size of ``rows``.
+    """
+    out = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], _ROW_BLOCK):
+        block = rows[lo : lo + _ROW_BLOCK] - center
+        block *= block
+        np.sqrt(np.add.reduce(block, axis=1), out=out[lo : lo + _ROW_BLOCK])
+    return out
+
+
+def smallest_k(values: np.ndarray, k: int, tie_key: Callable[[int], object]) -> list[int]:
+    """Indices of the k smallest values, ordered by (value, tie_key(index)).
+
+    Gives the order of a full sort by that key. ``np.partition`` finds the
+    k-th smallest value, and only the rows at or below it, which include
+    every row tied with it, are sorted by the full key.
+    """
+    if k < values.shape[0]:
+        kth = np.partition(values, k - 1)[k - 1]
+        pool = np.flatnonzero(values <= kth).tolist()
+    else:
+        pool = range(values.shape[0])
+    return sorted(pool, key=lambda i: (values[i], tie_key(i)))[:k]
 
 
 def distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -121,21 +156,35 @@ def encode(encoder: Encoder, texts: Sequence[str]) -> np.ndarray:
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
+_GRAM_WIDTH = 3
+# texts hashed per bincount. Bounds the per-gram arrays and the float64 count
+# matrix, small enough that a chunk's arrays stay in cache
+HASH_CHUNK_TEXTS = 512
 
 
-def _fnv1a_gram_hashes(text: str, width: int = 3) -> np.ndarray:
-    """64-bit FNV-1a hash of every contiguous byte window of the UTF-8 text.
+def _fnv1a_gram_hashes(encoded: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """64-bit FNV-1a hash of every 3-byte window of each UTF-8 text, in one pass.
 
-    Texts shorter than the window width hash as a single whole-text gram.
+    Returns ``(rows, hashes)``: gram ``g`` belongs to ``encoded[rows[g]]``, and
+    the grams of one text follow in window order. A text shorter than the
+    window hashes as a single whole-text gram.
     """
-    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    w = min(width, data.size)
-    windows = np.lib.stride_tricks.sliding_window_view(data, w)
-    h = np.full(windows.shape[0], _FNV_OFFSET, dtype=np.uint64)
+    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    # pad bytes keep the three reads of every gram, even an empty text's, inside the buffer
+    buf = np.frombuffer(b"".join(encoded) + bytes(_GRAM_WIDTH), dtype=np.uint8)
+    grams = np.maximum(lengths - (_GRAM_WIDTH - 1), 1)
+    rows = np.repeat(np.arange(len(encoded)), grams)
+    text_start = np.cumsum(lengths) - lengths
+    gram_start = np.cumsum(grams) - grams
+    starts = np.arange(rows.shape[0]) + (text_start - gram_start)[rows]
+    width = np.minimum(lengths, _GRAM_WIDTH)
+    short = bool((width < _GRAM_WIDTH).any())
+    h = np.full(rows.shape[0], _FNV_OFFSET, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        for col in range(windows.shape[1]):
-            h = (h ^ windows[:, col].astype(np.uint64)) * _FNV_PRIME
-    return h
+        for col in range(_GRAM_WIDTH):
+            stepped = (h ^ buf[starts + col].astype(np.uint64)) * _FNV_PRIME
+            h = np.where(width[rows] > col, stepped, h) if short else stepped
+    return rows, h
 
 
 class HashEncoder(Encoder):
@@ -159,22 +208,27 @@ class HashEncoder(Encoder):
     def encoder_id(self) -> str:
         return f"hash-fnv1a-3gram-{self._dim}"
 
-    def _raw(self, text: str) -> np.ndarray:
-        hashes = _fnv1a_gram_hashes(text)
-        buckets = (hashes % np.uint64(self._dim)).astype(np.intp)
-        signs = np.where((hashes >> np.uint64(63)) & np.uint64(1), -1.0, 1.0)
-        vec = np.zeros(self._dim, dtype=np.float64)
-        np.add.at(vec, buckets, signs)
-        return vec
-
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
-        out = np.empty((len(texts), self._dim), dtype=np.float32)
-        for i, text in enumerate(texts):
-            raw = self._raw(text)
-            norm = np.linalg.norm(raw)
-            if norm == 0.0:
-                raise ZeroVector(f"hash embedding of {text!r} cancelled to zero")
-            out[i] = (raw / norm).astype(np.float32)
+        """Hash every text's grams and accumulate the signed bucket counts per row.
+
+        Works in chunks of :data:`HASH_CHUNK_TEXTS` texts. The counts are
+        small integers, exact in float64 in any summation order, so each row
+        equals hashing its text alone.
+        """
+        dim = self._dim
+        out = np.empty((len(texts), dim), dtype=np.float32)
+        for lo in range(0, len(texts), HASH_CHUNK_TEXTS):
+            chunk = texts[lo : lo + HASH_CHUNK_TEXTS]
+            rows, hashes = _fnv1a_gram_hashes([t.encode("utf-8") for t in chunk])
+            cells = rows * dim + (hashes % np.uint64(dim)).astype(np.intp)
+            signs = np.where(hashes >> np.uint64(63), -1.0, 1.0)
+            raw = np.bincount(cells, weights=signs, minlength=len(chunk) * dim).reshape(len(chunk), dim)
+            norms = row_norms(raw)
+            zero = np.flatnonzero(norms == 0.0)
+            if zero.size:
+                raise ZeroVector(f"hash embedding of {chunk[zero[0]]!r} cancelled to zero")
+            raw /= norms[:, None]
+            out[lo : lo + len(chunk)] = raw
         return out
 
 
@@ -182,19 +236,25 @@ class OracleEncoder(Encoder):
     """Exact string-to-vector table for construction-verified fixtures.
 
     The table maps each known text to a raw vector; unknown texts raise
-    EncoderFailure. Fixture files are JSON ``{"dim": D, "vectors": {...}}``
-    where each entry is either a dense list of floats or a sparse
-    ``{"i": [indices], "v": [values]}`` pair.
+    EncoderFailure. Each entry is either a dense list of floats (or array)
+    or a sparse ``{"i": [indices], "v": [values]}`` pair; fixture files are
+    JSON ``{"dim": D, "vectors": {...}}``. Entries are densified and
+    normalized one at a time, so only the float32 table is ever held whole.
     """
 
-    def __init__(self, dim: int, vectors: dict[str, Sequence[float] | np.ndarray]):
+    def __init__(self, dim: int, vectors: Mapping[str, Sequence[float] | np.ndarray | dict]):
         if dim < 1:
             raise InvalidParams("oracle dimension must be >= 1")
         self._dim = dim
         self._rows: dict[str, np.ndarray] = {}
         digest = hashlib.sha256()
         for text in sorted(vectors):
-            raw = np.asarray(vectors[text], dtype=np.float64)
+            entry = vectors[text]
+            if isinstance(entry, dict):
+                raw = np.zeros(dim, dtype=np.float64)
+                raw[np.asarray(entry["i"], dtype=np.intp)] = np.asarray(entry["v"], dtype=np.float64)
+            else:
+                raw = np.asarray(entry, dtype=np.float64)
             if raw.shape != (dim,):
                 raise InvalidParams(f"oracle entry for {text!r} has shape {raw.shape}")
             norm = np.linalg.norm(raw)
@@ -207,16 +267,7 @@ class OracleEncoder(Encoder):
     @classmethod
     def from_table(cls, spec: dict) -> "OracleEncoder":
         """Build from a {"dim": D, "vectors": {...}} table with dense or sparse entries."""
-        dim = int(spec["dim"])
-        vectors: dict[str, np.ndarray] = {}
-        for text, entry in spec["vectors"].items():
-            if isinstance(entry, dict):
-                row = np.zeros(dim, dtype=np.float64)
-                row[np.asarray(entry["i"], dtype=np.intp)] = np.asarray(entry["v"], dtype=np.float64)
-                vectors[text] = row
-            else:
-                vectors[text] = np.asarray(entry, dtype=np.float64)
-        return cls(dim, vectors)
+        return cls(int(spec["dim"]), spec["vectors"])
 
     @classmethod
     def from_file(cls, path: str | Path) -> "OracleEncoder":

@@ -10,11 +10,11 @@ agree, so seed scoring and pruning use one consistent order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoding import Encoder, encode, serialize_hypernode
+from .encoding import Encoder, encode, row_norms, serialize_hypernode, smallest_k
 from .errors import EmptyGraph, InvalidParams
 from .kg import KnowledgeGraph, Triplet, adjacent_triplets
 
@@ -86,9 +86,8 @@ def select_seeds(
         rows = encode(encoder, [serialize_hypernode([t]) for t in catalog])
     scores = rows @ query_vector
 
-    order = sorted(range(len(catalog)), key=lambda i: (-scores[i], catalog[i].as_text()))
     seeds = []
-    for i in order[:n]:
+    for i in smallest_k(-scores, n, lambda i: catalog[i].as_text()):
         emb = rows[i]
         seeds.append(
             HyperNode.from_triplets(
@@ -116,9 +115,11 @@ def expand_candidates(graph: KnowledgeGraph, beam: list[HyperNode]) -> list[Hype
         if not fresh:
             seen.setdefault(node.serialized, node)
             continue
-        for nxt in sorted(fresh):
-            grown = HyperNode.from_triplets(node.triplets | {nxt})
-            seen.setdefault(grown.serialized, grown)
+        for nxt in fresh:
+            triplets = node.triplets | {nxt}
+            key = serialize_hypernode(triplets)
+            if key not in seen:
+                seen[key] = HyperNode(triplets, key, node.entities | {nxt.head, nxt.tail})
     return [seen[key] for key in sorted(seen)]
 
 
@@ -127,21 +128,23 @@ def prune(
 ) -> list[HyperNode]:
     """Keep the k candidates nearest the query by Euclidean distance.
 
-    Embeds all candidate serializations in one batch, sorts ascending by
-    (distance, serialized form), and returns at most k filled-in nodes.
+    Embeds the serializations of candidates without an embedding in one
+    batch; carried-forward candidates keep the one they hold. Orders
+    ascending by (distance, serialized form) and returns at most k
+    filled-in nodes.
     """
     if not candidates:
         raise InvalidParams("candidate list must be non-empty")
     if k < 1:
         raise InvalidParams("beam width must be >= 1")
-    rows = encode(encoder, [c.serialized for c in candidates])
-    dists = np.linalg.norm(rows - query_vector, axis=1)
-    order = sorted(range(len(candidates)), key=lambda i: (dists[i], candidates[i].serialized))
+    rows = encode(encoder, [c.serialized for c in candidates if c.embedding is None])
+    if rows.shape[0] < len(candidates):
+        fresh = iter(rows)
+        rows = np.stack([next(fresh) if c.embedding is None else c.embedding for c in candidates])
+    dists = row_norms(rows, query_vector)
     return [
-        HyperNode.from_triplets(
-            candidates[i].triplets, embedding=rows[i], query_distance=float(dists[i])
-        )
-        for i in order[:k]
+        replace(candidates[i], embedding=rows[i], query_distance=float(dists[i]))
+        for i in smallest_k(dists, k, lambda i: candidates[i].serialized)
     ]
 
 

@@ -238,15 +238,18 @@ def build_and_embed(records: list[CorpusRecord], encoder: Encoder) -> KnowledgeG
 # --- bundle persistence -------------------------------------------------------
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
+def _write_atomic(path: Path, *chunks: bytes | np.ndarray) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
+    with open(tmp, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
     os.replace(tmp, path)
 
 
-def _embedding_bytes(rows: np.ndarray) -> bytes:
+def _embedding_chunks(rows: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Header and rows of an embedding file; the rows are written without a copy."""
     header = EMBEDDING_MAGIC + struct.pack("<I", rows.shape[1]) + struct.pack("<Q", rows.shape[0])
-    return header + np.ascontiguousarray(rows, dtype="<f4").tobytes()
+    return header, np.ascontiguousarray(rows, dtype="<f4").reshape(-1).view(np.uint8)
 
 
 def _read_embedding_bytes(raw: bytes, name: str) -> np.ndarray:
@@ -286,15 +289,16 @@ def save_index(bundle_dir: str | Path, graph: KnowledgeGraph) -> dict:
     triplet_lines = [_dumps([t.head, t.relation, t.tail]) for t in graph.index.catalog]
 
     payloads = {
-        CORPUS_FILE: ("\n".join(corpus_lines) + "\n" if corpus_lines else "").encode("utf-8"),
-        TRIPLET_FILE: ("\n".join(triplet_lines) + "\n" if triplet_lines else "").encode("utf-8"),
-        PASSAGE_EMB_FILE: _embedding_bytes(store.passage_rows),
-        TRIPLET_EMB_FILE: _embedding_bytes(store.triplet_rows),
+        CORPUS_FILE: (("\n".join(corpus_lines) + "\n" if corpus_lines else "").encode("utf-8"),),
+        TRIPLET_FILE: (("\n".join(triplet_lines) + "\n" if triplet_lines else "").encode("utf-8"),),
+        PASSAGE_EMB_FILE: _embedding_chunks(store.passage_rows),
+        TRIPLET_EMB_FILE: _embedding_chunks(store.triplet_rows),
     }
     digest = hashlib.sha256()
     for name in (CORPUS_FILE, TRIPLET_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE):
-        digest.update(payloads[name])
-        _write_atomic(bundle / name, payloads[name])
+        for chunk in payloads[name]:
+            digest.update(chunk)
+        _write_atomic(bundle / name, *payloads[name])
 
     manifest = {
         "version": INDEX_VERSION,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoding import Encoder, encode
+from .encoding import Encoder, encode, smallest_k
 from .errors import InvalidParams, MissingPassageEmbeddings
 from .expansion import ExpansionConfig, HyperNode, run_expansion
 from .kg import KnowledgeGraph, Triplet
@@ -98,9 +98,11 @@ def dense_rank(
     units = graph.embeddings.passage_units()
     ids = graph.embeddings.passage_ids
     scores = units @ query_vector
-    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
     # rank by true cosine; reported scores clamp at 0 so all channels stay non-negative
-    return [ScoredPassage(ids[i], max(0.0, float(scores[i])), DENSE_CHANNEL) for i in order[:limit]]
+    return [
+        ScoredPassage(ids[i], max(0.0, float(scores[i])), DENSE_CHANNEL)
+        for i in smallest_k(-scores, limit, ids.__getitem__)
+    ]
 
 
 def hybrid_merge(

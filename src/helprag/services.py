@@ -50,9 +50,10 @@ class ServiceConfig:
 def post_json(config: ServiceConfig, payload: dict, max_retries: int = MAX_RETRIES) -> dict:
     """POST a JSON payload and return the decoded JSON reply.
 
-    Retries connection errors, timeouts, and 5xx replies up to ``max_retries``
-    times with exponential backoff, then raises ServiceUnreachable. Non-JSON
-    replies and 4xx status codes are not retried and raise ValueError.
+    Makes up to ``max_retries`` attempts on connection errors, timeouts, and
+    5xx replies, backing off exponentially between attempts (never after the
+    last), then raises ServiceUnreachable. Non-JSON replies and 4xx status
+    codes are not retried and raise ValueError.
     """
     headers = {"Content-Type": "application/json"}
     if config.api_key:
@@ -60,6 +61,8 @@ def post_json(config: ServiceConfig, payload: dict, max_retries: int = MAX_RETRI
 
     last_error: Exception | None = None
     for attempt in range(max_retries):
+        if attempt:
+            time.sleep(BACKOFF_BASE_S * (2 ** (attempt - 1)))
         try:
             reply = requests.post(
                 config.url, json=payload, headers=headers, timeout=config.timeout_s
@@ -67,11 +70,9 @@ def post_json(config: ServiceConfig, payload: dict, max_retries: int = MAX_RETRI
         except requests.RequestException as exc:
             last_error = exc
             log.warning("request to %s failed (%s), attempt %d", config.url, exc, attempt + 1)
-            time.sleep(BACKOFF_BASE_S * (2**attempt))
             continue
         if reply.status_code >= 500:
             last_error = ServiceUnreachable(f"{config.url} returned {reply.status_code}")
-            time.sleep(BACKOFF_BASE_S * (2**attempt))
             continue
         if reply.status_code != 200:
             raise ValueError(f"{config.url} returned status {reply.status_code}: {reply.text[:200]}")

@@ -3,7 +3,8 @@
 Everything here is written against the contracts only, deliberately avoiding
 the engine's index structures: adjacency comes from linear scans over the
 triplet catalog, expansion enumerates candidate sets per hop from scratch,
-and passage scoring iterates every (hypernode, triplet, passage) combination.
+passage scoring iterates every (hypernode, triplet, passage) combination,
+and hash encoding hashes one text at a time with Python integers.
 """
 
 from __future__ import annotations
@@ -13,7 +14,38 @@ import math
 import numpy as np
 
 from helprag.encoding import encode, serialize_hypernode
+from helprag.errors import ZeroVector
 from helprag.kg import KnowledgeGraph, Triplet
+
+FNV1A_64_OFFSET = 0xCBF29CE484222325
+FNV1A_64_PRIME = 0x100000001B3
+
+
+def fnv1a_64(data: bytes) -> int:
+    """64-bit FNV-1a of a byte string, byte by byte."""
+    h = FNV1A_64_OFFSET
+    for byte in data:
+        h = ((h ^ byte) * FNV1A_64_PRIME) % 2**64
+    return h
+
+
+def hash_encode_text(text: str, dim: int) -> np.ndarray:
+    """One float32 row of signed 3-gram feature hashing, as HashEncoder documents it.
+
+    Every 3-byte window of the UTF-8 text (the whole text when it is shorter)
+    adds -1 when its hash's top bit is set, else +1, to bucket hash % dim;
+    the counts are normalized in float64, then quantized.
+    """
+    data = text.encode("utf-8")
+    grams = [data[i : i + 3] for i in range(len(data) - 2)] or [data]
+    counts = [0] * dim
+    for gram in grams:
+        h = fnv1a_64(gram)
+        counts[h % dim] += -1 if h >> 63 else 1
+    norm = math.sqrt(sum(c * c for c in counts))
+    if norm == 0.0:
+        raise ZeroVector(f"hash embedding of {text!r} cancelled to zero")
+    return (np.asarray(counts, dtype=np.float64) / norm).astype(np.float32)
 
 
 def scan_adjacent(catalog, entities) -> set[Triplet]:

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from helprag import encoding
 from helprag.encoding import (
+    HASH_CHUNK_TEXTS,
     HashEncoder,
     OracleEncoder,
     _fnv1a_gram_hashes,
@@ -122,8 +127,10 @@ class TestHashEncoder:
 
     def test_fnv1a_reference_values(self):
         # published FNV-1a 64 test vectors
-        assert int(_fnv1a_gram_hashes("a")[0]) == 0xAF63DC4C8601EC8C
-        assert int(_fnv1a_gram_hashes("abc")[0]) == 0xE71FA2190541574B
+        rows, hashes = _fnv1a_gram_hashes([b"a", b"abc"])
+        assert rows.tolist() == [0, 1]
+        assert int(hashes[0]) == 0xAF63DC4C8601EC8C
+        assert int(hashes[1]) == 0xE71FA2190541574B
 
     def test_frozen_snapshot(self, hash_encoder):
         # cross-run / cross-platform stability: frozen on first implementation
@@ -208,3 +215,45 @@ def test_hash_batch_equals_single(seed):
     batch = encode(enc, texts)
     singles = np.vstack([encode(enc, [t]) for t in texts])
     assert np.array_equal(batch, singles)
+
+
+# 1-2 byte texts (ASCII, or one 2-byte character) and long texts of any script
+HASH_TEXTS = st.one_of(
+    st.text(alphabet=st.characters(max_codepoint=0x7F), min_size=1, max_size=2),
+    st.sampled_from(["é", "ß", "ж"]),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), min_size=3, max_size=60),
+)
+# each has two 3-grams that land in one bucket with opposite signs at dim 256
+CANCEL_AT_256 = ("bcfh", "bdgh")
+
+
+def reference_rows(texts: list[str], dim: int) -> np.ndarray:
+    return np.vstack([oracles.hash_encode_text(t, dim) for t in texts])
+
+
+@given(st.lists(HASH_TEXTS, min_size=1, max_size=24), st.integers(2, 300), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_hash_batch_matches_per_text_reference(texts, dim, chunk):
+    # a chunk of 1-5 texts makes most batches span several chunks
+    with mock.patch.object(encoding, "HASH_CHUNK_TEXTS", chunk):
+        try:
+            expected = reference_rows(texts, dim)
+        except ZeroVector as exc:
+            with pytest.raises(ZeroVector, match=re.escape(str(exc))):
+                HashEncoder(dim).encode_batch(texts)
+        else:
+            assert HashEncoder(dim).encode_batch(texts).tobytes() == expected.tobytes()
+
+
+def test_hash_batch_larger_than_one_chunk():
+    texts = [f"entity {i:04d} links to entity {i * 7 % 1000:04d}; ü{i % 3}" for i in range(HASH_CHUNK_TEXTS + 5)]
+    texts[HASH_CHUNK_TEXTS - 1 : HASH_CHUNK_TEXTS + 2] = ["a", "ab", "é"]
+    assert np.array_equal(HashEncoder().encode_batch(texts), reference_rows(texts, 256))
+
+
+def test_hash_zero_vector_names_the_first_such_text():
+    for text in CANCEL_AT_256:
+        with pytest.raises(ZeroVector):
+            oracles.hash_encode_text(text, 256)
+    with pytest.raises(ZeroVector, match=repr(CANCEL_AT_256[0])):
+        HashEncoder().encode_batch(["a long enough text", *CANCEL_AT_256, "x"])

@@ -6,9 +6,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import directional_oracle, graph_of, passage, random_corpus, serialized
-from helprag.encoding import encode
+from helprag.encoding import Encoder, encode
 from helprag.errors import EmptyGraph, InvalidParams
 from helprag.expansion import (
     ExpansionConfig,
@@ -18,8 +20,10 @@ from helprag.expansion import (
     run_expansion,
     select_seeds,
 )
+from helprag.ingestion import CorpusRecord, build_and_embed
 from helprag.kg import KnowledgeGraph, TripleToPassageIndex, build_index, canonicalize_triplet
-from oracles import brute_force_expansion
+from helprag.localization import dense_rank
+from oracles import brute_force_expansion, sort_rank
 
 
 def beam_sets(beam: list[HyperNode]) -> list[frozenset]:
@@ -133,6 +137,82 @@ class TestPrune:
         ]
         kept = prune(nodes, enc, vq, k=2)
         assert [n.serialized for n in kept] == ["a r b", "c r d"]
+
+
+class RecordingEncoder(Encoder):
+    """Delegates to another encoder and records every text it is asked for."""
+
+    def __init__(self, inner: Encoder):
+        self.inner = inner
+        self.texts: list[str] = []
+
+    @property
+    def dim(self) -> int:
+        return self.inner.dim
+
+    @property
+    def encoder_id(self) -> str:
+        return self.inner.encoder_id
+
+    def encode_batch(self, texts):
+        self.texts.extend(texts)
+        return self.inner.encode_batch(texts)
+
+
+def tied_graph(cosines: list[float]):
+    """Triplet i and passage i sit at cosines[i] from the query.
+
+    Equal cosines give bit-equal vectors, so every repeated value is an
+    exact tie. Passage ids run opposite to triplet order, so the two
+    tie-breaks disagree with each other.
+    """
+    n = len(cosines)
+    records, placements = [], {}
+    for i, cos in enumerate(cosines):
+        triple = (f"h{i:02d}", "r", f"t{i:02d}")
+        records.append(CorpusRecord(f"p{n - i:02d}", f"passage {i:02d}", (triple,)))
+        placements[serialized(triple)] = cos
+        placements[f"passage {i:02d}"] = cos
+    enc = directional_oracle("q", placements)
+    return build_and_embed(records, enc), enc, encode(enc, ["q"])[0]
+
+
+class TestTiesAtTheKth:
+    """Partial top-k keeps the order of a full sort when ties straddle the k-th row."""
+
+    @given(st.lists(st.sampled_from([0.9, 0.6, 0.3, -0.2]), min_size=1, max_size=12), st.integers(1, 13))
+    @example([0.9, 0.6, 0.6, 0.6, 0.3], 2)
+    @settings(max_examples=60, deadline=None)
+    def test_same_order_as_full_sort(self, cosines, k):
+        graph, enc, vq = tied_graph(cosines)
+        catalog = graph.index.catalog
+        texts = [t.as_text() for t in catalog]
+        rows = encode(enc, texts)
+
+        seeds = select_seeds(graph, enc, vq, k)
+        assert [s.serialized for s in seeds] == sort_rank(texts, rows @ vq)[:k]
+
+        candidates = [HyperNode.from_triplets(frozenset([t])) for t in catalog]
+        kept = prune(candidates, enc, vq, k)
+        assert [c.serialized for c in kept] == sort_rank(texts, -np.linalg.norm(rows - vq, axis=1))[:k]
+
+        ids = graph.embeddings.passage_ids
+        passage_rows = encode(enc, [graph.passages[pid].text for pid in ids])
+        dense = dense_rank(graph, enc, vq, k)
+        assert [p.id for p in dense] == sort_rank(ids, passage_rows @ vq)[:k]
+
+    def test_carried_candidates_are_not_reencoded(self):
+        graph, enc, vq = tied_graph([0.9, 0.6, 0.6, 0.3])
+        carried = select_seeds(graph, enc, vq, 1)
+        fresh = [HyperNode.from_triplets(frozenset([t])) for t in graph.index.catalog[1:]]
+        recorder = RecordingEncoder(enc)
+        kept = prune(carried + fresh, recorder, vq, 3)
+        assert recorder.texts == [c.serialized for c in fresh]
+        reencoded = prune([HyperNode.from_triplets(carried[0].triplets)] + fresh, enc, vq, 3)
+        assert [(n.serialized, n.query_distance) for n in kept] == [
+            (n.serialized, n.query_distance) for n in reencoded
+        ]
+        assert all(np.array_equal(a.embedding, b.embedding) for a, b in zip(kept, reencoded))
 
 
 class TestRunExpansion:

@@ -182,6 +182,13 @@ class TestBundleRoundTrip:
         for name in ("corpus.jsonl", "triplets.jsonl", PASSAGE_EMB_FILE, MANIFEST_FILE):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_corpus_without_triplets_round_trips(self, tmp_path, hash_encoder):
+        graph = build_and_embed([CorpusRecord("p1", "text only", ())], hash_encoder)
+        save_index(tmp_path / "idx", graph)
+        loaded = load_index(tmp_path / "idx")
+        assert loaded == graph
+        assert loaded.embeddings.triplet_rows.shape == (0, 256)
+
     def test_retrieval_identical_on_loaded_bundle(self, tmp_path, hash_encoder):
         graph = build_and_embed(_random_records(random.Random(3)), hash_encoder)
         save_index(tmp_path / "idx", graph)

@@ -119,6 +119,16 @@ class TestPostJson:
                 post_json(ServiceConfig(url=stub.url, model="m", timeout_s=2), {"x": 1})
         assert len(stub.requests) == 3
 
+    def test_backs_off_between_attempts_not_after_the_last(self, monkeypatch):
+        monkeypatch.setattr(services, "BACKOFF_BASE_S", 0.5)
+        slept: list[float] = []
+        monkeypatch.setattr(services.time, "sleep", slept.append)
+        with StubService(lambda b, h: (503, {"busy": True})) as stub:
+            with pytest.raises(ServiceUnreachable):
+                post_json(ServiceConfig(url=stub.url, model="m", timeout_s=2), {"x": 1})
+        assert len(stub.requests) == 3
+        assert slept == [0.5, 1.0]
+
     def test_client_error_not_retried(self):
         with StubService(lambda b, h: (400, {"bad": "request"})) as stub:
             with pytest.raises(ValueError):
