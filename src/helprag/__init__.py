@@ -7,65 +7,18 @@ at query time, seed triplets closest to the query grow into multi-triplet
 reasoning paths by beam search, the final paths score their source passages
 through the provenance weights, and a dense cosine channel backfills the
 remaining context slots.
+
+The names below are the index -> query -> evaluate path; the stage
+functions are importable from their own modules.
 """
 
-from .encoding import (
-    Encoder,
-    HashEncoder,
-    OracleEncoder,
-    RemoteEncoder,
-    cosine,
-    distance,
-    encode,
-    serialize_hypernode,
-)
+from .encoding import Encoder, HashEncoder, OracleEncoder, RemoteEncoder
 from .errors import HelpRagError
-from .evaluation import (
-    BenchReport,
-    QARecord,
-    exact_match,
-    gen_synthetic,
-    load_qa,
-    normalize_answer,
-    recall_at_k,
-    run_benchmark,
-    token_f1,
-)
-from .expansion import (
-    ExpansionConfig,
-    HyperNode,
-    expand_candidates,
-    prune,
-    run_expansion,
-    select_seeds,
-)
-from .ingestion import (
-    CorpusRecord,
-    build_and_embed,
-    extract_triples,
-    load_corpus,
-    load_index,
-    save_index,
-)
-from .kg import (
-    KnowledgeGraph,
-    Passage,
-    Triplet,
-    adjacent_triplets,
-    build_index,
-    canonicalize_triplet,
-    provenance_of,
-)
-from .localization import (
-    HybridConfig,
-    RetrievalResult,
-    ScoredPassage,
-    dense_rank,
-    hybrid_merge,
-    retrieve,
-    retrieve_result,
-    score_passages,
-)
+from .evaluation import BenchReport, QARecord, gen_synthetic, load_qa, run_benchmark
+from .expansion import ExpansionConfig, HyperNode
+from .ingestion import CorpusRecord, build_and_embed, extract_triples, load_corpus, load_index, save_index
+from .kg import KnowledgeGraph, Triplet
+from .localization import HybridConfig, RetrievalResult, ScoredPassage, retrieve_result
 
 __version__ = "0.1.0"
 
@@ -80,39 +33,18 @@ __all__ = [
     "HyperNode",
     "KnowledgeGraph",
     "OracleEncoder",
-    "Passage",
     "QARecord",
     "RemoteEncoder",
     "RetrievalResult",
     "ScoredPassage",
     "Triplet",
-    "adjacent_triplets",
     "build_and_embed",
-    "build_index",
-    "canonicalize_triplet",
-    "cosine",
-    "dense_rank",
-    "distance",
-    "encode",
-    "exact_match",
-    "expand_candidates",
     "extract_triples",
     "gen_synthetic",
-    "hybrid_merge",
     "load_corpus",
     "load_index",
     "load_qa",
-    "normalize_answer",
-    "provenance_of",
-    "prune",
-    "recall_at_k",
-    "retrieve",
     "retrieve_result",
     "run_benchmark",
-    "run_expansion",
     "save_index",
-    "score_passages",
-    "select_seeds",
-    "serialize_hypernode",
-    "token_f1",
 ]

@@ -14,13 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .encoding import encoder_from_spec
-from .errors import (
-    EncoderFailure,
-    EncoderMismatch,
-    HelpRagError,
-    InvalidParams,
-    ServiceUnreachable,
-)
+from .errors import EncoderFailure, HelpRagError, InvalidParams, ServiceUnreachable
 from .evaluation import gen_synthetic, load_qa, run_benchmark
 from .expansion import ExpansionConfig
 from .ingestion import build_and_embed, extract_triples, load_corpus, load_index, save_index
@@ -108,10 +102,6 @@ def _result_to_dict(result) -> dict:
 def cmd_query(args: argparse.Namespace) -> int:
     encoder = encoder_from_spec(args.encoder)
     graph = load_index(args.index)
-    if graph.embeddings.encoder_id != encoder.encoder_id:
-        raise EncoderMismatch(
-            f"bundle was embedded with {graph.embeddings.encoder_id!r}, got {encoder.encoder_id!r}"
-        )
     result = retrieve_result(graph, encoder, args.question, _expansion_from(args), _hybrid_from(args))
 
     if args.format == "json":
@@ -153,22 +143,14 @@ def _parse_grid(spec: str) -> dict[str, list[int]]:
         elif current is not None:
             groups[current].extend(_parse_values(segment))
         else:
-            raise InvalidParams(f"bad sweep/grid spec {spec!r}")
+            raise InvalidParams(f"bad grid spec {spec!r}")
     if not groups:
-        raise InvalidParams(f"bad sweep/grid spec {spec!r}")
+        raise InvalidParams(f"bad grid spec {spec!r}")
     return groups
 
-_SWEEPABLE = {"hops", "quota", "seed", "beam"}
 
-
-def _configs_for_point(args: argparse.Namespace, point: dict[str, int]):
-    hops = point.get("hops", args.hops)
-    seeds = point.get("seed", args.seeds)
-    beam = point.get("beam", args.beam)
-    quota = point.get("quota", args.quota)
-    expansion = ExpansionConfig(hops=hops, seed_size=seeds, beam_size=beam)
-    hybrid = HybridConfig(quota=quota, context_size=args.topk)
-    return expansion, hybrid
+# grid parameter -> the retrieval flag it overrides
+_SWEEPABLE = {"hops": "hops", "quota": "quota", "seed": "seeds", "beam": "beam"}
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -176,18 +158,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     qa_records = load_qa(args.qa)
     generation = ServiceConfig.from_env("HELP_LLM") if args.generate else None
 
-    if args.sweep and args.grid:
-        raise InvalidParams("use --sweep or --grid, not both")
-    if args.sweep:
-        groups = _parse_grid(args.sweep)
-        if len(groups) != 1:
-            raise InvalidParams("--sweep takes exactly one parameter, e.g. quota=0..5")
-    elif args.grid:
-        groups = _parse_grid(args.grid)
-    else:
-        groups = {}
-
-    unknown = set(groups) - _SWEEPABLE
+    groups = _parse_grid(args.grid) if args.grid else {}
+    unknown = groups.keys() - _SWEEPABLE.keys()
     if unknown:
         raise InvalidParams(f"cannot sweep over {sorted(unknown)}; choose from {sorted(_SWEEPABLE)}")
 
@@ -199,8 +171,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for point in points:
-        expansion, hybrid = _configs_for_point(args, point)
-        report = run_benchmark(args.index, qa_records, expansion, hybrid, encoder, generation)
+        point_args = argparse.Namespace(**{**vars(args), **{_SWEEPABLE[k]: v for k, v in point.items()}})
+        report = run_benchmark(
+            args.index, qa_records, _expansion_from(point_args), _hybrid_from(point_args),
+            encoder, generation,
+        )
         suffix = "_".join(f"{k}{v}" for k, v in sorted(point.items())) or "single"
         path = out_dir / f"report_{suffix}.json"
         report.write(path)
@@ -248,8 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True, help="index bundle directory")
     p.add_argument("--qa", required=True, help="QA set (JSONL)")
     p.add_argument("--out", default="bench_reports", help="directory for report JSON files")
-    p.add_argument("--sweep", help="one-parameter sweep, e.g. quota=0..5 or hops=1..4")
-    p.add_argument("--grid", help="multi-parameter grid, e.g. seed=1..5,beam=30,50,70,100")
+    p.add_argument("--grid", help="parameter grid, one report per point, e.g. quota=0..5 or seed=1..5,beam=30,50")
     p.add_argument("--generate", action="store_true", help="generate answers via HELP_LLM_* service")
     _add_encoder_flag(p)
     _add_retrieval_flags(p)

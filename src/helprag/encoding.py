@@ -24,13 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyHyperNode,
-    EncoderFailure,
-    InvalidParams,
-    ZeroVector,
-)
+from .errors import EmptyHyperNode, EncoderFailure, InvalidParams, ZeroVector
 from .kg import Triplet
 from .services import ServiceConfig, ServiceUnreachable, post_json
 
@@ -96,24 +90,6 @@ def smallest_k(values: np.ndarray, k: int, tie_key: Callable[[int], object]) -> 
     else:
         pool = range(values.shape[0])
     return sorted(pool, key=lambda i: (values[i], tie_key(i)))[:k]
-
-
-def distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance; in [0, 2] when both inputs are unit vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product; equals cosine similarity for unit vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
 
 
 # --- encoder backends --------------------------------------------------------
@@ -281,9 +257,6 @@ class OracleEncoder(Encoder):
     @property
     def encoder_id(self) -> str:
         return f"oracle-{self._table_hash}"
-
-    def known_texts(self) -> frozenset[str]:
-        return frozenset(self._rows)
 
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
         out = np.empty((len(texts), self._dim), dtype=np.float32)

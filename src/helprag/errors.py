@@ -27,10 +27,6 @@ class ZeroVector(HelpRagError):
     """Raw embedding has zero norm and cannot be normalized."""
 
 
-class DimensionMismatch(HelpRagError):
-    """Vector operands have different dimensions."""
-
-
 class EncoderFailure(HelpRagError):
     """Encoder backend failed (unreachable service, malformed reply, missing fixture entry)."""
 

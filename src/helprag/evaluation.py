@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .encoding import Encoder, serialize_hypernode
-from .errors import EncoderMismatch, InvalidParams, ParseError
+from .errors import InvalidParams, ParseError
 from .expansion import ExpansionConfig
 from .ingestion import CorpusRecord, load_index
 from .kg import canonicalize_triplet
@@ -343,11 +343,6 @@ def run_benchmark(
     appear only when a generation service is configured.
     """
     graph = load_index(bundle_dir)
-    assert graph.embeddings is not None
-    if graph.embeddings.encoder_id != encoder.encoder_id:
-        raise EncoderMismatch(
-            f"bundle was embedded with {graph.embeddings.encoder_id!r}, got {encoder.encoder_id!r}"
-        )
     generator = ChatCompletionClient(generation) if generation else None
 
     rows = []

@@ -313,7 +313,11 @@ def save_index(bundle_dir: str | Path, graph: KnowledgeGraph) -> dict:
 
 
 def load_index(bundle_dir: str | Path) -> KnowledgeGraph:
-    """Load a bundle, verifying version, content hash, and internal consistency."""
+    """Load a bundle, verifying version, content hash, and internal consistency.
+
+    Consistency covers the catalog against the corpus, and the manifest's
+    counts and dim against the embedding files.
+    """
     bundle = Path(bundle_dir)
     try:
         manifest = json.loads((bundle / MANIFEST_FILE).read_text(encoding="utf-8"))
@@ -362,6 +366,9 @@ def load_index(bundle_dir: str | Path) -> KnowledgeGraph:
         graph.index.catalog
     ):
         raise CorruptFile("triplet embedding count disagrees with manifest or catalog")
+    dims = (manifest.get("dim"), passage_rows.shape[1], triplet_rows.shape[1])
+    if len(set(dims)) != 1:
+        raise CorruptFile(f"embedding dims disagree (manifest, passage file, triplet file): {dims}")
 
     graph.embeddings = EmbeddingStore(
         tuple(graph.passages), passage_rows, triplet_rows, manifest.get("encoder_id", "")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, ItemsView, Mapping
 
 from .errors import DuplicatePassageId, EmptyField
 
@@ -90,21 +90,12 @@ class TripleToPassageIndex:
         """All unique triplets, sorted by (head, relation, tail)."""
         return self._catalog
 
-    def provenance(self, triplet: Triplet) -> frozenset[tuple[str, Fraction]]:
-        entries = self._provenance.get(triplet)
-        if not entries:
-            return frozenset()
-        return frozenset(entries.items())
-
-    def provenance_items(self, triplet: Triplet) -> Iterable[tuple[str, Fraction]]:
+    def provenance(self, triplet: Triplet) -> ItemsView[str, Fraction]:
+        """Read-only (passage id, weight) pairs of a triplet; empty if unknown."""
         return self._provenance.get(triplet, {}).items()
 
     def adjacent(self, entity: str) -> frozenset[Triplet]:
         return frozenset(self._adjacency.get(entity, ()))
-
-    @property
-    def entities(self) -> frozenset[str]:
-        return frozenset(self._adjacency)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripleToPassageIndex):
@@ -154,11 +145,6 @@ def build_index(passages: Iterable[Passage]) -> KnowledgeGraph:
         index._add_passage(by_id[pid])
     index._freeze()
     return KnowledgeGraph(passages={pid: by_id[pid] for pid in sorted(by_id)}, index=index)
-
-
-def provenance_of(graph: KnowledgeGraph, triplet: Triplet) -> frozenset[tuple[str, Fraction]]:
-    """All (passage id, weight) pairs for a triplet; empty if unknown."""
-    return graph.index.provenance(triplet)
 
 
 def adjacent_triplets(graph: KnowledgeGraph, entities: Iterable[str]) -> frozenset[Triplet]:

@@ -2,9 +2,10 @@
 
 Final hypernodes are grounded back to passages through the provenance index:
 each passage accumulates, over every hypernode and every triplet in it, the
-provenance weight scaled by exp(-distance(hypernode, query)). The resulting
-path channel fills a quota of M context slots; the remaining slots are
-backfilled from an exact dense cosine ranking with deduplication.
+provenance weight scaled by exp(-d), where d is the hypernode's distance to
+the query. The resulting path channel fills a quota of M context slots; the
+remaining slots are backfilled from an exact dense cosine ranking with
+deduplication.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoding import Encoder, encode, smallest_k
-from .errors import InvalidParams, MissingPassageEmbeddings
+from .errors import EncoderMismatch, InvalidParams, MissingPassageEmbeddings
 from .expansion import ExpansionConfig, HyperNode, run_expansion
 from .kg import KnowledgeGraph, Triplet
 
@@ -74,7 +75,7 @@ def score_passages(graph: KnowledgeGraph, final_beam: list[HyperNode]) -> list[S
             raise InvalidParams(f"hypernode {node.serialized!r} has no cached query distance")
         soft_match = math.exp(-node.query_distance)
         for triplet in node.triplets:
-            for pid, weight in graph.index.provenance_items(triplet):
+            for pid, weight in graph.index.provenance(triplet):
                 scores[pid] = scores.get(pid, 0.0) + soft_match * float(weight)
                 support.setdefault(pid, set()).add(triplet)
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
@@ -139,8 +140,13 @@ def retrieve_result(
 
     The query is embedded once and shared by expansion and dense ranking.
     When expansion yields no paths (empty graph) the context is pure dense
-    top-K.
+    top-K. A graph whose stored vectors came from another encoder raises
+    EncoderMismatch before the query is encoded.
     """
+    if graph.embeddings is not None and graph.embeddings.encoder_id != encoder.encoder_id:
+        raise EncoderMismatch(
+            f"graph was embedded with {graph.embeddings.encoder_id!r}, got {encoder.encoder_id!r}"
+        )
     expansion = expansion or ExpansionConfig()
     hybrid = hybrid or HybridConfig()
     started = time.perf_counter()
@@ -173,14 +179,3 @@ def retrieve_result(
             "total": (time.perf_counter() - started) * 1e3,
         },
     )
-
-
-def retrieve(
-    graph: KnowledgeGraph,
-    encoder: Encoder,
-    query: str,
-    expansion: ExpansionConfig | None = None,
-    hybrid: HybridConfig | None = None,
-) -> list[ScoredPassage]:
-    """Final ranked context for one query (see :func:`retrieve_result`)."""
-    return retrieve_result(graph, encoder, query, expansion, hybrid).passages

@@ -47,32 +47,43 @@ class ServiceConfig:
         )
 
 
-def post_json(config: ServiceConfig, payload: dict, max_retries: int = MAX_RETRIES) -> dict:
+def _retry_after_s(reply: requests.Response) -> float:
+    """A Retry-After header given in whole seconds, else 0 (absent or an HTTP date)."""
+    value = reply.headers.get("Retry-After", "").strip()
+    return float(value) if value.isdigit() else 0.0
+
+
+def post_json(config: ServiceConfig, payload: dict) -> dict:
     """POST a JSON payload and return the decoded JSON reply.
 
-    Makes up to ``max_retries`` attempts on connection errors, timeouts, and
-    5xx replies, backing off exponentially between attempts (never after the
-    last), then raises ServiceUnreachable. Non-JSON replies and 4xx status
-    codes are not retried and raise ValueError.
+    Makes up to ``MAX_RETRIES`` attempts on connection errors, timeouts, 429
+    and 5xx replies, backing off exponentially between attempts (never after
+    the last), then raises ServiceUnreachable. A reply's Retry-After, in
+    seconds and capped at ``config.timeout_s``, lengthens the next wait when
+    it exceeds the backoff. Non-JSON replies and other non-200 status codes
+    are not retried and raise ValueError.
     """
     headers = {"Content-Type": "application/json"}
     if config.api_key:
         headers["Authorization"] = f"Bearer {config.api_key}"
 
     last_error: Exception | None = None
-    for attempt in range(max_retries):
+    retry_after = 0.0
+    for attempt in range(MAX_RETRIES):
         if attempt:
-            time.sleep(BACKOFF_BASE_S * (2 ** (attempt - 1)))
+            time.sleep(max(BACKOFF_BASE_S * (2 ** (attempt - 1)), min(retry_after, config.timeout_s)))
         try:
             reply = requests.post(
                 config.url, json=payload, headers=headers, timeout=config.timeout_s
             )
         except requests.RequestException as exc:
             last_error = exc
+            retry_after = 0.0
             log.warning("request to %s failed (%s), attempt %d", config.url, exc, attempt + 1)
             continue
-        if reply.status_code >= 500:
+        if reply.status_code == 429 or reply.status_code >= 500:
             last_error = ServiceUnreachable(f"{config.url} returned {reply.status_code}")
+            retry_after = _retry_after_s(reply)
             continue
         if reply.status_code != 200:
             raise ValueError(f"{config.url} returned status {reply.status_code}: {reply.text[:200]}")
@@ -81,7 +92,7 @@ def post_json(config: ServiceConfig, payload: dict, max_retries: int = MAX_RETRI
         except ValueError as exc:
             raise ValueError(f"{config.url} returned non-JSON body") from exc
 
-    raise ServiceUnreachable(f"{config.url} unreachable after {max_retries} attempts: {last_error}")
+    raise ServiceUnreachable(f"{config.url} unreachable after {MAX_RETRIES} attempts: {last_error}")
 
 
 class ChatCompletionClient:

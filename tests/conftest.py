@@ -55,7 +55,7 @@ def directional_oracle(query: str, placements: dict[str, float]):
     """Oracle encoder where each text sits at a chosen cosine from the query.
 
     The query maps to axis 0; a text with placement c maps to
-    c*axis0 + sqrt(1-c^2)*axis1, so cosine(query, text) == c exactly
+    c*axis0 + sqrt(1-c^2)*axis1, so its cosine with the query is c exactly
     (up to float32 quantization).
     """
     table: dict[str, list[float]] = {query: [1.0, 0.0, 0.0]}

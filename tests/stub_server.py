@@ -8,10 +8,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
 class StubService:
-    """Runs ``handler(body, headers) -> (status, reply)`` on a local port.
+    """Runs ``handler(body, headers) -> (status, reply[, reply_headers])`` on a local port.
 
     Records every request (path, headers, parsed JSON body) for assertions.
-    Reply may be any JSON-serializable object or raw bytes.
+    Reply may be any JSON-serializable object or raw bytes; the optional
+    third element is a dict of extra reply headers.
     """
 
     def __init__(self, handler):
@@ -30,11 +31,13 @@ class StubService:
                 stub.requests.append(
                     {"path": self.path, "headers": dict(self.headers), "body": body}
                 )
-                status, reply = stub.handler(body, dict(self.headers))
+                status, reply, *extra = stub.handler(body, dict(self.headers))
                 data = reply if isinstance(reply, bytes) else json.dumps(reply).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                for name, value in (extra[0] if extra else {}).items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
 

@@ -26,7 +26,7 @@ from helprag.evaluation import (
 )
 from helprag.expansion import ExpansionConfig, HyperNode, run_expansion, select_seeds
 from helprag.ingestion import CorpusRecord, build_and_embed, load_corpus, load_index, save_index
-from helprag.kg import build_index, canonicalize_triplet, provenance_of
+from helprag.kg import build_index, canonicalize_triplet
 from helprag.localization import (
     DENSE_CHANNEL,
     PATH_CHANNEL,
@@ -122,7 +122,7 @@ def test_weight_law_exact():
         for _ in range(30):
             graph = build_index(random_corpus(rng, n_passages=rng.randint(1, 30)))
             for triplet in graph.index.catalog:
-                for pid, weight in provenance_of(graph, triplet):
+                for pid, weight in graph.index.provenance(triplet):
                     unique = set(graph.passages[pid].triplets)
                     assert weight == Fraction(1, len(unique))  # exact rational comparison
 

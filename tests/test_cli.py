@@ -1,4 +1,4 @@
-"""CLI subcommands: exit codes, output schemas, sweeps."""
+"""CLI subcommands: exit codes, output schemas, parameter grids."""
 
 from __future__ import annotations
 
@@ -121,6 +121,17 @@ class TestQuery:
         )
         assert code == 3
 
+    def test_oracle_encoder_on_hash_bundle_exit_2(self, bundle_dir, tmp_path, capsys):
+        # the oracle table lacks the question, so checking after encoding would exit 3
+        fixture_dir = tmp_path / "fx"
+        gen_synthetic(chains=1, hops=2, distractors=0, seed=3).write(fixture_dir)
+        code = main(
+            ["query", "--index", str(bundle_dir), "--question", "what does alpha feed?",
+             "--encoder", f"oracle:{fixture_dir / 'vectors.json'}"]
+        )
+        assert code == 2
+        assert "embedded with" in capsys.readouterr().err
+
 
 class TestGenSynthetic:
     def test_deterministic_fixture_directory(self, tmp_path, capsys):
@@ -159,7 +170,7 @@ class TestBench:
         reports = tmp_path / "reports"
         code = main(
             ["bench", "--index", str(bundle), "--qa", str(fixture_dir / "qa.jsonl"),
-             "--encoder", encoder_spec, "--sweep", "quota=0..5", "--out", str(reports)]
+             "--encoder", encoder_spec, "--grid", "quota=0..5", "--out", str(reports)]
         )
         assert code == 0
         files = sorted(reports.glob("report_quota*.json"))
@@ -201,7 +212,7 @@ class TestBench:
         fixture_dir, bundle, encoder_spec = synthetic_cli_setup
         assert main(
             ["bench", "--index", str(bundle), "--qa", str(fixture_dir / "qa.jsonl"),
-             "--encoder", encoder_spec, "--sweep", "nonsense=1..2",
+             "--encoder", encoder_spec, "--grid", "nonsense=1..2",
              "--out", str(tmp_path / "r")]
         ) == 2
 
@@ -209,7 +220,7 @@ class TestBench:
         fixture_dir, bundle, encoder_spec = synthetic_cli_setup
         assert main(
             ["bench", "--index", str(bundle), "--qa", str(fixture_dir / "qa.jsonl"),
-             "--encoder", encoder_spec, "--sweep", "1..2",
+             "--encoder", encoder_spec, "--grid", "1..2",
              "--out", str(tmp_path / "r")]
         ) == 2
 

@@ -19,15 +19,13 @@ from helprag.encoding import (
     HashEncoder,
     OracleEncoder,
     _fnv1a_gram_hashes,
-    cosine,
-    distance,
     encode,
     encoder_from_spec,
+    row_norms,
     serialize_hypernode,
     unit_rows,
 )
 from helprag.errors import (
-    DimensionMismatch,
     EmptyHyperNode,
     EncoderFailure,
     InvalidParams,
@@ -67,39 +65,36 @@ class TestSerialization:
 
 
 class TestVectorPrimitives:
+    # rows @ q is the cosine and row_norms(rows, q) the distance that seeds,
+    # prune and dense ranking compute for unit rows
+
     def test_distance_identity(self):
         v = np.array([0.5, 0.5, 0.5, 0.5])
-        assert distance(v, v) == 0.0
+        assert row_norms(v[None, :], v)[0] == 0.0
 
     def test_distance_orthogonal(self):
         a = np.array([1.0, 0.0])
         b = np.array([0.0, 1.0])
-        assert distance(a, b) == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert row_norms(a[None, :], b)[0] == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_distance_antipodal(self):
         v = np.array([0.5, -0.5, 0.5, -0.5])
-        assert distance(v, -v) == pytest.approx(2.0, abs=1e-12)
+        assert row_norms(v[None, :], -v)[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_cosine_identity_and_orthogonal(self):
         a = np.array([1.0, 0.0])
         b = np.array([0.0, 1.0])
-        assert cosine(a, a) == 1.0
-        assert cosine(a, b) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            distance(np.ones(3), np.ones(4))
-        with pytest.raises(DimensionMismatch):
-            cosine(np.ones(3), np.ones(4))
+        cosines = np.stack([a, b]) @ a
+        assert cosines[0] == 1.0
+        assert cosines[1] == 0.0
 
     def test_distance_squared_is_two_minus_two_cosine(self, hash_encoder):
         texts = ["alpha beta", "gamma delta epsilon", "a r b; b r c", "zeta"]
         rows = encode(hash_encoder, texts)
-        for i in range(len(texts)):
-            for j in range(len(texts)):
-                d = distance(rows[i], rows[j])
-                c = cosine(rows[i], rows[j])
-                assert d * d == pytest.approx(2 - 2 * c, abs=1e-9)
+        for j in range(len(texts)):
+            d = row_norms(rows, rows[j])
+            c = rows @ rows[j]
+            assert d * d == pytest.approx(2 - 2 * c, abs=1e-9)
 
     def test_unit_rows_rejects_zero(self):
         with pytest.raises(ZeroVector):
@@ -110,8 +105,10 @@ class TestVectorPrimitives:
         texts = [f"candidate text number {i} with filler" for i in range(50)]
         rows = encode(hash_encoder, texts)
         query = encode(hash_encoder, ["which candidate matches"])[0]
-        by_cos = sorted(range(len(texts)), key=lambda i: (-cosine(rows[i], query), texts[i]))
-        by_dist = sorted(range(len(texts)), key=lambda i: (distance(rows[i], query), texts[i]))
+        cosines = rows @ query
+        dists = row_norms(rows, query)
+        by_cos = sorted(range(len(texts)), key=lambda i: (-cosines[i], texts[i]))
+        by_dist = sorted(range(len(texts)), key=lambda i: (dists[i], texts[i]))
         assert by_cos == by_dist
 
 

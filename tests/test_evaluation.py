@@ -24,7 +24,7 @@ from helprag.evaluation import (
 )
 from helprag.expansion import ExpansionConfig
 from helprag.ingestion import build_and_embed, save_index
-from helprag.localization import HybridConfig
+from helprag.localization import HybridConfig, retrieve_result
 from helprag.services import ServiceConfig
 from stub_server import StubService
 
@@ -131,18 +131,16 @@ class TestGenSynthetic:
         fx = gen_synthetic(chains=4, hops=2, distractors=8, seed=5)
         encoder = OracleEncoder.from_table(fx.oracle_table)
         graph = build_and_embed(fx.corpus, encoder)
-        from helprag.localization import retrieve
-
         for qa in fx.qa:
-            dense_only = retrieve(
+            dense_only = retrieve_result(
                 graph, encoder, qa.question,
                 ExpansionConfig(), HybridConfig(quota=0, context_size=5),
-            )
+            ).passages
             assert recall_at_k([p.id for p in dense_only], qa.gold_passage_ids, 5) == 0
-            with_paths = retrieve(
+            with_paths = retrieve_result(
                 graph, encoder, qa.question,
                 ExpansionConfig(), HybridConfig(quota=4, context_size=5),
-            )
+            ).passages
             assert recall_at_k([p.id for p in with_paths], qa.gold_passage_ids, 5) == 1
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -18,10 +19,14 @@ from helprag.errors import (
     ServiceUnreachable,
     VersionMismatch,
 )
+from helprag.encoding import HashEncoder
 from helprag.ingestion import (
+    CORPUS_FILE,
     EXTRACTION_PROMPT_SHA256,
     MANIFEST_FILE,
     PASSAGE_EMB_FILE,
+    TRIPLET_EMB_FILE,
+    TRIPLET_FILE,
     CorpusRecord,
     build_and_embed,
     extract_triples,
@@ -226,6 +231,27 @@ class TestBundleRoundTrip:
         corpus.write_bytes(bytes(raw))
         with pytest.raises(CorruptFile):
             load_index(tmp_path / "idx")
+
+    @pytest.mark.parametrize("edit", ["triplet file", "manifest"])
+    def test_dim_disagreement_detected(self, tmp_path, hash_encoder, edit):
+        records = _random_records(random.Random(1), n=4)
+        bundle = tmp_path / "idx"
+        save_index(bundle, build_and_embed(records, hash_encoder))
+        manifest_path = bundle / MANIFEST_FILE
+        manifest = json.loads(manifest_path.read_text())
+        if edit == "triplet file":
+            # a well-formed triplet file of another dim, under a recomputed content hash
+            save_index(tmp_path / "narrow", build_and_embed(records, HashEncoder(dim=128)))
+            (bundle / TRIPLET_EMB_FILE).write_bytes((tmp_path / "narrow" / TRIPLET_EMB_FILE).read_bytes())
+            digest = hashlib.sha256()
+            for name in (CORPUS_FILE, TRIPLET_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE):
+                digest.update((bundle / name).read_bytes())
+            manifest["content_hash"] = digest.hexdigest()
+        else:
+            manifest["dim"] = 128  # the manifest lies outside the content hash
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CorruptFile, match="dims disagree"):
+            load_index(bundle)
 
     def test_missing_file_detected(self, tmp_path, hash_encoder):
         graph = build_and_embed(_random_records(random.Random(1), n=4), hash_encoder)

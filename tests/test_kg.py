@@ -17,7 +17,6 @@ from helprag.kg import (
     adjacent_triplets,
     build_index,
     canonicalize_triplet,
-    provenance_of,
 )
 from oracles import scan_adjacent
 
@@ -55,21 +54,21 @@ class TestBuildIndex:
         p = passage("p1", ("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d"), ("d", "r", "e"))
         graph = graph_of(p)
         for t in p.triplets:
-            assert provenance_of(graph, t) == frozenset({("p1", Fraction(1, 4))})
+            assert graph.index.provenance(t) == frozenset({("p1", Fraction(1, 4))})
 
     def test_shared_triplet_gets_per_passage_weights(self):
         shared = ("x", "r", "y")
         p1 = passage("p1", shared, ("a", "r", "b"))
         p2 = passage("p2", shared, ("c", "r", "d"), ("d", "r", "e"), ("e", "r", "f"), ("f", "r", "g"))
         graph = graph_of(p1, p2)
-        assert provenance_of(graph, canonicalize_triplet(*shared)) == frozenset(
+        assert graph.index.provenance(canonicalize_triplet(*shared)) == frozenset(
             {("p1", Fraction(1, 2)), ("p2", Fraction(1, 5))}
         )
 
     def test_empty_triplet_list_contributes_nothing(self):
         graph = graph_of(Passage("p1", "no facts here", ()), passage("p2", ("a", "r", "b")))
         assert len(graph.index.catalog) == 1
-        assert graph.index.entities == {"a", "b"}
+        assert graph.index.adjacent("a") == graph.index.adjacent("b") == set(graph.index.catalog)
 
     def test_duplicate_passage_id_rejected(self):
         with pytest.raises(DuplicatePassageId):
@@ -79,17 +78,17 @@ class TestBuildIndex:
         p = passage("p1", ("a", "r", "b"), ("a", "r", "b"), ("b", "r", "c"))
         graph = graph_of(p)
         t = canonicalize_triplet("a", "r", "b")
-        assert provenance_of(graph, t) == frozenset({("p1", Fraction(1, 2))})
+        assert graph.index.provenance(t) == frozenset({("p1", Fraction(1, 2))})
 
     def test_singleton_passage_weight_is_one(self):
         graph = graph_of(passage("p1", ("a", "r", "b")))
-        assert provenance_of(graph, canonicalize_triplet("a", "r", "b")) == frozenset(
+        assert graph.index.provenance(canonicalize_triplet("a", "r", "b")) == frozenset(
             {("p1", Fraction(1, 1))}
         )
 
     def test_unknown_triplet_empty_provenance(self):
         graph = graph_of(passage("p1", ("a", "r", "b")))
-        assert provenance_of(graph, canonicalize_triplet("x", "r", "y")) == frozenset()
+        assert graph.index.provenance(canonicalize_triplet("x", "r", "y")) == frozenset()
 
 
 class TestAdjacency:
@@ -130,7 +129,7 @@ class TestProperties:
         per_passage_weights: dict[str, set[Fraction]] = {}
         per_passage_sum: dict[str, Fraction] = {}
         for t in graph.index.catalog:
-            for pid, w in provenance_of(graph, t):
+            for pid, w in graph.index.provenance(t):
                 per_passage_weights.setdefault(pid, set()).add(w)
                 per_passage_sum[pid] = per_passage_sum.get(pid, Fraction(0)) + w
         for pid, weights in per_passage_weights.items():

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import embedded_graph, graph_of, passage, random_corpus
-from helprag.encoding import encode
-from helprag.errors import InvalidParams, MissingPassageEmbeddings
+from helprag.encoding import OracleEncoder, encode
+from helprag.errors import EncoderMismatch, InvalidParams, MissingPassageEmbeddings
 from helprag.expansion import ExpansionConfig, HyperNode
 from helprag.ingestion import CorpusRecord
 from helprag.kg import build_index, canonicalize_triplet
@@ -21,7 +21,6 @@ from helprag.localization import (
     ScoredPassage,
     dense_rank,
     hybrid_merge,
-    retrieve,
     retrieve_result,
     score_passages,
 )
@@ -234,7 +233,15 @@ class TestRetrieve:
     def test_fallback_totality_small_corpus(self, hash_encoder):
         records = [CorpusRecord("only", "just one passage", ())]
         graph = embedded_graph(records)
-        assert [p.id for p in retrieve(graph, hash_encoder, "q")] == ["only"]
+        assert [p.id for p in retrieve_result(graph, hash_encoder, "q").passages] == ["only"]
+
+    def test_other_encoder_rejected_before_encoding(self):
+        # a fresh graph, not a bundle; the oracle cannot encode the query, so a
+        # check placed after query encoding would raise EncoderFailure instead
+        graph = embedded_graph(self._records())
+        other = OracleEncoder(2, {"unrelated text": [1.0, 0.0]})
+        with pytest.raises(EncoderMismatch):
+            retrieve_result(graph, other, "what does alpha ultimately feed?")
 
     def test_returns_full_context_with_channels(self, hash_encoder):
         graph = embedded_graph(self._records())
@@ -251,9 +258,3 @@ class TestRetrieve:
             assert p.supporting_triplets
         dense_start = len(path_picks)
         assert all(p.channel == DENSE_CHANNEL for p in result.passages[dense_start:])
-
-    def test_retrieve_matches_retrieve_result(self, hash_encoder):
-        graph = embedded_graph(self._records())
-        a = retrieve(graph, hash_encoder, "what does alpha ultimately feed?")
-        b = retrieve_result(graph, hash_encoder, "what does alpha ultimately feed?").passages
-        assert a == b

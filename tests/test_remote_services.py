@@ -129,6 +129,40 @@ class TestPostJson:
         assert len(stub.requests) == 3
         assert slept == [0.5, 1.0]
 
+    def test_rate_limit_retried_after_retry_after(self, monkeypatch):
+        monkeypatch.setattr(services, "BACKOFF_BASE_S", 0.5)
+        slept: list[float] = []
+        monkeypatch.setattr(services.time, "sleep", slept.append)
+        state = {"calls": 0}
+
+        def limited_once(body, headers):
+            state["calls"] += 1
+            if state["calls"] == 1:
+                return 429, {"error": "slow down"}, {"Retry-After": "2"}
+            return 200, {"ok": True}
+
+        with StubService(limited_once) as stub:
+            reply = post_json(ServiceConfig(url=stub.url, model="m", timeout_s=5), {"x": 1})
+        assert reply == {"ok": True}
+        assert len(stub.requests) == 2
+        assert slept == [2.0]  # Retry-After exceeds the 0.5 s backoff
+
+    def test_retry_after_capped_at_timeout(self, monkeypatch):
+        monkeypatch.setattr(services, "BACKOFF_BASE_S", 0.5)
+        slept: list[float] = []
+        monkeypatch.setattr(services.time, "sleep", slept.append)
+        with StubService(lambda b, h: (429, {}, {"Retry-After": "3600"})) as stub:
+            with pytest.raises(ServiceUnreachable):
+                post_json(ServiceConfig(url=stub.url, model="m", timeout_s=2), {"x": 1})
+        assert len(stub.requests) == services.MAX_RETRIES
+        assert slept == [2.0, 2.0]
+
+    def test_rate_limit_on_every_attempt_gives_up(self):
+        with StubService(lambda b, h: (429, {"error": "slow down"})) as stub:
+            with pytest.raises(ServiceUnreachable):
+                post_json(ServiceConfig(url=stub.url, model="m", timeout_s=2), {"x": 1})
+        assert len(stub.requests) == services.MAX_RETRIES
+
     def test_client_error_not_retried(self):
         with StubService(lambda b, h: (400, {"bad": "request"})) as stub:
             with pytest.raises(ValueError):
