@@ -168,14 +168,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for key, values in groups.items():
         points = [dict(p, **{key: v}) for p in points for v in values]
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # every point's configs are built, and so validated, before any point runs
+    runs = []
     for point in points:
         point_args = argparse.Namespace(**{**vars(args), **{_SWEEPABLE[k]: v for k, v in point.items()}})
-        report = run_benchmark(
-            args.index, qa_records, _expansion_from(point_args), _hybrid_from(point_args),
-            encoder, generation,
-        )
+        runs.append((point, _expansion_from(point_args), _hybrid_from(point_args)))
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for point, expansion, hybrid in runs:
+        report = run_benchmark(args.index, qa_records, expansion, hybrid, encoder, generation)
         suffix = "_".join(f"{k}{v}" for k, v in sorted(point.items())) or "single"
         path = out_dir / f"report_{suffix}.json"
         report.write(path)

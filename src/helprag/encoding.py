@@ -268,29 +268,24 @@ class OracleEncoder(Encoder):
         return out
 
 
+REMOTE_BATCH_SIZE = 64
+REMOTE_IN_FLIGHT = 4
+
+
 class RemoteEncoder(Encoder):
     """Client for an embeddings web service.
 
     Sends ``{"model": ..., "input": [texts]}`` with bearer auth and expects
     ``{"data": [{"index": i, "embedding": [...]}, ...]}``. Texts are chunked
-    into bounded batches with a bounded number of in-flight requests;
-    transient failures retry with exponential backoff inside
-    :func:`helprag.services.post_json`.
+    into batches of :data:`REMOTE_BATCH_SIZE` with at most
+    :data:`REMOTE_IN_FLIGHT` requests in flight; transient failures retry
+    with exponential backoff inside :func:`helprag.services.post_json`. The
+    dimension is learned from the first reply.
     """
 
-    def __init__(
-        self,
-        config: ServiceConfig,
-        dim: int | None = None,
-        batch_size: int = 64,
-        in_flight: int = 4,
-    ):
-        if batch_size < 1 or in_flight < 1:
-            raise InvalidParams("batch_size and in_flight must be >= 1")
+    def __init__(self, config: ServiceConfig):
         self.config = config
-        self._dim = dim
-        self.batch_size = batch_size
-        self.in_flight = in_flight
+        self._dim: int | None = None
 
     @property
     def dim(self) -> int:
@@ -317,11 +312,13 @@ class RemoteEncoder(Encoder):
         return np.stack(rows)
 
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
-        chunks = [list(texts[i : i + self.batch_size]) for i in range(0, len(texts), self.batch_size)]
+        chunks = [
+            list(texts[i : i + REMOTE_BATCH_SIZE]) for i in range(0, len(texts), REMOTE_BATCH_SIZE)
+        ]
         if len(chunks) == 1:
             raw_chunks = [self._request_chunk(chunks[0])]
         else:
-            with ThreadPoolExecutor(max_workers=self.in_flight) as pool:
+            with ThreadPoolExecutor(max_workers=REMOTE_IN_FLIGHT) as pool:
                 raw_chunks = list(pool.map(self._request_chunk, chunks))
         raw = np.concatenate(raw_chunks, axis=0)
         if self._dim is None:

@@ -35,10 +35,6 @@ class EncoderMismatch(HelpRagError):
     """Supplied encoder does not match the one recorded in an index bundle."""
 
 
-class MissingPassageEmbeddings(HelpRagError):
-    """Dense ranking requested but the graph carries no passage embeddings."""
-
-
 class ParseError(HelpRagError):
     """A corpus or fixture line failed to parse; carries the 1-based line number."""
 

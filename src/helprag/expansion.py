@@ -63,14 +63,12 @@ class ExpansionConfig:
             raise InvalidParams("hops, seed_size, and beam_size must all be >= 1")
 
 
-def select_seeds(
-    graph: KnowledgeGraph, encoder: Encoder, query_vector: np.ndarray, n: int
-) -> list[HyperNode]:
+def select_seeds(graph: KnowledgeGraph, query_vector: np.ndarray, n: int) -> list[HyperNode]:
     """Top-n catalog triplets by cosine to the query, as singleton hypernodes.
 
-    Ties break by ascending serialized form. Uses the precomputed triplet
-    vectors when the graph carries them (bit-identical to encoding live);
-    otherwise encodes every singleton serialization in one batch.
+    Scores the triplet vectors precomputed at index time, which are
+    bit-identical to encoding each singleton serialization live. Ties break
+    by ascending serialized form.
     """
     if n < 1:
         raise InvalidParams("seed count must be >= 1")
@@ -78,12 +76,7 @@ def select_seeds(
     if not catalog:
         raise EmptyGraph("cannot select seeds from a graph with no triplets")
 
-    if graph.embeddings is not None:
-        rows = graph.embeddings.triplet_units()
-        if rows.shape[0] != len(catalog):
-            raise InvalidParams("precomputed triplet vectors do not match the catalog")
-    else:
-        rows = encode(encoder, [serialize_hypernode([t]) for t in catalog])
+    rows = graph.embeddings.triplet_units()
     scores = rows @ query_vector
 
     seeds = []
@@ -165,7 +158,7 @@ def run_expansion(
         return []
     if query_vector is None:
         query_vector = encode(encoder, [query])[0]
-    beam = select_seeds(graph, encoder, query_vector, config.seed_size)
+    beam = select_seeds(graph, query_vector, config.seed_size)
     for _ in range(2, config.hops + 1):
         candidates = expand_candidates(graph, beam)
         if not candidates:  # unreachable under carry-forward, kept as a guard

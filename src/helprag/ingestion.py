@@ -70,7 +70,8 @@ class EmbeddingStore:
 
     Rows are the quantized output of the encoder backend; the float64 unit
     matrices used for scoring are derived lazily and identically whether the
-    rows came from a fresh encode or from a bundle on disk.
+    rows came from a fresh encode or from a bundle on disk. Rows loaded from
+    a bundle are read-only.
     """
 
     def __init__(
@@ -103,20 +104,25 @@ class EmbeddingStore:
 
 def load_corpus(path: str | Path) -> list[CorpusRecord]:
     """Parse a JSONL corpus; rejects malformed lines and duplicate ids."""
+    return _parse_corpus(Path(path).read_text(encoding="utf-8"))
+
+
+def _parse_corpus(text: str) -> list[CorpusRecord]:
     records: list[CorpusRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(lineno, f"invalid JSON: {exc.msg}") from exc
-            records.append(_record_from_obj(obj, lineno))
-            if records[-1].id in seen:
-                raise DuplicateId(f"duplicate passage id {records[-1].id!r} at line {lineno}")
-            seen.add(records[-1].id)
+    # lines end at "\n" only: json.dumps(ensure_ascii=False) leaves U+0085 and
+    # U+2028 raw inside strings, where str.splitlines() would break a line
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(lineno, f"invalid JSON: {exc.msg}") from exc
+        records.append(_record_from_obj(obj, lineno))
+        if records[-1].id in seen:
+            raise DuplicateId(f"duplicate passage id {records[-1].id!r} at line {lineno}")
+        seen.add(records[-1].id)
     return records
 
 
@@ -219,20 +225,18 @@ def build_and_embed(records: list[CorpusRecord], encoder: Encoder) -> KnowledgeG
         triplets = tuple(canonicalize_triplet(h, r, t) for h, r, t in record.triples)
         passages.append(Passage(record.id, record.text, triplets))
 
-    graph = build_index(passages)
-    ids = tuple(graph.passages)
+    by_id, index = build_index(passages)
+    ids = tuple(by_id)
     if ids:
-        passage_rows = encoder.encode_batch([graph.passages[pid].text for pid in ids])
+        passage_rows = encoder.encode_batch([by_id[pid].text for pid in ids])
     else:
         passage_rows = np.empty((0, encoder.dim), dtype=np.float32)
-    catalog = graph.index.catalog
-    if catalog:
-        triplet_rows = encoder.encode_batch([serialize_hypernode([t]) for t in catalog])
+    if index.catalog:
+        triplet_rows = encoder.encode_batch([serialize_hypernode([t]) for t in index.catalog])
     else:
         triplet_rows = np.empty((0, passage_rows.shape[1]), dtype=np.float32)
-
-    graph.embeddings = EmbeddingStore(ids, passage_rows, triplet_rows, encoder.encoder_id)
-    return graph
+    store = EmbeddingStore(ids, passage_rows, triplet_rows, encoder.encoder_id)
+    return KnowledgeGraph(by_id, index, store)
 
 
 # --- bundle persistence -------------------------------------------------------
@@ -253,6 +257,7 @@ def _embedding_chunks(rows: np.ndarray) -> tuple[bytes, np.ndarray]:
 
 
 def _read_embedding_bytes(raw: bytes, name: str) -> np.ndarray:
+    """The rows of an embedding file: a read-only view over ``raw``, not a copy."""
     if raw[:8] != EMBEDDING_MAGIC:
         raise CorruptFile(f"{name}: bad magic")
     if len(raw) < 20:
@@ -261,7 +266,7 @@ def _read_embedding_bytes(raw: bytes, name: str) -> np.ndarray:
     count = struct.unpack("<Q", raw[12:20])[0]
     if len(raw) != 20 + 4 * dim * count:
         raise CorruptFile(f"{name}: payload size does not match header")
-    return np.frombuffer(raw, dtype="<f4", offset=20).reshape(count, dim).copy()
+    return np.frombuffer(raw, dtype="<f4", offset=20).reshape(count, dim)
 
 
 def _dumps(obj: object) -> str:
@@ -269,9 +274,7 @@ def _dumps(obj: object) -> str:
 
 
 def save_index(bundle_dir: str | Path, graph: KnowledgeGraph) -> dict:
-    """Persist a graph with embeddings as an index bundle; returns the manifest."""
-    if graph.embeddings is None:
-        raise InvalidParams("graph carries no embeddings; build with build_and_embed first")
+    """Persist a graph and its embeddings as an index bundle; returns the manifest."""
     store = graph.embeddings
     bundle = Path(bundle_dir)
     bundle.mkdir(parents=True, exist_ok=True)
@@ -315,8 +318,10 @@ def save_index(bundle_dir: str | Path, graph: KnowledgeGraph) -> dict:
 def load_index(bundle_dir: str | Path) -> KnowledgeGraph:
     """Load a bundle, verifying version, content hash, and internal consistency.
 
-    Consistency covers the catalog against the corpus, and the manifest's
-    counts and dim against the embedding files.
+    The graph is parsed from the bytes that were hashed, never re-read from
+    disk. Consistency covers the catalog against the corpus, and the
+    manifest's counts and dim against the embedding files. Embedding rows
+    are read-only views over the verified file bytes.
     """
     bundle = Path(bundle_dir)
     try:
@@ -339,21 +344,21 @@ def load_index(bundle_dir: str | Path) -> KnowledgeGraph:
     if digest.hexdigest() != manifest.get("content_hash"):
         raise CorruptFile("content hash mismatch; bundle files were modified or truncated")
 
-    records = load_corpus(bundle / CORPUS_FILE)
+    records = _parse_corpus(payloads[CORPUS_FILE].decode("utf-8"))
     if any(r.triples is None for r in records):
         raise CorruptFile("bundle corpus contains unextracted records")
     passages = [
         Passage(r.id, r.text, tuple(canonicalize_triplet(*t) for t in r.triples))
         for r in records
     ]
-    graph = build_index(passages)
+    by_id, index = build_index(passages)
 
     catalog_lines = [
         json.loads(line)
-        for line in payloads[TRIPLET_FILE].decode("utf-8").splitlines()
+        for line in payloads[TRIPLET_FILE].decode("utf-8").split("\n")
         if line.strip()
     ]
-    expected = [[t.head, t.relation, t.tail] for t in graph.index.catalog]
+    expected = [[t.head, t.relation, t.tail] for t in index.catalog]
     if catalog_lines != expected:
         raise CorruptFile("triplet file does not match the catalog rebuilt from the corpus")
 
@@ -362,15 +367,11 @@ def load_index(bundle_dir: str | Path) -> KnowledgeGraph:
     counts = manifest.get("counts", {})
     if passage_rows.shape[0] != counts.get("passages") or passage_rows.shape[0] != len(passages):
         raise CorruptFile("passage embedding count disagrees with manifest or corpus")
-    if triplet_rows.shape[0] != counts.get("triplets") or triplet_rows.shape[0] != len(
-        graph.index.catalog
-    ):
+    if triplet_rows.shape[0] != counts.get("triplets") or triplet_rows.shape[0] != len(index.catalog):
         raise CorruptFile("triplet embedding count disagrees with manifest or catalog")
     dims = (manifest.get("dim"), passage_rows.shape[1], triplet_rows.shape[1])
     if len(set(dims)) != 1:
         raise CorruptFile(f"embedding dims disagree (manifest, passage file, triplet file): {dims}")
 
-    graph.embeddings = EmbeddingStore(
-        tuple(graph.passages), passage_rows, triplet_rows, manifest.get("encoder_id", "")
-    )
-    return graph
+    store = EmbeddingStore(tuple(by_id), passage_rows, triplet_rows, manifest.get("encoder_id", ""))
+    return KnowledgeGraph(by_id, index, store)

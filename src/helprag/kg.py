@@ -8,7 +8,7 @@ immutable and safe to share across concurrent queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, ItemsView, Mapping
 
@@ -110,17 +110,18 @@ class TripleToPassageIndex:
         return len(self._catalog)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class KnowledgeGraph:
-    """Immutable passage store plus its derived triple index.
+    """Passage store, its derived triple index, and their precomputed vectors.
 
-    ``embeddings`` is attached by the ingestion layer when passage and
-    triplet vectors were precomputed; dense ranking requires it.
+    Built by the ingestion layer, from a fresh encode or from a bundle, so
+    every graph carries its passage and triplet embeddings; triplet rows
+    follow catalog order.
     """
 
     passages: Mapping[str, Passage]
     index: TripleToPassageIndex
-    embeddings: "EmbeddingStore | None" = field(default=None)
+    embeddings: "EmbeddingStore"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeGraph):
@@ -128,10 +129,11 @@ class KnowledgeGraph:
         return dict(self.passages) == dict(other.passages) and self.index == other.index
 
 
-def build_index(passages: Iterable[Passage]) -> KnowledgeGraph:
+def build_index(passages: Iterable[Passage]) -> tuple[dict[str, Passage], TripleToPassageIndex]:
     """Index a corpus; deterministic regardless of input passage order.
 
-    Raises DuplicatePassageId when two passages share an id.
+    Returns the passages keyed by id in sorted id order, and their triple
+    index. Raises DuplicatePassageId when two passages share an id.
     """
     by_id: dict[str, Passage] = {}
     for passage in passages:
@@ -144,7 +146,7 @@ def build_index(passages: Iterable[Passage]) -> KnowledgeGraph:
     for pid in sorted(by_id):
         index._add_passage(by_id[pid])
     index._freeze()
-    return KnowledgeGraph(passages={pid: by_id[pid] for pid in sorted(by_id)}, index=index)
+    return {pid: by_id[pid] for pid in sorted(by_id)}, index
 
 
 def adjacent_triplets(graph: KnowledgeGraph, entities: Iterable[str]) -> frozenset[Triplet]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoding import Encoder, encode, smallest_k
-from .errors import EncoderMismatch, InvalidParams, MissingPassageEmbeddings
+from .errors import EncoderMismatch, InvalidParams
 from .expansion import ExpansionConfig, HyperNode, run_expansion
 from .kg import KnowledgeGraph, Triplet
 
@@ -86,16 +86,12 @@ def score_passages(graph: KnowledgeGraph, final_beam: list[HyperNode]) -> list[S
     ]
 
 
-def dense_rank(
-    graph: KnowledgeGraph, encoder: Encoder, query_vector: np.ndarray, limit: int
-) -> list[ScoredPassage]:
+def dense_rank(graph: KnowledgeGraph, query_vector: np.ndarray, limit: int) -> list[ScoredPassage]:
     """Exact exhaustive cosine ranking of all passage embeddings.
 
-    Requires passage vectors precomputed at index time. Ties break by
+    Scores the passage vectors precomputed at index time. Ties break by
     passage id ascending.
     """
-    if graph.embeddings is None:
-        raise MissingPassageEmbeddings("index was built without passage embeddings")
     units = graph.embeddings.passage_units()
     ids = graph.embeddings.passage_ids
     scores = units @ query_vector
@@ -141,26 +137,30 @@ def retrieve_result(
     The query is embedded once and shared by expansion and dense ranking.
     When expansion yields no paths (empty graph) the context is pure dense
     top-K. A graph whose stored vectors came from another encoder raises
-    EncoderMismatch before the query is encoded.
+    EncoderMismatch before the query is encoded, and so does a query vector
+    whose dimension differs from the stored vectors'.
     """
-    if graph.embeddings is not None and graph.embeddings.encoder_id != encoder.encoder_id:
+    store = graph.embeddings
+    if store.encoder_id != encoder.encoder_id:
         raise EncoderMismatch(
-            f"graph was embedded with {graph.embeddings.encoder_id!r}, got {encoder.encoder_id!r}"
+            f"graph was embedded with {store.encoder_id!r}, got {encoder.encoder_id!r}"
         )
     expansion = expansion or ExpansionConfig()
     hybrid = hybrid or HybridConfig()
     started = time.perf_counter()
 
     query_vector = encode(encoder, [query])[0]
+    if query_vector.shape[0] != store.dim:
+        raise EncoderMismatch(
+            f"graph vectors have dim {store.dim}, the query encoded to dim {query_vector.shape[0]}"
+        )
 
     t0 = time.perf_counter()
     final_beam = run_expansion(graph, encoder, query, expansion, query_vector=query_vector)
     t1 = time.perf_counter()
     path_ranked = score_passages(graph, final_beam)
     t2 = time.perf_counter()
-    dense_ranked = dense_rank(
-        graph, encoder, query_vector, limit=hybrid.context_size + hybrid.quota
-    )
+    dense_ranked = dense_rank(graph, query_vector, limit=hybrid.context_size + hybrid.quota)
     t3 = time.perf_counter()
 
     if final_beam:

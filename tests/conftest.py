@@ -8,8 +8,8 @@ import random
 import pytest
 
 from helprag.encoding import HashEncoder, OracleEncoder, serialize_hypernode
-from helprag.ingestion import CorpusRecord, build_and_embed
-from helprag.kg import Passage, Triplet, build_index, canonicalize_triplet
+from helprag.ingestion import CorpusRecord
+from helprag.kg import canonicalize_triplet
 
 
 @pytest.fixture(scope="session")
@@ -17,13 +17,8 @@ def hash_encoder() -> HashEncoder:
     return HashEncoder()
 
 
-def passage(pid: str, *triples: tuple[str, str, str], text: str | None = None) -> Passage:
-    parsed = tuple(canonicalize_triplet(*t) for t in triples)
-    return Passage(pid, text or f"text of {pid}", parsed)
-
-
-def graph_of(*passages: Passage):
-    return build_index(list(passages))
+def passage(pid: str, *triples: tuple[str, str, str], text: str | None = None) -> CorpusRecord:
+    return CorpusRecord(pid, text or f"text of {pid}", triples)
 
 
 def random_corpus(
@@ -32,23 +27,19 @@ def random_corpus(
     max_triples_per_passage: int = 5,
     entity_pool: int = 30,
     relation_pool: int = 6,
-) -> list[Passage]:
+) -> list[CorpusRecord]:
     """Random corpus over a bounded entity pool (dense enough to have adjacency)."""
     entities = [f"e{i}" for i in range(entity_pool)]
     relations = [f"r{i}" for i in range(relation_pool)]
-    passages = []
+    records = []
     for p in range(n_passages):
         count = rng.randint(0, max_triples_per_passage)
         triples = tuple(
-            Triplet(rng.choice(entities), rng.choice(relations), rng.choice(entities))
+            (rng.choice(entities), rng.choice(relations), rng.choice(entities))
             for _ in range(count)
         )
-        passages.append(Passage(f"p{p:04d}", f"passage number {p}", triples))
-    return passages
-
-
-def embedded_graph(records: list[CorpusRecord], encoder=None):
-    return build_and_embed(records, encoder or HashEncoder())
+        records.append(CorpusRecord(f"p{p:04d}", f"passage number {p}", triples))
+    return records
 
 
 def directional_oracle(query: str, placements: dict[str, float]):

@@ -26,7 +26,7 @@ from helprag.evaluation import (
 )
 from helprag.expansion import ExpansionConfig, HyperNode, run_expansion, select_seeds
 from helprag.ingestion import CorpusRecord, build_and_embed, load_corpus, load_index, save_index
-from helprag.kg import build_index, canonicalize_triplet
+from helprag.kg import canonicalize_triplet
 from helprag.localization import (
     DENSE_CHANNEL,
     PATH_CHANNEL,
@@ -51,13 +51,6 @@ def criterion(name: str):
     print(f"\n[acceptance] {name}: PASS")
 
 
-def records_from_passages(passages) -> list[CorpusRecord]:
-    return [
-        CorpusRecord(p.id, p.text, tuple((t.head, t.relation, t.tail) for t in p.triplets))
-        for p in passages
-    ]
-
-
 def test_expansion_oracle_equivalence():
     with criterion("expansion-oracle-equivalence"):
         encoder = HashEncoder()
@@ -65,10 +58,10 @@ def test_expansion_oracle_equivalence():
         started = time.perf_counter()
         checked = 0
         while checked < 100:
-            passages = random_corpus(
+            records = random_corpus(
                 rng, n_passages=rng.randint(5, 40), entity_pool=rng.randint(8, 40)
             )
-            graph = build_index(passages)
+            graph = build_and_embed(records, encoder)
             if not graph.index.catalog:
                 continue
             assert len(graph.index.catalog) <= 200
@@ -91,10 +84,11 @@ def test_expansion_oracle_equivalence():
 
 def test_scoring_oracle_equivalence():
     with criterion("scoring-oracle-equivalence"):
+        encoder = HashEncoder()
         rng = random.Random(0xACE)
         fixtures = 0
         while fixtures < 1000:
-            graph = build_index(random_corpus(rng, n_passages=rng.randint(1, 20)))
+            graph = build_and_embed(random_corpus(rng, n_passages=rng.randint(1, 20)), encoder)
             catalog = list(graph.index.catalog)
             if not catalog:
                 continue
@@ -118,9 +112,10 @@ def test_weight_law_exact():
     with criterion("provenance-weight-law"):
         from fractions import Fraction
 
+        encoder = HashEncoder()
         rng = random.Random(0xF00D)
         for _ in range(30):
-            graph = build_index(random_corpus(rng, n_passages=rng.randint(1, 30)))
+            graph = build_and_embed(random_corpus(rng, n_passages=rng.randint(1, 30)), encoder)
             for triplet in graph.index.catalog:
                 for pid, weight in graph.index.provenance(triplet):
                     unique = set(graph.passages[pid].triplets)
@@ -134,8 +129,7 @@ def test_hybrid_quota_law():
         config = HybridConfig(quota=4, context_size=5)
         exercised = 0
         while exercised < 40:
-            passages = random_corpus(rng, n_passages=rng.randint(8, 25))
-            graph = build_and_embed(records_from_passages(passages), encoder)
+            graph = build_and_embed(random_corpus(rng, n_passages=rng.randint(8, 25)), encoder)
             catalog = list(graph.index.catalog)
             if len(catalog) < 4:
                 continue
@@ -148,7 +142,7 @@ def test_hybrid_quota_law():
             ]
             path_ranked = score_passages(graph, beam)
             query_vec = encode(encoder, [f"probe {exercised}"])[0]
-            dense_ranked = dense_rank(graph, encoder, query_vec, limit=9)
+            dense_ranked = dense_rank(graph, query_vec, limit=9)
             path_ids = {p.id for p in path_ranked[:4]}
             extra_dense = [p for p in dense_ranked if p.id not in path_ids]
             if len(path_ranked) < 4 or not extra_dense:
@@ -216,7 +210,7 @@ def test_case_study_reproduction():
         qa = load_qa(fixture_dir / "qa.jsonl")[0]
 
         query_vec = encode(encoder, [qa.question])[0]
-        seeds = select_seeds(graph, encoder, query_vec, n=3)
+        seeds = select_seeds(graph, query_vec, n=3)
         mother_of = canonicalize_triplet(
             "Princess Elene Of Georgia", "mother of", "Solomon II of Imereti"
         )
@@ -298,8 +292,7 @@ def test_persistence_round_trip_bit_exact():
     with criterion("persistence-round-trip"):
         rng = random.Random(0xD15C)
         encoder = HashEncoder()
-        passages = random_corpus(rng, n_passages=60, entity_pool=25)
-        graph = build_and_embed(records_from_passages(passages), encoder)
+        graph = build_and_embed(random_corpus(rng, n_passages=60, entity_pool=25), encoder)
         bundle = Path(_tmpdir()) / "roundtrip_bundle"
         save_index(bundle, graph)
         loaded = load_index(bundle)

@@ -224,6 +224,15 @@ class TestBench:
              "--out", str(tmp_path / "r")]
         ) == 2
 
+    def test_invalid_grid_point_exit_2_before_any_report(self, synthetic_cli_setup, tmp_path):
+        fixture_dir, bundle, encoder_spec = synthetic_cli_setup
+        reports = tmp_path / "r"
+        assert main(
+            ["bench", "--index", str(bundle), "--qa", str(fixture_dir / "qa.jsonl"),
+             "--encoder", encoder_spec, "--grid", "quota=4..6", "--out", str(reports)]
+        ) == 2
+        assert list(reports.glob("report_*.json")) == []
+
     def test_mismatched_encoder_exit_2(self, synthetic_cli_setup, tmp_path, capsys):
         fixture_dir, bundle, _ = synthetic_cli_setup
         code = main(

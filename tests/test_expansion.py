@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import directional_oracle, graph_of, passage, random_corpus, serialized
+from conftest import directional_oracle, passage, random_corpus, serialized
 from helprag.encoding import Encoder, encode
 from helprag.errors import EmptyGraph, InvalidParams
 from helprag.expansion import (
@@ -21,7 +21,7 @@ from helprag.expansion import (
     select_seeds,
 )
 from helprag.ingestion import CorpusRecord, build_and_embed
-from helprag.kg import KnowledgeGraph, TripleToPassageIndex, build_index, canonicalize_triplet
+from helprag.kg import canonicalize_triplet
 from helprag.localization import dense_rank
 from oracles import brute_force_expansion, sort_rank
 
@@ -32,21 +32,27 @@ def beam_sets(beam: list[HyperNode]) -> list[frozenset]:
 
 class TestSelectSeeds:
     def test_top_n_by_cosine(self):
-        graph = graph_of(
-            passage("p1", ("aaa", "r", "a2")),
-            passage("p2", ("bbb", "r", "b2")),
-            passage("p3", ("ccc", "r", "c2")),
-        )
         enc = directional_oracle(
             "the query",
             {
                 serialized(("aaa", "r", "a2")): 0.9,
                 serialized(("bbb", "r", "b2")): 0.5,
                 serialized(("ccc", "r", "c2")): 0.1,
+                "text of p1": 0.0,
+                "text of p2": 0.0,
+                "text of p3": 0.0,
             },
         )
+        graph = build_and_embed(
+            [
+                passage("p1", ("aaa", "r", "a2")),
+                passage("p2", ("bbb", "r", "b2")),
+                passage("p3", ("ccc", "r", "c2")),
+            ],
+            enc,
+        )
         vq = encode(enc, ["the query"])[0]
-        seeds = select_seeds(graph, enc, vq, n=2)
+        seeds = select_seeds(graph, vq, n=2)
         assert beam_sets(seeds) == [
             frozenset({canonicalize_triplet("aaa", "r", "a2")}),
             frozenset({canonicalize_triplet("bbb", "r", "b2")}),
@@ -57,20 +63,20 @@ class TestSelectSeeds:
             )
 
     def test_saturation_returns_all(self, hash_encoder):
-        graph = graph_of(passage("p1", ("a", "r", "b"), ("b", "r", "c")))
+        graph = build_and_embed([passage("p1", ("a", "r", "b"), ("b", "r", "c"))], hash_encoder)
         vq = encode(hash_encoder, ["query"])[0]
-        assert len(select_seeds(graph, hash_encoder, vq, n=10)) == 2
+        assert len(select_seeds(graph, vq, n=10)) == 2
 
     def test_empty_graph_raises(self, hash_encoder):
-        graph = build_index([])
+        graph = build_and_embed([], hash_encoder)
         vq = encode(hash_encoder, ["query"])[0]
         with pytest.raises(EmptyGraph):
-            select_seeds(graph, hash_encoder, vq, n=1)
+            select_seeds(graph, vq, n=1)
 
 
 class TestExpandCandidates:
-    def test_chain_grows_by_one(self):
-        graph = graph_of(passage("p1", ("a", "r1", "b"), ("b", "r2", "c")))
+    def test_chain_grows_by_one(self, hash_encoder):
+        graph = build_and_embed([passage("p1", ("a", "r1", "b"), ("b", "r2", "c"))], hash_encoder)
         seed = HyperNode.from_triplets(frozenset({canonicalize_triplet("a", "r1", "b")}))
         candidates = expand_candidates(graph, [seed])
         assert beam_sets(candidates) == [
@@ -78,24 +84,26 @@ class TestExpandCandidates:
         ]
         assert candidates[0].embedding is None
 
-    def test_isolated_node_carried_forward(self):
-        graph = graph_of(passage("p1", ("a", "r", "b")), passage("p2", ("x", "r", "y")))
+    def test_isolated_node_carried_forward(self, hash_encoder):
+        graph = build_and_embed(
+            [passage("p1", ("a", "r", "b")), passage("p2", ("x", "r", "y"))], hash_encoder
+        )
         lonely = HyperNode.from_triplets(frozenset({canonicalize_triplet("x", "r", "y")}))
         candidates = expand_candidates(graph, [lonely])
         assert beam_sets(candidates) == [lonely.triplets]
 
-    def test_same_set_reached_twice_deduplicated(self):
+    def test_same_set_reached_twice_deduplicated(self, hash_encoder):
         t1 = canonicalize_triplet("a", "r", "b")
         t2 = canonicalize_triplet("b", "r", "c")
-        graph = graph_of(passage("p1", ("a", "r", "b"), ("b", "r", "c")))
+        graph = build_and_embed([passage("p1", ("a", "r", "b"), ("b", "r", "c"))], hash_encoder)
         candidates = expand_candidates(
             graph,
             [HyperNode.from_triplets(frozenset({t1})), HyperNode.from_triplets(frozenset({t2}))],
         )
         assert beam_sets(candidates) == [frozenset({t1, t2})]
 
-    def test_empty_beam_rejected(self):
-        graph = graph_of(passage("p1", ("a", "r", "b")))
+    def test_empty_beam_rejected(self, hash_encoder):
+        graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
         with pytest.raises(InvalidParams):
             expand_candidates(graph, [])
 
@@ -189,7 +197,7 @@ class TestTiesAtTheKth:
         texts = [t.as_text() for t in catalog]
         rows = encode(enc, texts)
 
-        seeds = select_seeds(graph, enc, vq, k)
+        seeds = select_seeds(graph, vq, k)
         assert [s.serialized for s in seeds] == sort_rank(texts, rows @ vq)[:k]
 
         candidates = [HyperNode.from_triplets(frozenset([t])) for t in catalog]
@@ -198,12 +206,12 @@ class TestTiesAtTheKth:
 
         ids = graph.embeddings.passage_ids
         passage_rows = encode(enc, [graph.passages[pid].text for pid in ids])
-        dense = dense_rank(graph, enc, vq, k)
+        dense = dense_rank(graph, vq, k)
         assert [p.id for p in dense] == sort_rank(ids, passage_rows @ vq)[:k]
 
     def test_carried_candidates_are_not_reencoded(self):
         graph, enc, vq = tied_graph([0.9, 0.6, 0.6, 0.3])
-        carried = select_seeds(graph, enc, vq, 1)
+        carried = select_seeds(graph, vq, 1)
         fresh = [HyperNode.from_triplets(frozenset([t])) for t in graph.index.catalog[1:]]
         recorder = RecordingEncoder(enc)
         kept = prune(carried + fresh, recorder, vq, 3)
@@ -219,32 +227,34 @@ class TestRunExpansion:
     def test_two_hop_chain_found(self):
         # oracle rewards the full chain; query bridges a -> c through b
         chain = [("a", "r1", "b"), ("b", "r2", "c")]
-        graph = graph_of(passage("p1", chain[0]), passage("p2", chain[1]))
         enc = directional_oracle(
             "how does a reach c?",
             {
                 serialized(chain[0]): 0.9,
                 serialized(chain[1]): 0.2,
                 serialized(*chain): 0.99,
+                "text of p1": 0.0,
+                "text of p2": 0.0,
             },
         )
+        graph = build_and_embed([passage("p1", chain[0]), passage("p2", chain[1])], enc)
         final = run_expansion(graph, enc, "how does a reach c?", ExpansionConfig(hops=2, seed_size=1, beam_size=5))
         assert beam_sets(final) == [frozenset(canonicalize_triplet(*t) for t in chain)]
 
     def test_single_hop_returns_seeds(self, hash_encoder):
-        graph = graph_of(passage("p1", ("a", "r", "b"), ("b", "r", "c")))
+        graph = build_and_embed([passage("p1", ("a", "r", "b"), ("b", "r", "c"))], hash_encoder)
         config = ExpansionConfig(hops=1, seed_size=2, beam_size=5)
         final = run_expansion(graph, hash_encoder, "query", config)
         vq = encode(hash_encoder, ["query"])[0]
-        assert beam_sets(final) == beam_sets(select_seeds(graph, hash_encoder, vq, 2))
+        assert beam_sets(final) == beam_sets(select_seeds(graph, vq, 2))
 
     def test_empty_graph_returns_empty(self, hash_encoder):
-        empty = KnowledgeGraph(passages={}, index=TripleToPassageIndex())
+        empty = build_and_embed([], hash_encoder)
         assert run_expansion(empty, hash_encoder, "query", ExpansionConfig()) == []
 
     def test_deterministic(self, hash_encoder):
         rng = random.Random(99)
-        graph = build_index(random_corpus(rng, n_passages=30))
+        graph = build_and_embed(random_corpus(rng, n_passages=30), hash_encoder)
         config = ExpansionConfig(hops=3, seed_size=3, beam_size=8)
         first = run_expansion(graph, hash_encoder, "some question", config)
         second = run_expansion(graph, hash_encoder, "some question", config)
@@ -253,7 +263,7 @@ class TestRunExpansion:
 
     def test_monotone_growth_and_connectivity(self, hash_encoder):
         rng = random.Random(4)
-        graph = build_index(random_corpus(rng, n_passages=40, entity_pool=15))
+        graph = build_and_embed(random_corpus(rng, n_passages=40, entity_pool=15), hash_encoder)
         for hops in (1, 2, 3):
             config = ExpansionConfig(hops=hops, seed_size=4, beam_size=10)
             final = run_expansion(graph, hash_encoder, "connectivity probe", config)
@@ -265,7 +275,7 @@ class TestRunExpansion:
     def test_oracle_equivalence_sample(self, hash_encoder):
         rng = random.Random(31337)
         for _ in range(10):
-            graph = build_index(random_corpus(rng, n_passages=25, entity_pool=20))
+            graph = build_and_embed(random_corpus(rng, n_passages=25, entity_pool=20), hash_encoder)
             if not graph.index.catalog:
                 continue
             hops, seeds, beam = rng.randint(1, 3), rng.randint(1, 5), rng.randint(1, 10)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,17 +158,9 @@ class TestBuildAndEmbed:
             build_and_embed([CorpusRecord("p1", "text", None)], hash_encoder)
 
 
-def _random_records(rng: random.Random, n=25) -> list[CorpusRecord]:
-    passages = random_corpus(rng, n_passages=n)
-    return [
-        CorpusRecord(p.id, p.text, tuple((t.head, t.relation, t.tail) for t in p.triplets))
-        for p in passages
-    ]
-
-
 class TestBundleRoundTrip:
     def test_save_load_bit_exact(self, tmp_path, hash_encoder):
-        graph = build_and_embed(_random_records(random.Random(42)), hash_encoder)
+        graph = build_and_embed(random_corpus(random.Random(42), n_passages=25), hash_encoder)
         manifest = save_index(tmp_path / "idx", graph)
         assert manifest["version"] == 1
         assert manifest["encoder_id"] == hash_encoder.encoder_id
@@ -181,11 +174,51 @@ class TestBundleRoundTrip:
         assert np.array_equal(loaded.embeddings.passage_units(), graph.embeddings.passage_units())
 
     def test_resave_byte_identical(self, tmp_path, hash_encoder):
-        graph = build_and_embed(_random_records(random.Random(7)), hash_encoder)
+        graph = build_and_embed(random_corpus(random.Random(7), n_passages=25), hash_encoder)
         save_index(tmp_path / "a", graph)
         save_index(tmp_path / "b", graph)
         for name in ("corpus.jsonl", "triplets.jsonl", PASSAGE_EMB_FILE, MANIFEST_FILE):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_loaded_graph_resaves_byte_identical(self, tmp_path, hash_encoder):
+        graph = build_and_embed(random_corpus(random.Random(11), n_passages=25), hash_encoder)
+        save_index(tmp_path / "a", graph)
+        save_index(tmp_path / "b", load_index(tmp_path / "a"))
+        for name in (CORPUS_FILE, TRIPLET_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE, MANIFEST_FILE):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_loaded_rows_are_read_only(self, tmp_path, hash_encoder):
+        graph = build_and_embed(random_corpus(random.Random(11), n_passages=25), hash_encoder)
+        save_index(tmp_path / "idx", graph)
+        store = load_index(tmp_path / "idx").embeddings
+        assert not store.passage_rows.flags.writeable
+        assert not store.triplet_rows.flags.writeable
+
+    def test_load_parses_the_bytes_it_verified(self, tmp_path, hash_encoder, monkeypatch):
+        graph = build_and_embed(random_corpus(random.Random(5), n_passages=6), hash_encoder)
+        save_index(tmp_path / "idx", graph)
+        read_bytes = Path.read_bytes
+        rewritten = []
+
+        def read_then_rewrite(path):
+            data = read_bytes(path)
+            if path.name == CORPUS_FILE:
+                # the corpus changes on disk right after its bytes were hashed
+                path.write_bytes(data.replace(b"passage number 0", b"passage number X"))
+                rewritten.append(path)
+            return data
+
+        monkeypatch.setattr(Path, "read_bytes", read_then_rewrite)
+        loaded = load_index(tmp_path / "idx")
+        assert rewritten
+        assert loaded.passages == graph.passages
+
+    def test_line_separator_characters_in_text_round_trip(self, tmp_path, hash_encoder):
+        text = "one\u0085two\u2028three\u2029four"
+        graph = build_and_embed([CorpusRecord("p1", text, (("a", "r", "b"),))], hash_encoder)
+        save_index(tmp_path / "idx", graph)
+        assert "\u2028" in (tmp_path / "idx" / CORPUS_FILE).read_text(encoding="utf-8")
+        assert load_index(tmp_path / "idx").passages["p1"].text == text
 
     def test_corpus_without_triplets_round_trips(self, tmp_path, hash_encoder):
         graph = build_and_embed([CorpusRecord("p1", "text only", ())], hash_encoder)
@@ -195,7 +228,7 @@ class TestBundleRoundTrip:
         assert loaded.embeddings.triplet_rows.shape == (0, 256)
 
     def test_retrieval_identical_on_loaded_bundle(self, tmp_path, hash_encoder):
-        graph = build_and_embed(_random_records(random.Random(3)), hash_encoder)
+        graph = build_and_embed(random_corpus(random.Random(3), n_passages=25), hash_encoder)
         save_index(tmp_path / "idx", graph)
         loaded = load_index(tmp_path / "idx")
         fresh = retrieve_result(graph, hash_encoder, "some random probe question")
@@ -205,7 +238,7 @@ class TestBundleRoundTrip:
         ]
 
     def test_version_mismatch(self, tmp_path, hash_encoder):
-        graph = build_and_embed(_random_records(random.Random(1), n=4), hash_encoder)
+        graph = build_and_embed(random_corpus(random.Random(1), n_passages=4), hash_encoder)
         save_index(tmp_path / "idx", graph)
         manifest_path = tmp_path / "idx" / MANIFEST_FILE
         manifest = json.loads(manifest_path.read_text())
@@ -215,7 +248,7 @@ class TestBundleRoundTrip:
             load_index(tmp_path / "idx")
 
     def test_truncated_embedding_file(self, tmp_path, hash_encoder):
-        graph = build_and_embed(_random_records(random.Random(1), n=4), hash_encoder)
+        graph = build_and_embed(random_corpus(random.Random(1), n_passages=4), hash_encoder)
         save_index(tmp_path / "idx", graph)
         emb = tmp_path / "idx" / PASSAGE_EMB_FILE
         emb.write_bytes(emb.read_bytes()[:-8])
@@ -223,7 +256,7 @@ class TestBundleRoundTrip:
             load_index(tmp_path / "idx")
 
     def test_flipped_byte_detected(self, tmp_path, hash_encoder):
-        graph = build_and_embed(_random_records(random.Random(1), n=4), hash_encoder)
+        graph = build_and_embed(random_corpus(random.Random(1), n_passages=4), hash_encoder)
         save_index(tmp_path / "idx", graph)
         corpus = tmp_path / "idx" / "corpus.jsonl"
         raw = bytearray(corpus.read_bytes())
@@ -234,7 +267,7 @@ class TestBundleRoundTrip:
 
     @pytest.mark.parametrize("edit", ["triplet file", "manifest"])
     def test_dim_disagreement_detected(self, tmp_path, hash_encoder, edit):
-        records = _random_records(random.Random(1), n=4)
+        records = random_corpus(random.Random(1), n_passages=4)
         bundle = tmp_path / "idx"
         save_index(bundle, build_and_embed(records, hash_encoder))
         manifest_path = bundle / MANIFEST_FILE
@@ -254,15 +287,8 @@ class TestBundleRoundTrip:
             load_index(bundle)
 
     def test_missing_file_detected(self, tmp_path, hash_encoder):
-        graph = build_and_embed(_random_records(random.Random(1), n=4), hash_encoder)
+        graph = build_and_embed(random_corpus(random.Random(1), n_passages=4), hash_encoder)
         save_index(tmp_path / "idx", graph)
         (tmp_path / "idx" / PASSAGE_EMB_FILE).unlink()
         with pytest.raises(CorruptFile):
             load_index(tmp_path / "idx")
-
-    def test_save_requires_embeddings(self, tmp_path):
-        from helprag.kg import build_index
-
-        graph = build_index([])
-        with pytest.raises(InvalidParams):
-            save_index(tmp_path / "idx", graph)

@@ -9,15 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_of, passage, random_corpus
+from conftest import passage, random_corpus
 from helprag.errors import DuplicatePassageId, EmptyField
-from helprag.kg import (
-    Passage,
-    Triplet,
-    adjacent_triplets,
-    build_index,
-    canonicalize_triplet,
-)
+from helprag.ingestion import build_and_embed
+from helprag.kg import Triplet, adjacent_triplets, canonicalize_triplet
 from oracles import scan_adjacent
 
 
@@ -50,68 +45,73 @@ class TestCanonicalize:
 
 
 class TestBuildIndex:
-    def test_four_triplets_quarter_weight(self):
+    def test_four_triplets_quarter_weight(self, hash_encoder):
         p = passage("p1", ("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d"), ("d", "r", "e"))
-        graph = graph_of(p)
-        for t in p.triplets:
+        graph = build_and_embed([p], hash_encoder)
+        for t in graph.passages["p1"].triplets:
             assert graph.index.provenance(t) == frozenset({("p1", Fraction(1, 4))})
 
-    def test_shared_triplet_gets_per_passage_weights(self):
+    def test_shared_triplet_gets_per_passage_weights(self, hash_encoder):
         shared = ("x", "r", "y")
         p1 = passage("p1", shared, ("a", "r", "b"))
         p2 = passage("p2", shared, ("c", "r", "d"), ("d", "r", "e"), ("e", "r", "f"), ("f", "r", "g"))
-        graph = graph_of(p1, p2)
+        graph = build_and_embed([p1, p2], hash_encoder)
         assert graph.index.provenance(canonicalize_triplet(*shared)) == frozenset(
             {("p1", Fraction(1, 2)), ("p2", Fraction(1, 5))}
         )
 
-    def test_empty_triplet_list_contributes_nothing(self):
-        graph = graph_of(Passage("p1", "no facts here", ()), passage("p2", ("a", "r", "b")))
+    def test_empty_triplet_list_contributes_nothing(self, hash_encoder):
+        graph = build_and_embed(
+            [passage("p1", text="no facts here"), passage("p2", ("a", "r", "b"))], hash_encoder
+        )
         assert len(graph.index.catalog) == 1
         assert graph.index.adjacent("a") == graph.index.adjacent("b") == set(graph.index.catalog)
 
-    def test_duplicate_passage_id_rejected(self):
+    def test_duplicate_passage_id_rejected(self, hash_encoder):
         with pytest.raises(DuplicatePassageId):
-            graph_of(passage("p1", ("a", "r", "b")), passage("p1", ("c", "r", "d")))
+            build_and_embed(
+                [passage("p1", ("a", "r", "b")), passage("p1", ("c", "r", "d"))], hash_encoder
+            )
 
-    def test_duplicate_triplets_within_passage_counted_once(self):
+    def test_duplicate_triplets_within_passage_counted_once(self, hash_encoder):
         p = passage("p1", ("a", "r", "b"), ("a", "r", "b"), ("b", "r", "c"))
-        graph = graph_of(p)
+        graph = build_and_embed([p], hash_encoder)
         t = canonicalize_triplet("a", "r", "b")
         assert graph.index.provenance(t) == frozenset({("p1", Fraction(1, 2))})
 
-    def test_singleton_passage_weight_is_one(self):
-        graph = graph_of(passage("p1", ("a", "r", "b")))
+    def test_singleton_passage_weight_is_one(self, hash_encoder):
+        graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
         assert graph.index.provenance(canonicalize_triplet("a", "r", "b")) == frozenset(
             {("p1", Fraction(1, 1))}
         )
 
-    def test_unknown_triplet_empty_provenance(self):
-        graph = graph_of(passage("p1", ("a", "r", "b")))
+    def test_unknown_triplet_empty_provenance(self, hash_encoder):
+        graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
         assert graph.index.provenance(canonicalize_triplet("x", "r", "y")) == frozenset()
 
 
 class TestAdjacency:
-    def test_chain_middle_entity(self):
-        graph = graph_of(passage("p1", ("a", "r1", "b"), ("b", "r2", "c"), ("c", "r3", "d")))
+    def test_chain_middle_entity(self, hash_encoder):
+        p = passage("p1", ("a", "r1", "b"), ("b", "r2", "c"), ("c", "r3", "d"))
+        graph = build_and_embed([p], hash_encoder)
         got = adjacent_triplets(graph, {"b"})
         assert got == {
             canonicalize_triplet("a", "r1", "b"),
             canonicalize_triplet("b", "r2", "c"),
         }
 
-    def test_empty_entity_set(self):
-        graph = graph_of(passage("p1", ("a", "r", "b")))
+    def test_empty_entity_set(self, hash_encoder):
+        graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
         assert adjacent_triplets(graph, set()) == frozenset()
 
-    def test_absent_entity(self):
-        graph = graph_of(passage("p1", ("a", "r", "b")))
+    def test_absent_entity(self, hash_encoder):
+        graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
         assert adjacent_triplets(graph, {"z"}) == frozenset()
 
-    def test_matches_linear_scan_on_random_graphs(self):
+    def test_matches_linear_scan_on_random_graphs(self, hash_encoder):
         rng = random.Random(20240811)
-        passages = random_corpus(rng, n_passages=120, entity_pool=40)  # ~300 triplets
-        graph = build_index(passages)
+        records = random_corpus(rng, n_passages=120, entity_pool=40)  # ~300 triplets
+        graph = build_and_embed(records, hash_encoder)
         catalog = graph.index.catalog
         assert len(catalog) <= 500
         entity_names = [f"e{i}" for i in range(50)]  # includes entities absent from graph
@@ -123,9 +123,9 @@ class TestAdjacency:
 class TestProperties:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_weight_normalization(self, seed):
+    def test_weight_normalization(self, hash_encoder, seed):
         rng = random.Random(seed)
-        graph = build_index(random_corpus(rng, n_passages=20))
+        graph = build_and_embed(random_corpus(rng, n_passages=20), hash_encoder)
         per_passage_weights: dict[str, set[Fraction]] = {}
         per_passage_sum: dict[str, Fraction] = {}
         for t in graph.index.catalog:
@@ -139,19 +139,19 @@ class TestProperties:
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
-    def test_rebuild_deterministic_under_shuffle(self, seed):
+    def test_rebuild_deterministic_under_shuffle(self, hash_encoder, seed):
         rng = random.Random(seed)
-        passages = random_corpus(rng, n_passages=15)
-        graph = build_index(passages)
-        shuffled = list(passages)
+        records = random_corpus(rng, n_passages=15)
+        graph = build_and_embed(records, hash_encoder)
+        shuffled = list(records)
         rng.shuffle(shuffled)
-        regraph = build_index(shuffled)
+        regraph = build_and_embed(shuffled, hash_encoder)
         assert graph == regraph
         assert graph.index.catalog == regraph.index.catalog
 
-    def test_adjacency_covers_every_catalog_triplet(self):
+    def test_adjacency_covers_every_catalog_triplet(self, hash_encoder):
         rng = random.Random(7)
-        graph = build_index(random_corpus(rng, n_passages=40))
+        graph = build_and_embed(random_corpus(rng, n_passages=40), hash_encoder)
         for t in graph.index.catalog:
             assert t in graph.index.adjacent(t.head)
             assert t in graph.index.adjacent(t.tail)

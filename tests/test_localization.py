@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
-from conftest import embedded_graph, graph_of, passage, random_corpus
+from conftest import passage, random_corpus
 from helprag.encoding import OracleEncoder, encode
-from helprag.errors import EncoderMismatch, InvalidParams, MissingPassageEmbeddings
+from helprag.errors import EncoderMismatch, InvalidParams
 from helprag.expansion import ExpansionConfig, HyperNode
-from helprag.ingestion import CorpusRecord
-from helprag.kg import build_index, canonicalize_triplet
+from helprag.ingestion import CorpusRecord, build_and_embed
+from helprag.kg import canonicalize_triplet
 from helprag.localization import (
     DENSE_CHANNEL,
     PATH_CHANNEL,
@@ -34,8 +35,8 @@ def node_with_distance(dist: float, *triples) -> HyperNode:
 
 
 class TestScorePassages:
-    def test_single_hypernode_zero_distance(self):
-        graph = graph_of(passage("p1", ("a", "r", "b"), ("c", "r", "d")))
+    def test_single_hypernode_zero_distance(self, hash_encoder):
+        graph = build_and_embed([passage("p1", ("a", "r", "b"), ("c", "r", "d"))], hash_encoder)
         scored = score_passages(graph, [node_with_distance(0.0, ("a", "r", "b"))])
         assert len(scored) == 1
         assert scored[0].id == "p1"
@@ -43,8 +44,8 @@ class TestScorePassages:
         assert scored[0].channel == PATH_CHANNEL
         assert scored[0].supporting_triplets == (canonicalize_triplet("a", "r", "b"),)
 
-    def test_second_hypernode_adds_soft_matched_weight(self):
-        graph = graph_of(passage("p1", ("a", "r", "b"), ("c", "r", "d")))
+    def test_second_hypernode_adds_soft_matched_weight(self, hash_encoder):
+        graph = build_and_embed([passage("p1", ("a", "r", "b"), ("c", "r", "d"))], hash_encoder)
         beam = [
             node_with_distance(0.0, ("a", "r", "b")),
             node_with_distance(1.0, ("a", "r", "b")),
@@ -53,10 +54,10 @@ class TestScorePassages:
         assert scored[0].score == pytest.approx(0.5 + math.exp(-1) * 0.5, abs=1e-9)
         assert scored[0].score == pytest.approx(0.6839397, abs=1e-6)
 
-    def test_matches_brute_force_double_sum(self):
+    def test_matches_brute_force_double_sum(self, hash_encoder):
         rng = random.Random(1234)
         for _ in range(50):
-            graph = build_index(random_corpus(rng, n_passages=rng.randint(1, 20)))
+            graph = build_and_embed(random_corpus(rng, n_passages=rng.randint(1, 20)), hash_encoder)
             catalog = list(graph.index.catalog)
             if not catalog:
                 continue
@@ -75,20 +76,22 @@ class TestScorePassages:
             for pid, score in mine.items():
                 assert score == pytest.approx(reference[pid], rel=1e-9)
 
-    def test_missing_distance_rejected(self):
-        graph = graph_of(passage("p1", ("a", "r", "b")))
+    def test_missing_distance_rejected(self, hash_encoder):
+        graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
         bare = HyperNode.from_triplets(frozenset({canonicalize_triplet("a", "r", "b")}))
         with pytest.raises(InvalidParams):
             score_passages(graph, [bare])
 
-    def test_zero_score_passages_excluded(self):
-        graph = graph_of(passage("p1", ("a", "r", "b")), passage("p2", ("x", "r", "y")))
+    def test_zero_score_passages_excluded(self, hash_encoder):
+        graph = build_and_embed(
+            [passage("p1", ("a", "r", "b")), passage("p2", ("x", "r", "y"))], hash_encoder
+        )
         scored = score_passages(graph, [node_with_distance(0.0, ("a", "r", "b"))])
         assert [p.id for p in scored] == ["p1"]
 
-    def test_additivity_removing_hypernode_never_raises_scores(self):
+    def test_additivity_removing_hypernode_never_raises_scores(self, hash_encoder):
         rng = random.Random(77)
-        graph = build_index(random_corpus(rng, n_passages=12))
+        graph = build_and_embed(random_corpus(rng, n_passages=12), hash_encoder)
         catalog = list(graph.index.catalog)
         beam = [
             HyperNode.from_triplets(
@@ -102,43 +105,39 @@ class TestScorePassages:
         for pid, score in reduced.items():
             assert score <= full[pid] + 1e-12
 
-    def test_consensus_extra_support_strictly_wins(self):
+    def test_consensus_extra_support_strictly_wins(self, hash_encoder):
         # p1 and p2 share one triplet; p1 additionally holds a second one
         shared = ("s", "r", "t")
         extra = ("u", "r", "v")
-        graph = graph_of(passage("p1", shared, extra), passage("p2", shared, ("w", "r", "z")))
+        graph = build_and_embed(
+            [passage("p1", shared, extra), passage("p2", shared, ("w", "r", "z"))], hash_encoder
+        )
         beam = [node_with_distance(0.3, shared), node_with_distance(0.7, extra)]
         scored = {p.id: p.score for p in score_passages(graph, beam)}
         assert scored["p1"] > scored["p2"]
 
 
 class TestDenseRank:
-    def _graph(self):
+    def _graph(self, encoder):
         records = [
             CorpusRecord(f"p{i}", f"passage body number {i} talks about topic {i}", ())
             for i in range(8)
         ]
         records.append(CorpusRecord("p8", "the quick brown fox", ()))
-        return embedded_graph(records)
-
-    def test_requires_embeddings(self, hash_encoder):
-        graph = graph_of(passage("p1", ("a", "r", "b")))
-        vq = encode(hash_encoder, ["anything"])[0]
-        with pytest.raises(MissingPassageEmbeddings):
-            dense_rank(graph, hash_encoder, vq, limit=3)
+        return build_and_embed(records, encoder)
 
     def test_nearest_by_construction_first(self, hash_encoder):
-        graph = self._graph()
+        graph = self._graph(hash_encoder)
         vq = encode(hash_encoder, ["the quick brown fox"])[0]
-        ranked = dense_rank(graph, hash_encoder, vq, limit=3)
+        ranked = dense_rank(graph, vq, limit=3)
         assert ranked[0].id == "p8"
         assert ranked[0].channel == DENSE_CHANNEL
         assert ranked[0].supporting_triplets == ()
 
     def test_limit_beyond_corpus_returns_full_ranking(self, hash_encoder):
-        graph = self._graph()
+        graph = self._graph(hash_encoder)
         vq = encode(hash_encoder, ["some query"])[0]
-        assert len(dense_rank(graph, hash_encoder, vq, limit=100)) == 9
+        assert len(dense_rank(graph, vq, limit=100)) == 9
 
     def test_matches_sort_oracle_on_random_vectors(self, hash_encoder):
         rng = np.random.default_rng(5150)
@@ -152,11 +151,11 @@ class TestDenseRank:
             def passage_units(self):
                 return units
 
-        graph = graph_of(passage("p1", ("a", "r", "b")))
-        graph.embeddings = FakeStore()
+        graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
+        graph = dataclasses.replace(graph, embeddings=FakeStore())
         vq = rng.standard_normal(16)
         vq /= np.linalg.norm(vq)
-        ranked = dense_rank(graph, hash_encoder, vq, limit=1000)
+        ranked = dense_rank(graph, vq, limit=1000)
         assert [p.id for p in ranked] == sort_rank(ids, units @ vq)
 
 
@@ -224,7 +223,7 @@ class TestRetrieve:
 
     def test_empty_graph_falls_back_to_dense(self, hash_encoder):
         records = [CorpusRecord(f"p{i}", f"text number {i}", ()) for i in range(7)]
-        graph = embedded_graph(records)
+        graph = build_and_embed(records, hash_encoder)
         result = retrieve_result(graph, hash_encoder, "anything at all")
         assert result.hypernodes == []
         assert len(result.passages) == 5
@@ -232,19 +231,19 @@ class TestRetrieve:
 
     def test_fallback_totality_small_corpus(self, hash_encoder):
         records = [CorpusRecord("only", "just one passage", ())]
-        graph = embedded_graph(records)
+        graph = build_and_embed(records, hash_encoder)
         assert [p.id for p in retrieve_result(graph, hash_encoder, "q").passages] == ["only"]
 
-    def test_other_encoder_rejected_before_encoding(self):
+    def test_other_encoder_rejected_before_encoding(self, hash_encoder):
         # a fresh graph, not a bundle; the oracle cannot encode the query, so a
         # check placed after query encoding would raise EncoderFailure instead
-        graph = embedded_graph(self._records())
+        graph = build_and_embed(self._records(), hash_encoder)
         other = OracleEncoder(2, {"unrelated text": [1.0, 0.0]})
         with pytest.raises(EncoderMismatch):
             retrieve_result(graph, other, "what does alpha ultimately feed?")
 
     def test_returns_full_context_with_channels(self, hash_encoder):
-        graph = embedded_graph(self._records())
+        graph = build_and_embed(self._records(), hash_encoder)
         result = retrieve_result(
             graph, hash_encoder, "what does alpha ultimately feed?",
             ExpansionConfig(), HybridConfig(),

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from helprag import services
+from helprag.cli import main
 from helprag.encoding import RemoteEncoder, encode
-from helprag.errors import EncoderFailure
+from helprag.errors import EncoderFailure, EncoderMismatch
+from helprag.ingestion import load_index
+from helprag.localization import retrieve_result
 from helprag.services import ChatCompletionClient, ServiceConfig, ServiceUnreachable, post_json
 from stub_server import StubService
 
@@ -59,14 +62,15 @@ class TestRemoteEncoder:
 
     def test_batching_splits_requests(self):
         with StubService(embeddings_handler) as stub:
-            enc = RemoteEncoder(config_for(stub), batch_size=4, in_flight=2)
-            texts = [f"text {i}" for i in range(10)]
+            enc = RemoteEncoder(config_for(stub))
+            texts = [f"text {i}" for i in range(130)]
             rows = encode(enc, texts)
             # per-text vectors are independent of how the batch was split
-            lone = encode(RemoteEncoder(config_for(stub)), ["text 7"])[0]
-        assert len(stub.requests) == 4  # 4 + 4 + 2, plus the lone request
-        assert rows.shape == (10, 8)
-        assert np.array_equal(rows[7], lone)
+            alone = encode(RemoteEncoder(config_for(stub)), ["text 7", "text 129"])
+        assert len(stub.requests) == 4  # 64 + 64 + 2, plus the separate request
+        assert sorted(len(r["body"]["input"]) for r in stub.requests) == [2, 2, 64, 64]
+        assert rows.shape == (130, 8)
+        assert np.array_equal(rows[[7, 129]], alone)
 
     def test_retry_on_transient_500_then_success(self):
         state = {"calls": 0}
@@ -110,6 +114,41 @@ class TestRemoteEncoder:
             encode(enc, ["first"])
             with pytest.raises(EncoderFailure):
                 encode(enc, ["second"])
+
+    def test_query_dim_differs_from_bundle(self, tmp_path, monkeypatch, capsys):
+        # the encoder id names only the model, so the dim drift shows once the query is encoded
+        state = {"dim": 8}
+
+        def drifting(body, headers):
+            data = [
+                {"index": i, "embedding": embedding_for(t, state["dim"])}
+                for i, t in enumerate(body["input"])
+            ]
+            return 200, {"data": data}
+
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            '{"id":"p1","text":"alpha feeds beta.","triples":[["alpha","feeds","beta"]]}\n'
+            '{"id":"p2","text":"beta feeds gamma.","triples":[["beta","feeds","gamma"]]}\n'
+        )
+        bundle = tmp_path / "idx"
+        with StubService(drifting) as stub:
+            monkeypatch.setenv("HELP_EMBED_URL", stub.url)
+            monkeypatch.setenv("HELP_EMBED_MODEL", "embedder-1")
+            assert main(
+                ["index", "--corpus", str(corpus), "--out", str(bundle), "--encoder", "remote"]
+            ) == 0
+            state["dim"] = 6
+            with pytest.raises(EncoderMismatch, match="dim 8.*dim 6"):
+                retrieve_result(
+                    load_index(bundle), RemoteEncoder(config_for(stub)), "what does alpha feed?"
+                )
+            code = main(
+                ["query", "--index", str(bundle), "--question", "what does alpha feed?",
+                 "--encoder", "remote"]
+            )
+        assert code == 2
+        assert "dim 8" in capsys.readouterr().err
 
 
 class TestPostJson:
