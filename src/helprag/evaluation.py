@@ -28,7 +28,7 @@ import numpy as np
 from .encoding import Encoder, serialize_hypernode
 from .errors import InvalidParams, ParseError
 from .expansion import ExpansionConfig
-from .ingestion import CorpusRecord, load_index
+from .ingestion import CorpusRecord, jsonl_objects, load_index
 from .kg import canonicalize_triplet
 from .localization import HybridConfig, retrieve_result
 from .services import ChatCompletionClient, ServiceConfig
@@ -58,27 +58,20 @@ class QARecord:
 def load_qa(path: str | Path) -> list[QARecord]:
     """Parse a JSONL QA set: {id, question, answers: [...], gold_passage_ids: [...]}."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(lineno, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict) or "id" not in obj or "question" not in obj:
-                raise ParseError(lineno, "QA record needs 'id' and 'question'")
-            answers = obj.get("answers") or []
-            if not answers:
-                raise ParseError(lineno, "QA record needs at least one gold answer")
-            records.append(
-                QARecord(
-                    id=str(obj["id"]),
-                    question=obj["question"],
-                    answers=tuple(answers),
-                    gold_passage_ids=tuple(obj.get("gold_passage_ids") or ()),
-                )
+    for lineno, obj in jsonl_objects(Path(path).read_text(encoding="utf-8")):
+        if not isinstance(obj, dict) or "id" not in obj or "question" not in obj:
+            raise ParseError(lineno, "QA record needs 'id' and 'question'")
+        answers = obj.get("answers") or []
+        if not answers:
+            raise ParseError(lineno, "QA record needs at least one gold answer")
+        records.append(
+            QARecord(
+                id=str(obj["id"]),
+                question=obj["question"],
+                answers=tuple(answers),
+                gold_passage_ids=tuple(obj.get("gold_passage_ids") or ()),
             )
+        )
     return records
 
 
@@ -136,6 +129,7 @@ _COS_OFF_PATH = 0.30      # non-prefix windows and later singleton triplets
 _COS_DISTRACTOR = 0.50    # distractor triplets: plausible but inferior seeds
 _COS_CHAIN_TEXT = 0.30    # non-terminal chain passage text
 _COS_DISTRACTOR_TEXT = 0.60  # distractor passage text: wins the dense channel
+_DENSE_MISS_K = 5  # gold passages must rank below this in a pure dense scan
 
 
 @dataclass
@@ -188,9 +182,7 @@ def _axis_mix(axis_a: int, axis_b: int, cos_a: float) -> dict:
     return {"i": [axis_a, axis_b], "v": [cos_a, sin_a]}
 
 
-def gen_synthetic(
-    chains: int, hops: int, distractors: int, seed: int, check_top_k: int = 5
-) -> SyntheticFixture:
+def gen_synthetic(chains: int, hops: int, distractors: int, seed: int) -> SyntheticFixture:
     """Build a chain corpus whose gold evidence only path expansion can reach.
 
     Each chain contributes passages p0..p(h-1), where pj holds the single
@@ -199,8 +191,9 @@ def gen_synthetic(
     next to the first triplet and the full serialized chain while keeping
     the terminal passage text orthogonal to the query; distractor passages
     sit in between, so the dense channel retrieves only distractors. The
-    dense-miss construction is re-verified here for every question before
-    the fixture is returned (whenever enough competing passages exist).
+    dense-miss construction (no gold passage in the dense top 5) is
+    re-verified here for every question before the fixture is returned
+    (whenever enough competing passages exist).
     """
     if chains < 1:
         raise InvalidParams("chains must be >= 1")
@@ -274,13 +267,13 @@ def gen_synthetic(
     fixture = SyntheticFixture(
         corpus=corpus, qa=qa, oracle_table={"dim": dim, "vectors": vectors}
     )
-    _verify_dense_miss(fixture, check_top_k, hops, distractors)
+    _verify_dense_miss(fixture, hops, distractors)
     return fixture
 
 
-def _verify_dense_miss(fixture: SyntheticFixture, k: int, hops: int, distractors: int) -> None:
-    """Assert every gold passage ranks strictly below k in a pure dense scan."""
-    if hops - 1 + distractors < k:
+def _verify_dense_miss(fixture: SyntheticFixture, hops: int, distractors: int) -> None:
+    """Assert every gold passage ranks below the top _DENSE_MISS_K in a pure dense scan."""
+    if hops - 1 + distractors < _DENSE_MISS_K:
         return  # too few competing passages for the guarantee to be expressible
     dim = fixture.oracle_table["dim"]
 
@@ -295,10 +288,10 @@ def _verify_dense_miss(fixture: SyntheticFixture, k: int, hops: int, distractors
     for qa in fixture.qa:
         scores = matrix @ dense_vec(qa.question)
         order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-        top = {ids[i] for i in order[:k]}
+        top = {ids[i] for i in order[:_DENSE_MISS_K]}
         if any(g in top for g in qa.gold_passage_ids):
             raise InvalidParams(
-                f"construction violated: gold passage of {qa.id} is dense-reachable in top {k}"
+                f"construction violated: gold passage of {qa.id} is dense-reachable in top {_DENSE_MISS_K}"
             )
 
 

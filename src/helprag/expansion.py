@@ -11,6 +11,7 @@ agree, so seed scoring and pruning use one consistent order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -97,23 +98,26 @@ def expand_candidates(graph: KnowledgeGraph, beam: list[HyperNode]) -> list[Hype
 
     A member whose entities have no unvisited neighbors is carried forward
     unchanged, so strong short paths survive to the final hop. Candidates
-    are deduplicated by serialized form and returned in serialized order;
-    embeddings of new candidates are left unset for :func:`prune`.
+    are deduplicated by triplet set, so distinct sets that render the same
+    text are all kept, and returned in serialized order; embeddings of new
+    candidates are left unset for :func:`prune`.
     """
     if not beam:
         raise InvalidParams("beam must be non-empty")
-    seen: dict[str, HyperNode] = {}
+    seen: dict[frozenset[Triplet], HyperNode] = {}
     for node in beam:
         fresh = adjacent_triplets(graph, node.entities) - node.triplets
         if not fresh:
-            seen.setdefault(node.serialized, node)
+            seen.setdefault(node.triplets, node)
             continue
         for nxt in fresh:
             triplets = node.triplets | {nxt}
-            key = serialize_hypernode(triplets)
-            if key not in seen:
-                seen[key] = HyperNode(triplets, key, node.entities | {nxt.head, nxt.tail})
-    return [seen[key] for key in sorted(seen)]
+            if triplets not in seen:
+                seen[triplets] = HyperNode(
+                    triplets, serialize_hypernode(triplets), node.entities | {nxt.head, nxt.tail}
+                )
+    # sets that render the same text share one vector, so their relative order changes no batch
+    return sorted(seen.values(), key=attrgetter("serialized"))
 
 
 def prune(
@@ -123,8 +127,8 @@ def prune(
 
     Embeds the serializations of candidates without an embedding in one
     batch; carried-forward candidates keep the one they hold. Orders
-    ascending by (distance, serialized form) and returns at most k
-    filled-in nodes.
+    ascending by (distance, serialized form, sorted triplets) and returns
+    at most k filled-in nodes.
     """
     if not candidates:
         raise InvalidParams("candidate list must be non-empty")
@@ -137,7 +141,10 @@ def prune(
     dists = row_norms(rows, query_vector)
     return [
         replace(candidates[i], embedding=rows[i], query_distance=float(dists[i]))
-        for i in smallest_k(dists, k, lambda i: candidates[i].serialized)
+        # distinct triplet sets may render one text; their sorted triplets still differ
+        for i in smallest_k(
+            dists, k, lambda i: (candidates[i].serialized, sorted(candidates[i].triplets))
+        )
     ]
 
 

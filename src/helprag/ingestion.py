@@ -17,6 +17,7 @@ import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -74,16 +75,7 @@ class EmbeddingStore:
     a bundle are read-only.
     """
 
-    def __init__(
-        self,
-        passage_ids: tuple[str, ...],
-        passage_rows: np.ndarray,
-        triplet_rows: np.ndarray,
-        encoder_id: str,
-    ):
-        if passage_rows.shape[0] != len(passage_ids):
-            raise InvalidParams("passage row count does not match id count")
-        self.passage_ids = passage_ids
+    def __init__(self, passage_rows: np.ndarray, triplet_rows: np.ndarray, encoder_id: str):
         self.passage_rows = passage_rows
         self.triplet_rows = triplet_rows
         self.encoder_id = encoder_id
@@ -107,9 +99,11 @@ def load_corpus(path: str | Path) -> list[CorpusRecord]:
     return _parse_corpus(Path(path).read_text(encoding="utf-8"))
 
 
-def _parse_corpus(text: str) -> list[CorpusRecord]:
-    records: list[CorpusRecord] = []
-    seen: set[str] = set()
+def jsonl_objects(text: str) -> Iterator[tuple[int, object]]:
+    """(1-based line number, parsed value) of every non-blank JSON-lines line.
+
+    Raises ParseError naming the line when one is not valid JSON.
+    """
     # lines end at "\n" only: json.dumps(ensure_ascii=False) leaves U+0085 and
     # U+2028 raw inside strings, where str.splitlines() would break a line
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -119,6 +113,13 @@ def _parse_corpus(text: str) -> list[CorpusRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(lineno, f"invalid JSON: {exc.msg}") from exc
+        yield lineno, obj
+
+
+def _parse_corpus(text: str) -> list[CorpusRecord]:
+    records: list[CorpusRecord] = []
+    seen: set[str] = set()
+    for lineno, obj in jsonl_objects(text):
         records.append(_record_from_obj(obj, lineno))
         if records[-1].id in seen:
             raise DuplicateId(f"duplicate passage id {records[-1].id!r} at line {lineno}")
@@ -226,16 +227,15 @@ def build_and_embed(records: list[CorpusRecord], encoder: Encoder) -> KnowledgeG
         passages.append(Passage(record.id, record.text, triplets))
 
     by_id, index = build_index(passages)
-    ids = tuple(by_id)
-    if ids:
-        passage_rows = encoder.encode_batch([by_id[pid].text for pid in ids])
+    if by_id:
+        passage_rows = encoder.encode_batch([p.text for p in by_id.values()])
     else:
         passage_rows = np.empty((0, encoder.dim), dtype=np.float32)
     if index.catalog:
         triplet_rows = encoder.encode_batch([serialize_hypernode([t]) for t in index.catalog])
     else:
         triplet_rows = np.empty((0, passage_rows.shape[1]), dtype=np.float32)
-    store = EmbeddingStore(ids, passage_rows, triplet_rows, encoder.encoder_id)
+    store = EmbeddingStore(passage_rows, triplet_rows, encoder.encoder_id)
     return KnowledgeGraph(by_id, index, store)
 
 
@@ -287,7 +287,7 @@ def save_index(bundle_dir: str | Path, graph: KnowledgeGraph) -> dict:
                 "triples": [[t.head, t.relation, t.tail] for t in p.triplets],
             }
         )
-        for p in (graph.passages[pid] for pid in graph.passages)
+        for p in graph.passages.values()
     ]
     triplet_lines = [_dumps([t.head, t.relation, t.tail]) for t in graph.index.catalog]
 
@@ -307,7 +307,7 @@ def save_index(bundle_dir: str | Path, graph: KnowledgeGraph) -> dict:
         "version": INDEX_VERSION,
         "encoder_id": store.encoder_id,
         "dim": store.dim,
-        "counts": {"passages": len(store.passage_ids), "triplets": len(graph.index.catalog)},
+        "counts": {"passages": len(graph.passages), "triplets": len(graph.index.catalog)},
         "content_hash": digest.hexdigest(),
         "extraction_prompt_sha256": EXTRACTION_PROMPT_SHA256,
     }
@@ -353,11 +353,7 @@ def load_index(bundle_dir: str | Path) -> KnowledgeGraph:
     ]
     by_id, index = build_index(passages)
 
-    catalog_lines = [
-        json.loads(line)
-        for line in payloads[TRIPLET_FILE].decode("utf-8").split("\n")
-        if line.strip()
-    ]
+    catalog_lines = [obj for _, obj in jsonl_objects(payloads[TRIPLET_FILE].decode("utf-8"))]
     expected = [[t.head, t.relation, t.tail] for t in index.catalog]
     if catalog_lines != expected:
         raise CorruptFile("triplet file does not match the catalog rebuilt from the corpus")
@@ -373,5 +369,5 @@ def load_index(bundle_dir: str | Path) -> KnowledgeGraph:
     if len(set(dims)) != 1:
         raise CorruptFile(f"embedding dims disagree (manifest, passage file, triplet file): {dims}")
 
-    store = EmbeddingStore(tuple(by_id), passage_rows, triplet_rows, manifest.get("encoder_id", ""))
+    store = EmbeddingStore(passage_rows, triplet_rows, manifest.get("encoder_id", ""))
     return KnowledgeGraph(by_id, index, store)

@@ -9,6 +9,7 @@ immutable and safe to share across concurrent queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, ItemsView, Mapping
 
@@ -58,56 +59,26 @@ def canonicalize_triplet(raw_head: str, raw_relation: str, raw_tail: str) -> Tri
     return Triplet(head, relation, tail)
 
 
+@dataclass(frozen=True)
 class TripleToPassageIndex:
-    """Inverted map triplet -> {(passage id, weight)} plus entity adjacency.
+    """Inverted map triplet -> {passage id: weight} plus entity adjacency.
 
     The weight for every triplet of passage p is exactly 1/|unique triplets
     of p|, stored as a Fraction so the weight law can be checked with exact
     rational comparison. Adjacency is undirected: a triplet is listed under
-    both its head and its tail entity.
+    both its head and its tail entity. Built by :func:`build_index`.
     """
 
-    def __init__(self) -> None:
-        self._provenance: dict[Triplet, dict[str, Fraction]] = {}
-        self._adjacency: dict[str, set[Triplet]] = {}
-        self._catalog: tuple[Triplet, ...] = ()
-
-    def _add_passage(self, passage: Passage) -> None:
-        unique = sorted(set(passage.triplets))
-        if not unique:
-            return
-        weight = Fraction(1, len(unique))
-        for triplet in unique:
-            self._provenance.setdefault(triplet, {})[passage.id] = weight
-            self._adjacency.setdefault(triplet.head, set()).add(triplet)
-            self._adjacency.setdefault(triplet.tail, set()).add(triplet)
-
-    def _freeze(self) -> None:
-        self._catalog = tuple(sorted(self._provenance))
-
-    @property
-    def catalog(self) -> tuple[Triplet, ...]:
-        """All unique triplets, sorted by (head, relation, tail)."""
-        return self._catalog
+    catalog: tuple[Triplet, ...]  # all unique triplets, sorted by (head, relation, tail)
+    weights: Mapping[Triplet, Mapping[str, Fraction]]
+    adjacency: Mapping[str, frozenset[Triplet]]
 
     def provenance(self, triplet: Triplet) -> ItemsView[str, Fraction]:
         """Read-only (passage id, weight) pairs of a triplet; empty if unknown."""
-        return self._provenance.get(triplet, {}).items()
+        return self.weights.get(triplet, {}).items()
 
     def adjacent(self, entity: str) -> frozenset[Triplet]:
-        return frozenset(self._adjacency.get(entity, ()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TripleToPassageIndex):
-            return NotImplemented
-        return (
-            self._provenance == other._provenance
-            and self._adjacency == other._adjacency
-            and self._catalog == other._catalog
-        )
-
-    def __len__(self) -> int:
-        return len(self._catalog)
+        return self.adjacency.get(entity, frozenset())
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,17 +87,18 @@ class KnowledgeGraph:
 
     Built by the ingestion layer, from a fresh encode or from a bundle, so
     every graph carries its passage and triplet embeddings; triplet rows
-    follow catalog order.
+    follow catalog order and passage rows follow :attr:`passage_ids`.
+    Graphs compare by identity.
     """
 
     passages: Mapping[str, Passage]
     index: TripleToPassageIndex
     embeddings: "EmbeddingStore"
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KnowledgeGraph):
-            return NotImplemented
-        return dict(self.passages) == dict(other.passages) and self.index == other.index
+    @cached_property
+    def passage_ids(self) -> tuple[str, ...]:
+        """Passage ids in sorted order, the order of the passage rows."""
+        return tuple(self.passages)
 
 
 def build_index(passages: Iterable[Passage]) -> tuple[dict[str, Passage], TripleToPassageIndex]:
@@ -140,13 +112,23 @@ def build_index(passages: Iterable[Passage]) -> tuple[dict[str, Passage], Triple
         if passage.id in by_id:
             raise DuplicatePassageId(passage.id)
         by_id[passage.id] = passage
+    by_id = {pid: by_id[pid] for pid in sorted(by_id)}
 
-    index = TripleToPassageIndex()
-    # insertion in sorted id order makes internal dict layout input-order independent
-    for pid in sorted(by_id):
-        index._add_passage(by_id[pid])
-    index._freeze()
-    return {pid: by_id[pid] for pid in sorted(by_id)}, index
+    weights: dict[Triplet, dict[str, Fraction]] = {}
+    adjacency: dict[str, set[Triplet] | frozenset[Triplet]] = {}
+    # sorted id order makes every provenance map list its passages by id
+    for pid, passage in by_id.items():
+        unique = frozenset(passage.triplets)
+        if not unique:
+            continue
+        weight = Fraction(1, len(unique))
+        for triplet in unique:
+            weights.setdefault(triplet, {})[pid] = weight
+            adjacency.setdefault(triplet.head, set()).add(triplet)
+            adjacency.setdefault(triplet.tail, set()).add(triplet)
+    for entity, found in adjacency.items():
+        adjacency[entity] = frozenset(found)
+    return by_id, TripleToPassageIndex(tuple(sorted(weights)), weights, adjacency)
 
 
 def adjacent_triplets(graph: KnowledgeGraph, entities: Iterable[str]) -> frozenset[Triplet]:

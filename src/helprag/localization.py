@@ -93,7 +93,7 @@ def dense_rank(graph: KnowledgeGraph, query_vector: np.ndarray, limit: int) -> l
     passage id ascending.
     """
     units = graph.embeddings.passage_units()
-    ids = graph.embeddings.passage_ids
+    ids = graph.passage_ids
     scores = units @ query_vector
     # rank by true cosine; reported scores clamp at 0 so all channels stay non-negative
     return [

@@ -9,7 +9,7 @@ import pytest
 
 from helprag.encoding import HashEncoder, OracleEncoder, serialize_hypernode
 from helprag.ingestion import CorpusRecord
-from helprag.kg import canonicalize_triplet
+from helprag.kg import KnowledgeGraph, canonicalize_triplet
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +42,19 @@ def random_corpus(
     return records
 
 
+def colliding_corpus() -> list[CorpusRecord]:
+    """Two paths from (q, links, a) whose texts are both "a b c d; q links a".
+
+    ("a", "b c", "d") and ("a", "b", "c d") are distinct triplets that render
+    the same text, so only their triplet sets tell the two paths apart.
+    """
+    return [
+        passage("p0", ("q", "links", "a")),
+        passage("p1", ("a", "b c", "d")),
+        passage("p2", ("a", "b", "c d")),
+    ]
+
+
 def directional_oracle(query: str, placements: dict[str, float]):
     """Oracle encoder where each text sits at a chosen cosine from the query.
 
@@ -53,6 +66,25 @@ def directional_oracle(query: str, placements: dict[str, float]):
     for text, cos in placements.items():
         table[text] = [cos, math.sqrt(max(0.0, 1.0 - cos * cos)), 0.0]
     return OracleEncoder(3, table)
+
+
+def graph_differences(a: KnowledgeGraph, b: KnowledgeGraph) -> list[str]:
+    """The parts in which two graphs differ: graphs compare by identity, so tests compare these.
+
+    Covers the passages, the triple index, the encoder id and the exact bytes,
+    dtype and shape of both embedding matrices.
+    """
+    def rows(matrix):
+        return matrix.dtype.str, matrix.shape, matrix.tobytes()
+
+    parts = {
+        "passages": (dict(a.passages), dict(b.passages)),
+        "index": (a.index, b.index),
+        "encoder_id": (a.embeddings.encoder_id, b.embeddings.encoder_id),
+        "passage rows": (rows(a.embeddings.passage_rows), rows(b.embeddings.passage_rows)),
+        "triplet rows": (rows(a.embeddings.triplet_rows), rows(b.embeddings.triplet_rows)),
+    }
+    return [name for name, (x, y) in parts.items() if x != y]
 
 
 def serialized(*triples: tuple[str, str, str]) -> str:

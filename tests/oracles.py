@@ -76,20 +76,21 @@ def brute_force_expansion(
     current = [singles[i] for i in ranked[:seeds]]
 
     for _ in range(2, hops + 1):
-        candidates: dict[str, frozenset[Triplet]] = {}
+        candidates: set[frozenset[Triplet]] = set()
         for node in current:
             entities = {t.head for t in node} | {t.tail for t in node}
             fresh = scan_adjacent(catalog, entities) - node
             if not fresh:
-                candidates.setdefault(ser(node), node)
+                candidates.add(node)
             for extra in fresh:
-                grown = node | {extra}
-                candidates.setdefault(ser(grown), grown)
-        ordered_sets = [candidates[k] for k in sorted(candidates)]
+                candidates.add(node | {extra})
+        ordered_sets = list(candidates)  # any order: the ranking below is a total order
         rows = embed_sets(ordered_sets)
         dists = np.linalg.norm(rows - query_vec, axis=1)
+        # distinct sets may render one text; their sorted (head, relation, tail) still differ
         ranked = sorted(
-            range(len(ordered_sets)), key=lambda i: (dists[i], ser(ordered_sets[i]))
+            range(len(ordered_sets)),
+            key=lambda i: (dists[i], ser(ordered_sets[i]), sorted(ordered_sets[i])),
         )
         current = [ordered_sets[i] for i in ranked[:beam]]
     return current

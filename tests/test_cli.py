@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from conftest import colliding_corpus
 from helprag.cli import main
 from helprag.evaluation import gen_synthetic
 
@@ -104,6 +109,35 @@ class TestQuery:
         first.pop("timings_ms")
         second.pop("timings_ms")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+    def test_colliding_paths_byte_stable_across_hash_seeds(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "".join(
+                json.dumps({"id": r.id, "text": r.text, "triples": [list(t) for t in r.triples]}) + "\n"
+                for r in colliding_corpus()
+            )
+        )
+        assert main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "idx")]) == 0
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for hash_seed in ("1", "4"):  # the seeds chose different paths when text was the key
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-m", "helprag.cli", "query", "--index", str(tmp_path / "idx"),
+                 "--question", "q links a", "--format", "json", "--hops", "2", "--seeds", "1",
+                 "--beam", "5", "--quota", "2", "--topk", "2"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            out = json.loads(done.stdout)
+            out.pop("timings_ms")
+            outputs.append(json.dumps(out, sort_keys=True).encode())
+        assert outputs[0] == outputs[1]
+        paths = [node["triplets"] for node in json.loads(outputs[0])["hypernodes"]]
+        assert [["a", "b", "c d"], ["q", "links", "a"]] in paths
+        assert [["a", "b c", "d"], ["q", "links", "a"]] in paths
 
     def test_encoder_failure_exit_3(self, tmp_path, capsys):
         # bundle built with an oracle table that lacks the question text

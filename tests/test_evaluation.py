@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helprag import services
 from helprag.encoding import OracleEncoder
-from helprag.errors import EncoderMismatch, InvalidParams
+from helprag.errors import EncoderMismatch, InvalidParams, ParseError
 from helprag.evaluation import (
     BenchReport,
     QARecord,
@@ -154,6 +154,26 @@ class TestLoadQA:
             + "\n"
         )
         assert load_qa(path) == [QARecord("q1", "who?", ("x",), ("p1",))]
+
+    def test_crlf_and_blank_lines_parse_to_the_same_records(self, tmp_path):
+        lines = [
+            json.dumps({"id": "q1", "question": "who?", "answers": ["x"], "gold_passage_ids": ["p1"]}),
+            json.dumps({"id": "q2", "question": "where?", "answers": ["y", "z"]}),
+        ]
+        plain, crlf = tmp_path / "plain.jsonl", tmp_path / "crlf.jsonl"
+        plain.write_bytes(("\n".join(lines) + "\n").encode())
+        crlf.write_bytes((lines[0] + "\r\n\r\n" + lines[1] + "\r\n").encode())
+        assert load_qa(crlf) == load_qa(plain) == [
+            QARecord("q1", "who?", ("x",), ("p1",)),
+            QARecord("q2", "where?", ("y", "z")),
+        ]
+
+    def test_bad_line_reports_line_number(self, tmp_path):
+        path = tmp_path / "qa.jsonl"
+        path.write_text('{"id":"q1","question":"who?","answers":["x"]}\n\n{not json\n')
+        with pytest.raises(ParseError) as err:
+            load_qa(path)
+        assert err.value.line == 3
 
     def test_missing_answers_rejected(self, tmp_path):
         path = tmp_path / "qa.jsonl"

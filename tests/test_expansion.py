@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import directional_oracle, passage, random_corpus, serialized
+from conftest import colliding_corpus, directional_oracle, passage, random_corpus, serialized
 from helprag.encoding import Encoder, encode
 from helprag.errors import EmptyGraph, InvalidParams
 from helprag.expansion import (
@@ -102,6 +102,16 @@ class TestExpandCandidates:
         )
         assert beam_sets(candidates) == [frozenset({t1, t2})]
 
+    def test_sets_rendering_one_text_are_both_kept(self, hash_encoder):
+        graph = build_and_embed(colliding_corpus(), hash_encoder)
+        seed = HyperNode.from_triplets(frozenset({canonicalize_triplet("q", "links", "a")}))
+        candidates = expand_candidates(graph, [seed])
+        assert {c.serialized for c in candidates} == {"a b c d; q links a"}
+        assert set(beam_sets(candidates)) == {
+            seed.triplets | {canonicalize_triplet("a", "b c", "d")},
+            seed.triplets | {canonicalize_triplet("a", "b", "c d")},
+        }
+
     def test_empty_beam_rejected(self, hash_encoder):
         graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
         with pytest.raises(InvalidParams):
@@ -145,6 +155,19 @@ class TestPrune:
         ]
         kept = prune(nodes, enc, vq, k=2)
         assert [n.serialized for n in kept] == ["a r b", "c r d"]
+
+    def test_equal_text_breaks_by_sorted_triplets(self):
+        enc = directional_oracle("q", {"a b c d": 0.5})
+        vq = encode(enc, ["q"])[0]
+        spaced_relation = canonicalize_triplet("a", "b c", "d")
+        spaced_tail = canonicalize_triplet("a", "b", "c d")
+        nodes = [
+            HyperNode.from_triplets(frozenset({spaced_relation})),
+            HyperNode.from_triplets(frozenset({spaced_tail})),
+        ]
+        for order in (nodes, nodes[::-1]):
+            kept = prune(order, enc, vq, k=1)
+            assert beam_sets(kept) == [frozenset({spaced_tail})]  # relation "b" < "b c"
 
 
 class RecordingEncoder(Encoder):
@@ -204,7 +227,7 @@ class TestTiesAtTheKth:
         kept = prune(candidates, enc, vq, k)
         assert [c.serialized for c in kept] == sort_rank(texts, -np.linalg.norm(rows - vq, axis=1))[:k]
 
-        ids = graph.embeddings.passage_ids
+        ids = graph.passage_ids
         passage_rows = encode(enc, [graph.passages[pid].text for pid in ids])
         dense = dense_rank(graph, vq, k)
         assert [p.id for p in dense] == sort_rank(ids, passage_rows @ vq)[:k]
@@ -247,6 +270,18 @@ class TestRunExpansion:
         final = run_expansion(graph, hash_encoder, "query", config)
         vq = encode(hash_encoder, ["query"])[0]
         assert beam_sets(final) == beam_sets(select_seeds(graph, vq, 2))
+
+    def test_colliding_paths_both_kept_and_match_oracle(self, hash_encoder):
+        graph = build_and_embed(colliding_corpus(), hash_encoder)
+        config = ExpansionConfig(hops=2, seed_size=1, beam_size=5)
+        final = run_expansion(graph, hash_encoder, "q links a", config)
+        start = canonicalize_triplet("q", "links", "a")
+        assert beam_sets(final) == [
+            frozenset({start, canonicalize_triplet("a", "b", "c d")}),
+            frozenset({start, canonicalize_triplet("a", "b c", "d")}),
+        ]
+        assert final[0].query_distance == final[1].query_distance
+        assert brute_force_expansion(graph, hash_encoder, "q links a", 2, 1, 5) == beam_sets(final)
 
     def test_empty_graph_returns_empty(self, hash_encoder):
         empty = build_and_embed([], hash_encoder)

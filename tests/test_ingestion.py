@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_corpus
+from conftest import graph_differences, random_corpus
 from helprag import services
 from helprag.errors import (
     CorruptFile,
@@ -153,6 +153,12 @@ class TestBuildAndEmbed:
         assert np.array_equal(g1.embeddings.passage_rows, g2.embeddings.passage_rows)
         assert np.array_equal(g1.embeddings.triplet_rows, g2.embeddings.triplet_rows)
 
+    def test_graphs_from_other_encoders_differ(self):
+        records = random_corpus(random.Random(2), n_passages=8)
+        wide = build_and_embed(records, HashEncoder(256))
+        narrow = build_and_embed(records, HashEncoder(128))
+        assert graph_differences(wide, narrow) == ["encoder_id", "passage rows", "triplet rows"]
+
     def test_unextracted_record_rejected(self, hash_encoder):
         with pytest.raises(InvalidParams):
             build_and_embed([CorpusRecord("p1", "text", None)], hash_encoder)
@@ -167,10 +173,7 @@ class TestBundleRoundTrip:
         assert manifest["extraction_prompt_sha256"] == EXTRACTION_PROMPT_SHA256
 
         loaded = load_index(tmp_path / "idx")
-        assert loaded == graph
-        assert loaded.index.catalog == graph.index.catalog
-        assert np.array_equal(loaded.embeddings.passage_rows, graph.embeddings.passage_rows)
-        assert np.array_equal(loaded.embeddings.triplet_rows, graph.embeddings.triplet_rows)
+        assert graph_differences(loaded, graph) == []
         assert np.array_equal(loaded.embeddings.passage_units(), graph.embeddings.passage_units())
 
     def test_resave_byte_identical(self, tmp_path, hash_encoder):
@@ -224,7 +227,7 @@ class TestBundleRoundTrip:
         graph = build_and_embed([CorpusRecord("p1", "text only", ())], hash_encoder)
         save_index(tmp_path / "idx", graph)
         loaded = load_index(tmp_path / "idx")
-        assert loaded == graph
+        assert graph_differences(loaded, graph) == []
         assert loaded.embeddings.triplet_rows.shape == (0, 256)
 
     def test_retrieval_identical_on_loaded_bundle(self, tmp_path, hash_encoder):
