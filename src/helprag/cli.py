@@ -111,7 +111,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     print(f"query: {result.query}")
     print(f"paths ({len(result.hypernodes)}):")
     for node in result.hypernodes:
-        print(f"  dist={node.query_distance:.6f}  {node.serialized}")
+        # the triplets, not the text: distinct paths can render the same text
+        fields = (json.dumps([t.head, t.relation, t.tail], ensure_ascii=False) for t in sorted(node.triplets))
+        print(f"  dist={node.query_distance:.6f}  {'; '.join(fields)}")
     print("passages:")
     for rank, p in enumerate(result.passages, start=1):
         support = f", {len(p.supporting_triplets)} supporting triplet(s)" if p.supporting_triplets else ""
@@ -125,7 +127,10 @@ def _parse_values(text: str) -> list[int]:
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise InvalidParams(f"empty grid range {text!r}")
+        return values
     return [int(text)]
 
 

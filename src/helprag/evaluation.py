@@ -56,23 +56,29 @@ class QARecord:
 
 
 def load_qa(path: str | Path) -> list[QARecord]:
-    """Parse a JSONL QA set: {id, question, answers: [...], gold_passage_ids: [...]}."""
+    """Parse a JSONL QA set: {id, question, answers: [...], gold_passage_ids: [...]}.
+
+    ``gold_passage_ids`` may be absent. Raises ParseError with the line
+    number for a record of any other shape.
+    """
     records = []
     for lineno, obj in jsonl_objects(Path(path).read_text(encoding="utf-8")):
-        if not isinstance(obj, dict) or "id" not in obj or "question" not in obj:
-            raise ParseError(lineno, "QA record needs 'id' and 'question'")
-        answers = obj.get("answers") or []
-        if not answers:
-            raise ParseError(lineno, "QA record needs at least one gold answer")
-        records.append(
-            QARecord(
-                id=str(obj["id"]),
-                question=obj["question"],
-                answers=tuple(answers),
-                gold_passage_ids=tuple(obj.get("gold_passage_ids") or ()),
-            )
-        )
+        if not isinstance(obj, dict) or "id" not in obj:
+            raise ParseError(lineno, "QA record needs an 'id'")
+        question, answers = obj.get("question"), obj.get("answers")
+        gold = obj.get("gold_passage_ids", [])
+        if not isinstance(question, str) or not question:
+            raise ParseError(lineno, "'question' must be a non-empty string")
+        if not _strings(answers) or not answers:
+            raise ParseError(lineno, "'answers' must be a non-empty list of strings")
+        if not _strings(gold):
+            raise ParseError(lineno, "'gold_passage_ids' must be a list of strings")
+        records.append(QARecord(str(obj["id"]), question, tuple(answers), tuple(gold)))
     return records
+
+
+def _strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 # --- metrics ------------------------------------------------------------------

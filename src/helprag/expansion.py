@@ -149,26 +149,18 @@ def prune(
 
 
 def run_expansion(
-    graph: KnowledgeGraph,
-    encoder: Encoder,
-    query: str,
-    config: ExpansionConfig,
-    query_vector: np.ndarray | None = None,
+    graph: KnowledgeGraph, encoder: Encoder, query_vector: np.ndarray, config: ExpansionConfig
 ) -> list[HyperNode]:
     """Full expansion loop; returns the final beam, seeds when hops == 1.
 
-    An empty graph yields an empty list, signalling dense-only fallback
-    downstream. The query embedding may be passed in to avoid re-encoding;
-    encoders are deterministic, so the result is the same either way.
+    Seeds and pruning rank against the given query vector; the encoder
+    embeds each hop's new candidate paths. An empty graph yields an empty
+    list, signalling dense-only fallback downstream.
     """
     if not graph.index.catalog:
         return []
-    if query_vector is None:
-        query_vector = encode(encoder, [query])[0]
     beam = select_seeds(graph, query_vector, config.seed_size)
     for _ in range(2, config.hops + 1):
-        candidates = expand_candidates(graph, beam)
-        if not candidates:  # unreachable under carry-forward, kept as a guard
-            break
-        beam = prune(candidates, encoder, query_vector, config.beam_size)
+        # never empty: a member with nothing to grow into is carried forward
+        beam = prune(expand_candidates(graph, beam), encoder, query_vector, config.beam_size)
     return beam

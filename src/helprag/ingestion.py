@@ -2,10 +2,11 @@
 
 Corpora are JSON-lines files with optional precomputed triples, so desk-scale
 runs never need an extraction service. An index bundle is a directory of the
-corpus, the triplet catalog, two embedding files in a fixed binary layout,
-and a manifest whose content hash makes load-time corruption detectable.
-Round-trips are bit-exact: loading a saved bundle reproduces the in-memory
-graph and unit vectors of a fresh build.
+corpus, two embedding files in a fixed binary layout, and a manifest whose
+content hash makes load-time corruption detectable. The triplet catalog is
+not stored: it is derived from the corpus, and the bundle version pins that
+derivation. Round-trips are bit-exact: loading a saved bundle reproduces the
+in-memory graph and unit vectors of a fresh build.
 """
 
 from __future__ import annotations
@@ -30,19 +31,20 @@ from .errors import (
     ServiceUnreachable,
     VersionMismatch,
 )
-from .kg import KnowledgeGraph, Passage, build_index, canonicalize_triplet
+from .kg import KnowledgeGraph, Passage, TripleToPassageIndex, build_index, canonicalize_triplet
 from .services import ChatCompletionClient, ServiceConfig
 
 log = logging.getLogger(__name__)
 
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 EMBEDDING_MAGIC = b"HELPIDX1"
 
 CORPUS_FILE = "corpus.jsonl"
-TRIPLET_FILE = "triplets.jsonl"
 PASSAGE_EMB_FILE = "passage_embeddings.bin"
 TRIPLET_EMB_FILE = "triplet_embeddings.bin"
 MANIFEST_FILE = "manifest.json"
+# the files the content hash covers, in hashing order
+_HASHED_FILES = (CORPUS_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE)
 
 EXTRACTION_PROMPT = """\
 Extract factual knowledge triples from the passage below.
@@ -219,14 +221,10 @@ def build_and_embed(records: list[CorpusRecord], encoder: Encoder) -> KnowledgeG
     exactly once; triplet rows follow catalog order, passage rows follow
     sorted passage-id order.
     """
-    passages = []
     for record in records:
         if record.triples is None:
             raise InvalidParams(f"record {record.id!r} has no triples; run extraction first")
-        triplets = tuple(canonicalize_triplet(h, r, t) for h, r, t in record.triples)
-        passages.append(Passage(record.id, record.text, triplets))
-
-    by_id, index = build_index(passages)
+    by_id, index = _index_records(records)
     if by_id:
         passage_rows = encoder.encode_batch([p.text for p in by_id.values()])
     else:
@@ -237,6 +235,13 @@ def build_and_embed(records: list[CorpusRecord], encoder: Encoder) -> KnowledgeG
         triplet_rows = np.empty((0, passage_rows.shape[1]), dtype=np.float32)
     store = EmbeddingStore(passage_rows, triplet_rows, encoder.encoder_id)
     return KnowledgeGraph(by_id, index, store)
+
+
+def _index_records(records: list[CorpusRecord]) -> tuple[dict[str, Passage], TripleToPassageIndex]:
+    """Canonicalize extracted records into passages and index them."""
+    return build_index(
+        [Passage(r.id, r.text, tuple(canonicalize_triplet(*t) for t in r.triples)) for r in records]
+    )
 
 
 # --- bundle persistence -------------------------------------------------------
@@ -289,16 +294,13 @@ def save_index(bundle_dir: str | Path, graph: KnowledgeGraph) -> dict:
         )
         for p in graph.passages.values()
     ]
-    triplet_lines = [_dumps([t.head, t.relation, t.tail]) for t in graph.index.catalog]
-
     payloads = {
         CORPUS_FILE: (("\n".join(corpus_lines) + "\n" if corpus_lines else "").encode("utf-8"),),
-        TRIPLET_FILE: (("\n".join(triplet_lines) + "\n" if triplet_lines else "").encode("utf-8"),),
         PASSAGE_EMB_FILE: _embedding_chunks(store.passage_rows),
         TRIPLET_EMB_FILE: _embedding_chunks(store.triplet_rows),
     }
     digest = hashlib.sha256()
-    for name in (CORPUS_FILE, TRIPLET_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE):
+    for name in _HASHED_FILES:
         for chunk in payloads[name]:
             digest.update(chunk)
         _write_atomic(bundle / name, *payloads[name])
@@ -319,23 +321,30 @@ def load_index(bundle_dir: str | Path) -> KnowledgeGraph:
     """Load a bundle, verifying version, content hash, and internal consistency.
 
     The graph is parsed from the bytes that were hashed, never re-read from
-    disk. Consistency covers the catalog against the corpus, and the
-    manifest's counts and dim against the embedding files. Embedding rows
-    are read-only views over the verified file bytes.
+    disk, and its catalog is derived from the corpus. Consistency covers the
+    embedding row counts against the manifest, the corpus and the catalog,
+    and the manifest's dim against both embedding files. Embedding rows are
+    read-only views over the verified file bytes.
     """
     bundle = Path(bundle_dir)
     try:
         manifest = json.loads((bundle / MANIFEST_FILE).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CorruptFile(f"manifest is not valid JSON: {exc.msg}") from exc
+    if not isinstance(manifest, dict):
+        raise CorruptFile("manifest is not a JSON object")
     if manifest.get("version") != INDEX_VERSION:
         raise VersionMismatch(
-            f"bundle version {manifest.get('version')!r}, this reader supports {INDEX_VERSION}"
+            f"bundle version {manifest.get('version')!r}, this reader supports {INDEX_VERSION}; "
+            "rebuild the bundle with `helprag index`"
         )
+    counts = manifest.get("counts", {})
+    if not isinstance(counts, dict):
+        raise CorruptFile("manifest 'counts' is not a JSON object")
 
     payloads = {}
     digest = hashlib.sha256()
-    for name in (CORPUS_FILE, TRIPLET_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE):
+    for name in _HASHED_FILES:
         path = bundle / name
         if not path.exists():
             raise CorruptFile(f"missing bundle file {name}")
@@ -347,21 +356,11 @@ def load_index(bundle_dir: str | Path) -> KnowledgeGraph:
     records = _parse_corpus(payloads[CORPUS_FILE].decode("utf-8"))
     if any(r.triples is None for r in records):
         raise CorruptFile("bundle corpus contains unextracted records")
-    passages = [
-        Passage(r.id, r.text, tuple(canonicalize_triplet(*t) for t in r.triples))
-        for r in records
-    ]
-    by_id, index = build_index(passages)
-
-    catalog_lines = [obj for _, obj in jsonl_objects(payloads[TRIPLET_FILE].decode("utf-8"))]
-    expected = [[t.head, t.relation, t.tail] for t in index.catalog]
-    if catalog_lines != expected:
-        raise CorruptFile("triplet file does not match the catalog rebuilt from the corpus")
+    by_id, index = _index_records(records)
 
     passage_rows = _read_embedding_bytes(payloads[PASSAGE_EMB_FILE], PASSAGE_EMB_FILE)
     triplet_rows = _read_embedding_bytes(payloads[TRIPLET_EMB_FILE], TRIPLET_EMB_FILE)
-    counts = manifest.get("counts", {})
-    if passage_rows.shape[0] != counts.get("passages") or passage_rows.shape[0] != len(passages):
+    if passage_rows.shape[0] != counts.get("passages") or passage_rows.shape[0] != len(by_id):
         raise CorruptFile("passage embedding count disagrees with manifest or corpus")
     if triplet_rows.shape[0] != counts.get("triplets") or triplet_rows.shape[0] != len(index.catalog):
         raise CorruptFile("triplet embedding count disagrees with manifest or catalog")

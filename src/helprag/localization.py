@@ -156,7 +156,7 @@ def retrieve_result(
         )
 
     t0 = time.perf_counter()
-    final_beam = run_expansion(graph, encoder, query, expansion, query_vector=query_vector)
+    final_beam = run_expansion(graph, encoder, query_vector, expansion)
     t1 = time.perf_counter()
     path_ranked = score_passages(graph, final_beam)
     t2 = time.perf_counter()

@@ -72,7 +72,7 @@ def test_expansion_oracle_equivalence():
             mine = [
                 node.triplets
                 for node in run_expansion(
-                    graph, encoder, query, ExpansionConfig(hops, seeds, beam)
+                    graph, encoder, encode(encoder, [query])[0], ExpansionConfig(hops, seeds, beam)
                 )
             ]
             reference = brute_force_expansion(graph, encoder, query, hops, seeds, beam)

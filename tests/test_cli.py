@@ -37,6 +37,25 @@ def bundle_dir(tmp_path, corpus_file):
     return out
 
 
+@pytest.fixture()
+def colliding_bundle(tmp_path):
+    corpus = tmp_path / "colliding.jsonl"
+    corpus.write_text(
+        "".join(
+            json.dumps({"id": r.id, "text": r.text, "triples": [list(t) for t in r.triples]}) + "\n"
+            for r in colliding_corpus()
+        )
+    )
+    out = tmp_path / "colliding_idx"
+    assert main(["index", "--corpus", str(corpus), "--out", str(out)]) == 0
+    return out
+
+
+# the query under which both colliding paths survive into the final beam
+COLLIDING_QUERY = ["--question", "q links a", "--hops", "2", "--seeds", "1", "--beam", "5",
+                   "--quota", "2", "--topk", "2"]
+
+
 class TestIndex:
     def test_happy_path_prints_summary(self, corpus_file, tmp_path, capsys):
         out = tmp_path / "idx"
@@ -100,6 +119,25 @@ class TestQuery:
         assert "query: probe" in printed
         assert "passages:" in printed
 
+    def test_text_format_tells_colliding_paths_apart(self, colliding_bundle, capsys):
+        argv = ["query", "--index", str(colliding_bundle), "--format", "text", *COLLIDING_QUERY]
+        assert main(argv) == 0
+        paths = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  dist=")]
+        assert len(paths) == len(set(paths)) == 2
+        assert any('["a", "b c", "d"]; ["q", "links", "a"]' in line for line in paths)
+        assert any('["a", "b", "c d"]; ["q", "links", "a"]' in line for line in paths)
+
+    @pytest.mark.parametrize(
+        "edit, message", [({"version": 1}, "rebuild the bundle with `helprag index`"), ([], "not a JSON object")]
+    )
+    def test_old_or_malformed_bundle_exit_2(self, bundle_dir, capsys, edit, message):
+        manifest_path = bundle_dir / "manifest.json"
+        if isinstance(edit, dict):
+            edit = {**json.loads(manifest_path.read_text()), **edit}
+        manifest_path.write_text(json.dumps(edit))
+        assert main(["query", "--index", str(bundle_dir), "--question", "probe"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_byte_stable_modulo_timings(self, bundle_dir, capsys):
         argv = ["query", "--index", str(bundle_dir), "--question", "what does alpha feed?"]
         assert main(argv) == 0
@@ -110,24 +148,15 @@ class TestQuery:
         second.pop("timings_ms")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
-    def test_colliding_paths_byte_stable_across_hash_seeds(self, tmp_path):
-        corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text(
-            "".join(
-                json.dumps({"id": r.id, "text": r.text, "triples": [list(t) for t in r.triples]}) + "\n"
-                for r in colliding_corpus()
-            )
-        )
-        assert main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "idx")]) == 0
+    def test_colliding_paths_byte_stable_across_hash_seeds(self, colliding_bundle):
         src = str(Path(__file__).resolve().parent.parent / "src")
         outputs = []
         for hash_seed in ("1", "4"):  # the seeds chose different paths when text was the key
             env = dict(os.environ, PYTHONHASHSEED=hash_seed)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             done = subprocess.run(
-                [sys.executable, "-m", "helprag.cli", "query", "--index", str(tmp_path / "idx"),
-                 "--question", "q links a", "--format", "json", "--hops", "2", "--seeds", "1",
-                 "--beam", "5", "--quota", "2", "--topk", "2"],
+                [sys.executable, "-m", "helprag.cli", "query", "--index", str(colliding_bundle),
+                 "--format", "json", *COLLIDING_QUERY],
                 env=env, capture_output=True, text=True, timeout=120,
             )
             assert done.returncode == 0, done.stderr
@@ -266,6 +295,16 @@ class TestBench:
              "--encoder", encoder_spec, "--grid", "quota=4..6", "--out", str(reports)]
         ) == 2
         assert list(reports.glob("report_*.json")) == []
+
+    def test_empty_grid_range_exit_2(self, synthetic_cli_setup, tmp_path, capsys):
+        fixture_dir, bundle, encoder_spec = synthetic_cli_setup
+        reports = tmp_path / "r"
+        assert main(
+            ["bench", "--index", str(bundle), "--qa", str(fixture_dir / "qa.jsonl"),
+             "--encoder", encoder_spec, "--grid", "quota=5..3", "--out", str(reports)]
+        ) == 2
+        assert "empty grid range" in capsys.readouterr().err
+        assert not reports.exists()
 
     def test_mismatched_encoder_exit_2(self, synthetic_cli_setup, tmp_path, capsys):
         fixture_dir, bundle, _ = synthetic_cli_setup

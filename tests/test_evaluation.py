@@ -181,6 +181,18 @@ class TestLoadQA:
         with pytest.raises(Exception):
             load_qa(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("question", 5), ("answers", "abc"), ("gold_passage_ids", "p1")],
+    )
+    def test_field_of_wrong_type_reports_line_number(self, tmp_path, field, value):
+        good = {"id": "q1", "question": "who?", "answers": ["x"], "gold_passage_ids": ["p1"]}
+        path = tmp_path / "qa.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "q2", field: value}) + "\n")
+        with pytest.raises(ParseError, match=field) as err:
+            load_qa(path)
+        assert err.value.line == 2
+
 
 @pytest.fixture()
 def synthetic_bundle(tmp_path):

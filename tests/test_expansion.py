@@ -261,20 +261,22 @@ class TestRunExpansion:
             },
         )
         graph = build_and_embed([passage("p1", chain[0]), passage("p2", chain[1])], enc)
-        final = run_expansion(graph, enc, "how does a reach c?", ExpansionConfig(hops=2, seed_size=1, beam_size=5))
+        final = run_expansion(
+            graph, enc, encode(enc, ["how does a reach c?"])[0], ExpansionConfig(hops=2, seed_size=1, beam_size=5)
+        )
         assert beam_sets(final) == [frozenset(canonicalize_triplet(*t) for t in chain)]
 
     def test_single_hop_returns_seeds(self, hash_encoder):
         graph = build_and_embed([passage("p1", ("a", "r", "b"), ("b", "r", "c"))], hash_encoder)
         config = ExpansionConfig(hops=1, seed_size=2, beam_size=5)
-        final = run_expansion(graph, hash_encoder, "query", config)
         vq = encode(hash_encoder, ["query"])[0]
+        final = run_expansion(graph, hash_encoder, vq, config)
         assert beam_sets(final) == beam_sets(select_seeds(graph, vq, 2))
 
     def test_colliding_paths_both_kept_and_match_oracle(self, hash_encoder):
         graph = build_and_embed(colliding_corpus(), hash_encoder)
         config = ExpansionConfig(hops=2, seed_size=1, beam_size=5)
-        final = run_expansion(graph, hash_encoder, "q links a", config)
+        final = run_expansion(graph, hash_encoder, encode(hash_encoder, ["q links a"])[0], config)
         start = canonicalize_triplet("q", "links", "a")
         assert beam_sets(final) == [
             frozenset({start, canonicalize_triplet("a", "b", "c d")}),
@@ -285,14 +287,15 @@ class TestRunExpansion:
 
     def test_empty_graph_returns_empty(self, hash_encoder):
         empty = build_and_embed([], hash_encoder)
-        assert run_expansion(empty, hash_encoder, "query", ExpansionConfig()) == []
+        assert run_expansion(empty, hash_encoder, encode(hash_encoder, ["query"])[0], ExpansionConfig()) == []
 
     def test_deterministic(self, hash_encoder):
         rng = random.Random(99)
         graph = build_and_embed(random_corpus(rng, n_passages=30), hash_encoder)
         config = ExpansionConfig(hops=3, seed_size=3, beam_size=8)
-        first = run_expansion(graph, hash_encoder, "some question", config)
-        second = run_expansion(graph, hash_encoder, "some question", config)
+        vq = encode(hash_encoder, ["some question"])[0]
+        first = run_expansion(graph, hash_encoder, vq, config)
+        second = run_expansion(graph, hash_encoder, vq, config)
         assert [n.serialized for n in first] == [n.serialized for n in second]
         assert [n.query_distance for n in first] == [n.query_distance for n in second]
 
@@ -301,7 +304,7 @@ class TestRunExpansion:
         graph = build_and_embed(random_corpus(rng, n_passages=40, entity_pool=15), hash_encoder)
         for hops in (1, 2, 3):
             config = ExpansionConfig(hops=hops, seed_size=4, beam_size=10)
-            final = run_expansion(graph, hash_encoder, "connectivity probe", config)
+            final = run_expansion(graph, hash_encoder, encode(hash_encoder, ["connectivity probe"])[0], config)
             assert 0 < len(final) <= (config.seed_size if hops == 1 else config.beam_size)
             for node in final:
                 assert 1 <= len(node.triplets) <= hops
@@ -316,7 +319,7 @@ class TestRunExpansion:
             hops, seeds, beam = rng.randint(1, 3), rng.randint(1, 5), rng.randint(1, 10)
             query = f"probe {rng.randint(0, 999)}"
             mine = run_expansion(
-                graph, hash_encoder, query, ExpansionConfig(hops, seeds, beam)
+                graph, hash_encoder, encode(hash_encoder, [query])[0], ExpansionConfig(hops, seeds, beam)
             )
             reference = brute_force_expansion(graph, hash_encoder, query, hops, seeds, beam)
             assert beam_sets(mine) == reference

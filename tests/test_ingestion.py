@@ -27,7 +27,6 @@ from helprag.ingestion import (
     MANIFEST_FILE,
     PASSAGE_EMB_FILE,
     TRIPLET_EMB_FILE,
-    TRIPLET_FILE,
     CorpusRecord,
     build_and_embed,
     extract_triples,
@@ -168,7 +167,7 @@ class TestBundleRoundTrip:
     def test_save_load_bit_exact(self, tmp_path, hash_encoder):
         graph = build_and_embed(random_corpus(random.Random(42), n_passages=25), hash_encoder)
         manifest = save_index(tmp_path / "idx", graph)
-        assert manifest["version"] == 1
+        assert manifest["version"] == 2
         assert manifest["encoder_id"] == hash_encoder.encoder_id
         assert manifest["extraction_prompt_sha256"] == EXTRACTION_PROMPT_SHA256
 
@@ -180,14 +179,16 @@ class TestBundleRoundTrip:
         graph = build_and_embed(random_corpus(random.Random(7), n_passages=25), hash_encoder)
         save_index(tmp_path / "a", graph)
         save_index(tmp_path / "b", graph)
-        for name in ("corpus.jsonl", "triplets.jsonl", PASSAGE_EMB_FILE, MANIFEST_FILE):
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted([CORPUS_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE, MANIFEST_FILE])
+        for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_loaded_graph_resaves_byte_identical(self, tmp_path, hash_encoder):
         graph = build_and_embed(random_corpus(random.Random(11), n_passages=25), hash_encoder)
         save_index(tmp_path / "a", graph)
         save_index(tmp_path / "b", load_index(tmp_path / "a"))
-        for name in (CORPUS_FILE, TRIPLET_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE, MANIFEST_FILE):
+        for name in (CORPUS_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE, MANIFEST_FILE):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_loaded_rows_are_read_only(self, tmp_path, hash_encoder):
@@ -240,14 +241,25 @@ class TestBundleRoundTrip:
             (p.id, p.score, p.channel) for p in again.passages
         ]
 
-    def test_version_mismatch(self, tmp_path, hash_encoder):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_version_mismatch(self, tmp_path, hash_encoder, version):
         graph = build_and_embed(random_corpus(random.Random(1), n_passages=4), hash_encoder)
         save_index(tmp_path / "idx", graph)
         manifest_path = tmp_path / "idx" / MANIFEST_FILE
         manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = 2
+        manifest["version"] = version
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(VersionMismatch):
+        with pytest.raises(VersionMismatch, match="rebuild the bundle with `helprag index`"):
+            load_index(tmp_path / "idx")
+
+    @pytest.mark.parametrize("edit", ["manifest", "counts"])
+    def test_manifest_of_wrong_shape_is_corrupt(self, tmp_path, hash_encoder, edit):
+        graph = build_and_embed(random_corpus(random.Random(1), n_passages=4), hash_encoder)
+        save_index(tmp_path / "idx", graph)
+        manifest_path = tmp_path / "idx" / MANIFEST_FILE
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps([] if edit == "manifest" else {**manifest, "counts": [4]}))
+        with pytest.raises(CorruptFile, match="not a JSON object"):
             load_index(tmp_path / "idx")
 
     def test_truncated_embedding_file(self, tmp_path, hash_encoder):
@@ -280,7 +292,7 @@ class TestBundleRoundTrip:
             save_index(tmp_path / "narrow", build_and_embed(records, HashEncoder(dim=128)))
             (bundle / TRIPLET_EMB_FILE).write_bytes((tmp_path / "narrow" / TRIPLET_EMB_FILE).read_bytes())
             digest = hashlib.sha256()
-            for name in (CORPUS_FILE, TRIPLET_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE):
+            for name in (CORPUS_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE):
                 digest.update((bundle / name).read_bytes())
             manifest["content_hash"] = digest.hexdigest()
         else:
