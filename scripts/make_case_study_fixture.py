@@ -14,12 +14,11 @@ Usage: python3 scripts/make_case_study_fixture.py [out_dir]
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from pathlib import Path
 
 from helprag.encoding import OracleEncoder, serialize_hypernode
+from helprag.evaluation import QARecord, SyntheticFixture
 from helprag.expansion import ExpansionConfig
 from helprag.ingestion import CorpusRecord, build_and_embed
 from helprag.kg import canonicalize_triplet
@@ -190,11 +189,8 @@ def build_table() -> dict:
     return {"dim": 3, "vectors": vectors}
 
 
-def verify(table: dict) -> None:
+def verify(records: list[CorpusRecord], table: dict) -> None:
     encoder = OracleEncoder.from_table(table)
-    records = [
-        CorpusRecord(pid, text, tuple(triples)) for pid, (text, triples, _) in PASSAGES.items()
-    ]
     graph = build_and_embed(records, encoder)
     result = retrieve_result(graph, encoder, QUESTION, ExpansionConfig(), HybridConfig())
 
@@ -216,25 +212,21 @@ def verify(table: dict) -> None:
 
 
 def main(out_dir: str) -> None:
+    records = [
+        CorpusRecord(pid, text, tuple(triples)) for pid, (text, triples, _) in PASSAGES.items()
+    ]
     table = build_table()
-    verify(table)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "corpus.jsonl", "w", encoding="utf-8") as fh:
-        for pid, (text, triples, _) in PASSAGES.items():
-            fh.write(json.dumps({"id": pid, "text": text, "triples": [list(t) for t in triples]},
-                                ensure_ascii=False, sort_keys=True) + "\n")
-    with open(out / "qa.jsonl", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({
-            "id": "case-study-1",
-            "question": QUESTION,
-            "answers": [ANSWER],
-            "gold_passage_ids": ["elene-of-georgia", "solomon-ii-of-imereti"],
-        }, ensure_ascii=False, sort_keys=True) + "\n")
-    with open(out / "vectors.json", "w", encoding="utf-8") as fh:
-        json.dump(table, fh, ensure_ascii=False, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote case-study fixture to {out}")
+    verify(records, table)
+    SyntheticFixture(
+        corpus=records,
+        qa=[
+            QARecord(
+                "case-study-1", QUESTION, (ANSWER,), ("elene-of-georgia", "solomon-ii-of-imereti")
+            )
+        ],
+        oracle_table=table,
+    ).write(out_dir)
+    print(f"wrote case-study fixture to {out_dir}")
 
 
 if __name__ == "__main__":

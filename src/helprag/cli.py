@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .encoding import encoder_from_spec
-from .errors import EncoderFailure, HelpRagError, InvalidParams, ServiceUnreachable
+from .errors import EncoderFailure, HelpRagError, InvalidParams, ServiceReplyError, ServiceUnreachable
 from .evaluation import gen_synthetic, load_qa, run_benchmark
 from .expansion import ExpansionConfig
 from .ingestion import build_and_embed, extract_triples, load_corpus, load_index, save_index
@@ -251,7 +251,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EncoderFailure, ServiceUnreachable) as exc:
+    except (EncoderFailure, ServiceReplyError, ServiceUnreachable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except KeyError as exc:

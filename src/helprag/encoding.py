@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import EmptyHyperNode, EncoderFailure, InvalidParams, ZeroVector
 from .kg import Triplet
-from .services import ServiceConfig, ServiceUnreachable, post_json
+from .services import ServiceConfig, ServiceReplyError, ServiceUnreachable, post_json
 
 TRIPLET_JOIN = "; "
 # the (head, relation, tail) order of Triplet's dataclass comparison, as a C-level key
@@ -300,7 +300,7 @@ class RemoteEncoder(Encoder):
     def _request_chunk(self, chunk: list[str]) -> np.ndarray:
         try:
             reply = post_json(self.config, {"model": self.config.model, "input": chunk})
-        except (ServiceUnreachable, ValueError) as exc:
+        except (ServiceUnreachable, ServiceReplyError) as exc:
             raise EncoderFailure(str(exc)) from exc
         try:
             data = sorted(reply["data"], key=lambda item: item["index"])

@@ -51,6 +51,10 @@ class ServiceUnreachable(HelpRagError):
     """An external HTTP service could not be reached after retries."""
 
 
+class ServiceReplyError(HelpRagError):
+    """An external HTTP service replied with a status or body the client cannot use."""
+
+
 class VersionMismatch(HelpRagError):
     """Index bundle was written by an incompatible schema version."""
 

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .encoding import Encoder, serialize_hypernode
-from .errors import InvalidParams, ParseError
+from .errors import DuplicateId, InvalidParams, ParseError
 from .expansion import ExpansionConfig
 from .ingestion import CorpusRecord, jsonl_objects, load_index
 from .kg import canonicalize_triplet
@@ -59,21 +59,27 @@ def load_qa(path: str | Path) -> list[QARecord]:
     """Parse a JSONL QA set: {id, question, answers: [...], gold_passage_ids: [...]}.
 
     ``gold_passage_ids`` may be absent. Raises ParseError with the line
-    number for a record of any other shape.
+    number for a record of any other shape, and DuplicateId for a repeated id.
     """
     records = []
+    seen: set[str] = set()
     for lineno, obj in jsonl_objects(Path(path).read_text(encoding="utf-8")):
-        if not isinstance(obj, dict) or "id" not in obj:
-            raise ParseError(lineno, "QA record needs an 'id'")
-        question, answers = obj.get("question"), obj.get("answers")
+        if not isinstance(obj, dict):
+            raise ParseError(lineno, "expected a JSON object")
+        qid, question, answers = obj.get("id"), obj.get("question"), obj.get("answers")
         gold = obj.get("gold_passage_ids", [])
+        if not isinstance(qid, str) or not qid:
+            raise ParseError(lineno, "'id' must be a non-empty string")
+        if qid in seen:
+            raise DuplicateId(f"duplicate QA id {qid!r} at line {lineno}")
+        seen.add(qid)
         if not isinstance(question, str) or not question:
             raise ParseError(lineno, "'question' must be a non-empty string")
         if not _strings(answers) or not answers:
             raise ParseError(lineno, "'answers' must be a non-empty list of strings")
         if not _strings(gold):
             raise ParseError(lineno, "'gold_passage_ids' must be a list of strings")
-        records.append(QARecord(str(obj["id"]), question, tuple(answers), tuple(gold)))
+        records.append(QARecord(qid, question, tuple(answers), tuple(gold)))
     return records
 
 
@@ -155,7 +161,7 @@ class SyntheticFixture:
                 fh.write(
                     json.dumps(
                         {"id": rec.id, "text": rec.text, "triples": [list(t) for t in rec.triples]},
-                        sort_keys=True,
+                        ensure_ascii=False, sort_keys=True,
                     )
                     + "\n"
                 )
@@ -169,12 +175,12 @@ class SyntheticFixture:
                             "answers": list(rec.answers),
                             "gold_passage_ids": list(rec.gold_passage_ids),
                         },
-                        sort_keys=True,
+                        ensure_ascii=False, sort_keys=True,
                     )
                     + "\n"
                 )
         with open(out / "vectors.json", "w", encoding="utf-8") as fh:
-            json.dump(self.oracle_table, fh, sort_keys=True)
+            json.dump(self.oracle_table, fh, ensure_ascii=False, sort_keys=True)
             fh.write("\n")
 
 

@@ -26,8 +26,10 @@ from .encoding import Encoder, serialize_hypernode, unit_rows
 from .errors import (
     CorruptFile,
     DuplicateId,
+    EncoderFailure,
     InvalidParams,
     ParseError,
+    ServiceReplyError,
     ServiceUnreachable,
     VersionMismatch,
 )
@@ -197,7 +199,7 @@ def extract_triples(
                     raise
                 log.warning("extraction service dropped out on record %s", record.id)
                 break
-            except ValueError:
+            except ServiceReplyError:
                 reached_service = True
                 continue
             reached_service = True
@@ -228,7 +230,13 @@ def build_and_embed(records: list[CorpusRecord], encoder: Encoder) -> KnowledgeG
     if by_id:
         passage_rows = encoder.encode_batch([p.text for p in by_id.values()])
     else:
-        passage_rows = np.empty((0, encoder.dim), dtype=np.float32)
+        try:
+            dim = encoder.dim
+        except EncoderFailure as exc:  # a remote encoder learns its dim from its first reply
+            raise InvalidParams(
+                f"empty corpus: encoder {encoder.encoder_id} has no text to learn its dimension from"
+            ) from exc
+        passage_rows = np.empty((0, dim), dtype=np.float32)
     if index.catalog:
         triplet_rows = encoder.encode_batch([serialize_hypernode([t]) for t in index.catalog])
     else:

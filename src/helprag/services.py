@@ -2,21 +2,25 @@
 
 Both speak the common JSON-over-POST wire shapes: an embeddings endpoint
 taking {"model", "input": [...]} and a chat-completion endpoint taking
-{"model", "messages": [...]}, each with bearer-token auth. Requests retry
-transient failures with exponential backoff; the number of in-flight
-requests is bounded by the caller.
+{"model", "messages": [...]}, each with bearer-token auth. Requests go
+through the standard library's urllib.request and retry transient failures
+with exponential backoff; the number of in-flight requests is bounded by
+the caller.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import logging
 import os
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 
-import requests
-
-from .errors import ServiceUnreachable
+from .errors import InvalidParams, ServiceReplyError, ServiceUnreachable
 
 log = logging.getLogger(__name__)
 
@@ -34,6 +38,11 @@ class ServiceConfig:
     api_key: str = ""
     timeout_s: float = DEFAULT_TIMEOUT_S
 
+    def __post_init__(self) -> None:
+        # urlopen would also open file:, data: and ftp: URLs
+        if urllib.parse.urlsplit(self.url).scheme not in ("http", "https"):
+            raise InvalidParams(f"service URL {self.url!r} is not an http:// or https:// URL")
+
     @classmethod
     def from_env(cls, prefix: str) -> "ServiceConfig":
         """Read <PREFIX>_URL / <PREFIX>_MODEL / <PREFIX>_KEY from the environment."""
@@ -47,25 +56,41 @@ class ServiceConfig:
         )
 
 
-def _retry_after_s(reply: requests.Response) -> float:
+def _send(
+    request: urllib.request.Request, timeout_s: float
+) -> tuple[int, http.client.HTTPMessage, bytes]:
+    """One exchange: (status, reply headers, body), for every status code."""
+    try:
+        with urllib.request.urlopen(request, timeout=timeout_s) as reply:
+            return reply.status, reply.headers, reply.read()
+    except urllib.error.HTTPError as exc:
+        # urlopen raises 4xx and 5xx replies; the error carries the reply
+        with exc:
+            return exc.code, exc.headers, exc.read()
+
+
+def _retry_after_s(headers: http.client.HTTPMessage) -> float:
     """A Retry-After header given in whole seconds, else 0 (absent or an HTTP date)."""
-    value = reply.headers.get("Retry-After", "").strip()
+    value = headers.get("Retry-After", "").strip()
     return float(value) if value.isdigit() else 0.0
 
 
 def post_json(config: ServiceConfig, payload: dict) -> dict:
     """POST a JSON payload and return the decoded JSON reply.
 
-    Makes up to ``MAX_RETRIES`` attempts on connection errors, timeouts, 429
-    and 5xx replies, backing off exponentially between attempts (never after
-    the last), then raises ServiceUnreachable. A reply's Retry-After, in
-    seconds and capped at ``config.timeout_s``, lengthens the next wait when
-    it exceeds the backoff. Non-JSON replies and other non-200 status codes
-    are not retried and raise ValueError.
+    Makes up to ``MAX_RETRIES`` attempts on connection errors, timeouts,
+    dropped connections, 429 and 5xx replies, backing off exponentially
+    between attempts (never after the last), then raises ServiceUnreachable.
+    A reply's Retry-After, in seconds and capped at ``config.timeout_s``,
+    lengthens the next wait when it exceeds the backoff. Non-JSON replies and
+    other non-200 status codes are not retried and raise ServiceReplyError.
     """
     headers = {"Content-Type": "application/json"}
     if config.api_key:
         headers["Authorization"] = f"Bearer {config.api_key}"
+    request = urllib.request.Request(
+        config.url, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
+    )
 
     last_error: Exception | None = None
     retry_after = 0.0
@@ -73,24 +98,25 @@ def post_json(config: ServiceConfig, payload: dict) -> dict:
         if attempt:
             time.sleep(max(BACKOFF_BASE_S * (2 ** (attempt - 1)), min(retry_after, config.timeout_s)))
         try:
-            reply = requests.post(
-                config.url, json=payload, headers=headers, timeout=config.timeout_s
-            )
-        except requests.RequestException as exc:
+            status, reply_headers, body = _send(request, config.timeout_s)
+        except (OSError, http.client.HTTPException) as exc:
+            # URLError: connect refused or timed out; TimeoutError: read timed out;
+            # RemoteDisconnected, IncompleteRead: the connection dropped mid-reply
             last_error = exc
             retry_after = 0.0
             log.warning("request to %s failed (%s), attempt %d", config.url, exc, attempt + 1)
             continue
-        if reply.status_code == 429 or reply.status_code >= 500:
-            last_error = ServiceUnreachable(f"{config.url} returned {reply.status_code}")
-            retry_after = _retry_after_s(reply)
+        if status == 429 or status >= 500:
+            last_error = ServiceUnreachable(f"{config.url} returned {status}")
+            retry_after = _retry_after_s(reply_headers)
             continue
-        if reply.status_code != 200:
-            raise ValueError(f"{config.url} returned status {reply.status_code}: {reply.text[:200]}")
+        if status != 200:
+            text = body.decode("utf-8", errors="replace")
+            raise ServiceReplyError(f"{config.url} returned status {status}: {text[:200]}")
         try:
-            return reply.json()
+            return json.loads(body)
         except ValueError as exc:
-            raise ValueError(f"{config.url} returned non-JSON body") from exc
+            raise ServiceReplyError(f"{config.url} returned non-JSON body") from exc
 
     raise ServiceUnreachable(f"{config.url} unreachable after {MAX_RETRIES} attempts: {last_error}")
 
@@ -105,6 +131,9 @@ class ChatCompletionClient:
         """Send a message list, return the assistant text of the first choice."""
         reply = post_json(self.config, {"model": self.config.model, "messages": messages})
         try:
-            return reply["choices"][0]["message"]["content"]
+            content = reply["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
-            raise ValueError(f"malformed chat reply from {self.config.url}") from exc
+            raise ServiceReplyError(f"malformed chat reply from {self.config.url}") from exc
+        if not isinstance(content, str):
+            raise ServiceReplyError(f"chat reply from {self.config.url} has no text content")
+        return content

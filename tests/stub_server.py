@@ -12,7 +12,9 @@ class StubService:
 
     Records every request (path, headers, parsed JSON body) for assertions.
     Reply may be any JSON-serializable object or raw bytes; the optional
-    third element is a dict of extra reply headers.
+    third element is a dict of extra reply headers, which override the
+    defaults. A handler that returns None drops the connection without
+    replying.
     """
 
     def __init__(self, handler):
@@ -31,12 +33,15 @@ class StubService:
                 stub.requests.append(
                     {"path": self.path, "headers": dict(self.headers), "body": body}
                 )
-                status, reply, *extra = stub.handler(body, dict(self.headers))
+                outcome = stub.handler(body, dict(self.headers))
+                if outcome is None:
+                    self.close_connection = True
+                    return
+                status, reply, *extra = outcome
                 data = reply if isinstance(reply, bytes) else json.dumps(reply).encode("utf-8")
                 self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                for name, value in (extra[0] if extra else {}).items():
+                headers = {"Content-Type": "application/json", "Content-Length": str(len(data))}
+                for name, value in {**headers, **(extra[0] if extra else {})}.items():
                     self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helprag import services
 from helprag.encoding import OracleEncoder
-from helprag.errors import EncoderMismatch, InvalidParams, ParseError
+from helprag.errors import DuplicateId, EncoderMismatch, InvalidParams, ParseError
 from helprag.evaluation import (
     BenchReport,
     QARecord,
@@ -183,7 +183,7 @@ class TestLoadQA:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("question", 5), ("answers", "abc"), ("gold_passage_ids", "p1")],
+        [("id", None), ("question", 5), ("answers", "abc"), ("gold_passage_ids", "p1")],
     )
     def test_field_of_wrong_type_reports_line_number(self, tmp_path, field, value):
         good = {"id": "q1", "question": "who?", "answers": ["x"], "gold_passage_ids": ["p1"]}
@@ -192,6 +192,13 @@ class TestLoadQA:
         with pytest.raises(ParseError, match=field) as err:
             load_qa(path)
         assert err.value.line == 2
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        record = {"id": "q1", "question": "who?", "answers": ["x"]}
+        path = tmp_path / "qa.jsonl"
+        path.write_text(json.dumps(record) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(DuplicateId, match="line 2"):
+            load_qa(path)
 
 
 @pytest.fixture()

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from helprag import services
 from helprag.cli import main
 from helprag.encoding import RemoteEncoder, encode
-from helprag.errors import EncoderFailure, EncoderMismatch
+from helprag.errors import EncoderFailure, EncoderMismatch, InvalidParams, ServiceReplyError
+from helprag.evaluation import gen_synthetic
 from helprag.ingestion import load_index
 from helprag.localization import retrieve_result
 from helprag.services import ChatCompletionClient, ServiceConfig, ServiceUnreachable, post_json
@@ -71,6 +74,36 @@ class TestRemoteEncoder:
         assert sorted(len(r["body"]["input"]) for r in stub.requests) == [2, 2, 64, 64]
         assert rows.shape == (130, 8)
         assert np.array_equal(rows[[7, 129]], alone)
+
+    def test_dropped_chunk_retried_rows_unchanged(self):
+        dropped = []
+
+        def drops_second_chunk_once(body, headers):
+            if body["input"][0] == "text 64" and not dropped:
+                dropped.append(body["input"])
+                return None
+            return embeddings_handler(body, headers)
+
+        texts = [f"text {i}" for i in range(130)]
+        with StubService(embeddings_handler) as stub:
+            clean = encode(RemoteEncoder(config_for(stub)), texts)
+        with StubService(drops_second_chunk_once) as stub:
+            rows = encode(RemoteEncoder(config_for(stub)), texts)
+        assert len(dropped) == 1 and len(dropped[0]) == 64
+        assert len(stub.requests) == 4  # three chunks, one sent twice
+        assert np.array_equal(rows, clean)
+
+    def test_empty_corpus_exit_2_without_a_request(self, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("")
+        with StubService(embeddings_handler) as stub:
+            monkeypatch.setenv("HELP_EMBED_URL", stub.url)
+            code = main(
+                ["index", "--corpus", str(corpus), "--out", str(tmp_path / "idx"), "--encoder", "remote"]
+            )
+        assert code == 2
+        assert "empty corpus" in capsys.readouterr().err
+        assert stub.requests == []
 
     def test_retry_on_transient_500_then_success(self):
         state = {"calls": 0}
@@ -152,6 +185,13 @@ class TestRemoteEncoder:
 
 
 class TestPostJson:
+    @pytest.mark.parametrize(
+        "url", ["example/v1", "localhost:8080/v1", "file:///dev/null", "ftp://127.0.0.1:9/v1"]
+    )
+    def test_non_http_url_rejected(self, url):
+        with pytest.raises(InvalidParams, match="http"):
+            ServiceConfig(url=url, model="m")
+
     def test_gives_up_after_retries(self):
         with StubService(lambda b, h: (503, {"busy": True})) as stub:
             with pytest.raises(ServiceUnreachable):
@@ -202,15 +242,47 @@ class TestPostJson:
                 post_json(ServiceConfig(url=stub.url, model="m", timeout_s=2), {"x": 1})
         assert len(stub.requests) == services.MAX_RETRIES
 
+    def test_dropped_connection_on_every_attempt_gives_up(self):
+        with StubService(lambda b, h: None) as stub:
+            with pytest.raises(ServiceUnreachable):
+                post_json(ServiceConfig(url=stub.url, model="m", timeout_s=2), {"x": 1})
+        assert len(stub.requests) == services.MAX_RETRIES
+
+    def test_single_dropped_connection_retried(self):
+        state = {"calls": 0}
+
+        def drops_once(body, headers):
+            state["calls"] += 1
+            return None if state["calls"] == 1 else (200, {"ok": True})
+
+        with StubService(drops_once) as stub:
+            reply = post_json(ServiceConfig(url=stub.url, model="m", timeout_s=2), {"x": 1})
+        assert reply == {"ok": True}
+        assert len(stub.requests) == 2
+
+    def test_truncated_reply_retried_then_gives_up(self):
+        # the body ends, and the connection closes, before the declared length
+        with StubService(lambda b, h: (200, b'{"ok"', {"Content-Length": "100"})) as stub:
+            with pytest.raises(ServiceUnreachable, match="IncompleteRead"):
+                post_json(ServiceConfig(url=stub.url, model="m", timeout_s=2), {"x": 1})
+        assert len(stub.requests) == services.MAX_RETRIES
+
+    def test_read_timeout_retried_then_gives_up(self):
+        # the stub replies (by dropping) only after the client has stopped waiting
+        with StubService(lambda b, h: time.sleep(0.3)) as stub:
+            with pytest.raises(ServiceUnreachable, match="timed out"):
+                post_json(ServiceConfig(url=stub.url, model="m", timeout_s=0.1), {"x": 1})
+        assert len(stub.requests) == services.MAX_RETRIES
+
     def test_client_error_not_retried(self):
         with StubService(lambda b, h: (400, {"bad": "request"})) as stub:
-            with pytest.raises(ValueError):
+            with pytest.raises(ServiceReplyError):
                 post_json(ServiceConfig(url=stub.url, model="m", timeout_s=2), {"x": 1})
         assert len(stub.requests) == 1
 
     def test_non_json_body_rejected(self):
         with StubService(lambda b, h: (200, b"not json at all")) as stub:
-            with pytest.raises(ValueError):
+            with pytest.raises(ServiceReplyError):
                 post_json(ServiceConfig(url=stub.url, model="m", timeout_s=2), {"x": 1})
 
 
@@ -226,5 +298,54 @@ class TestChatClient:
     def test_malformed_chat_reply(self):
         with StubService(lambda b, h: (200, {"choices": []})) as stub:
             client = ChatCompletionClient(ServiceConfig(url=stub.url, model="m", timeout_s=5))
-            with pytest.raises(ValueError):
+            with pytest.raises(ServiceReplyError):
                 client.complete([{"role": "user", "content": "hi"}])
+
+    def test_reply_without_text_content(self):
+        reply = {"choices": [{"message": {"content": None}}]}
+        with StubService(lambda b, h: (200, reply)) as stub:
+            client = ChatCompletionClient(ServiceConfig(url=stub.url, model="m", timeout_s=5))
+            with pytest.raises(ServiceReplyError):
+                client.complete([{"role": "user", "content": "hi"}])
+
+
+# replies neither service can use: malformed for both wire shapes, not JSON, a client error
+SERVICE_FAULTS = {
+    "malformed": lambda b, h: (200, {"choices": []}),
+    "non-json": lambda b, h: (200, b"not json at all"),
+    "client-error": lambda b, h: (400, {"bad": "request"}),
+}
+
+
+class TestServiceFaultExitCodes:
+    @pytest.mark.parametrize("fault", sorted(SERVICE_FAULTS))
+    def test_embeddings_fault_exit_3(self, fault, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id":"p1","text":"alpha feeds beta.","triples":[["alpha","feeds","beta"]]}\n')
+        with StubService(SERVICE_FAULTS[fault]) as stub:
+            monkeypatch.setenv("HELP_EMBED_URL", stub.url)
+            code = main(
+                ["index", "--corpus", str(corpus), "--out", str(tmp_path / "idx"), "--encoder", "remote"]
+            )
+        assert code == 3
+        assert len(stub.requests) == 1
+        assert stub.url in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", sorted(SERVICE_FAULTS))
+    def test_chat_fault_exit_3(self, fault, tmp_path, monkeypatch, capsys):
+        fixture_dir, bundle = tmp_path / "fx", tmp_path / "idx"
+        gen_synthetic(chains=1, hops=2, distractors=0, seed=3).write(fixture_dir)
+        encoder = f"oracle:{fixture_dir / 'vectors.json'}"
+        assert main(
+            ["index", "--corpus", str(fixture_dir / "corpus.jsonl"), "--out", str(bundle),
+             "--encoder", encoder]
+        ) == 0
+        with StubService(SERVICE_FAULTS[fault]) as stub:
+            monkeypatch.setenv("HELP_LLM_URL", stub.url)
+            code = main(
+                ["bench", "--index", str(bundle), "--qa", str(fixture_dir / "qa.jsonl"),
+                 "--out", str(tmp_path / "reports"), "--generate", "--encoder", encoder]
+            )
+        assert code == 3
+        assert len(stub.requests) == 1
+        assert stub.url in capsys.readouterr().err

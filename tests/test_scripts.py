@@ -1,4 +1,5 @@
-"""The experiment scripts run against the current API, and the package exports resolve."""
+"""The experiment scripts run against the current API, the package exports resolve, and
+the CLI imports no third-party HTTP client."""
 
 from __future__ import annotations
 
@@ -12,13 +13,16 @@ import helprag
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
     )
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    return run_python(str(ROOT / "scripts" / name), *args)
 
 
 def test_case_study_fixture_reproduced_byte_for_byte(tmp_path):
@@ -40,3 +44,12 @@ def test_hop_sweep_runs():
 def test_every_exported_name_resolves():
     missing = [name for name in helprag.__all__ if not hasattr(helprag, name)]
     assert missing == []
+
+
+def test_cli_import_pulls_in_no_third_party_http_client():
+    # the remote path runs on urllib.request; numpy is the only runtime dependency
+    done = run_python(
+        "-c", "import sys, helprag.cli; print(sorted({'requests', 'urllib3'} & sys.modules.keys()))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
