@@ -52,7 +52,14 @@ class ServiceUnreachable(HelpRagError):
 
 
 class ServiceReplyError(HelpRagError):
-    """An external HTTP service replied with a status or body the client cannot use."""
+    """An external HTTP service replied with a status or body the client cannot use.
+
+    ``status`` is the HTTP status of a reply refused for its status, else None.
+    """
+
+    def __init__(self, message: str, status: int | None = None):
+        super().__init__(message)
+        self.status = status
 
 
 class VersionMismatch(HelpRagError):

@@ -333,6 +333,13 @@ class BenchReport:
             fh.write("\n")
 
 
+def _percentile(values: list[float], q: int) -> float:
+    """The q-th percentile by the inclusive method; the value itself for one, 0.0 for none."""
+    if len(values) < 2:
+        return values[0] if values else 0.0
+    return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
+
+
 def run_benchmark(
     bundle_dir: str | Path,
     qa_records: Sequence[QARecord],
@@ -380,10 +387,13 @@ def run_benchmark(
             row["em"] = exact_match(answer, qa.answers)
         rows.append(row)
 
+    latencies = [r["latency_s"] for r in rows]
     aggregates = {
         "queries": len(rows),
-        "mean_latency_s": statistics.fmean(r["latency_s"] for r in rows) if rows else 0.0,
-        "median_latency_s": statistics.median(r["latency_s"] for r in rows) if rows else 0.0,
+        "mean_latency_s": statistics.fmean(latencies) if rows else 0.0,
+        "median_latency_s": statistics.median(latencies) if rows else 0.0,
+        "p95_latency_s": _percentile(latencies, 95),
+        "p99_latency_s": _percentile(latencies, 99),
         "recall_at_k": statistics.fmean(r["recall_hit"] for r in rows) if rows else 0.0,
         "k": hybrid.context_size,
     }

@@ -73,19 +73,19 @@ def select_seeds(graph: KnowledgeGraph, query_vector: np.ndarray, n: int) -> lis
     """
     if n < 1:
         raise InvalidParams("seed count must be >= 1")
-    catalog = graph.index.catalog
-    if not catalog:
+    index = graph.index
+    if not index.catalog:
         raise EmptyGraph("cannot select seeds from a graph with no triplets")
 
     rows = graph.embeddings.triplet_units()
     scores = rows @ query_vector
 
     seeds = []
-    for i in smallest_k(-scores, n, lambda i: catalog[i].as_text()):
+    for i in smallest_k(-scores, n, lambda i: index.triplet(i).as_text()):
         emb = rows[i]
         seeds.append(
             HyperNode.from_triplets(
-                frozenset([catalog[i]]),
+                frozenset([index.triplet(i)]),
                 embedding=emb,
                 query_distance=float(np.linalg.norm(emb - query_vector)),
             )

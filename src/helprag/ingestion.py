@@ -1,12 +1,13 @@
 """Corpus loading, triple extraction, embedding precompute, and persistence.
 
 Corpora are JSON-lines files with optional precomputed triples, so desk-scale
-runs never need an extraction service. An index bundle is a directory of the
-corpus, two embedding files in a fixed binary layout, and a manifest whose
-content hash makes load-time corruption detectable. The triplet catalog is
-not stored: it is derived from the corpus, and the bundle version pins that
-derivation. Round-trips are bit-exact: loading a saved bundle reproduces the
-in-memory graph and unit vectors of a fresh build.
+runs never need an extraction service. An index bundle is a directory of a
+string table, an int32 file of each passage's name-id rows, two embedding
+files in a fixed binary layout, and a manifest whose content hash makes
+load-time corruption detectable. The triplet catalog is not stored: it is
+derived from the rows, and the bundle version pins that derivation.
+Round-trips are bit-exact: loading a saved bundle reproduces the in-memory
+graph and unit vectors of a fresh build.
 """
 
 from __future__ import annotations
@@ -14,18 +15,21 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import operator
 import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .encoding import Encoder, serialize_hypernode, unit_rows
+from .encoding import Encoder, unit_rows
 from .errors import (
     CorruptFile,
     DuplicateId,
+    DuplicatePassageId,
+    EmptyField,
     EncoderFailure,
     InvalidParams,
     ParseError,
@@ -33,20 +37,23 @@ from .errors import (
     ServiceUnreachable,
     VersionMismatch,
 )
-from .kg import KnowledgeGraph, Passage, TripleToPassageIndex, build_index, canonicalize_triplet
+from .kg import KnowledgeGraph, PassageTable, TripleToPassageIndex, build_index, canonical_field
 from .services import ChatCompletionClient, ServiceConfig
 
 log = logging.getLogger(__name__)
 
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 EMBEDDING_MAGIC = b"HELPIDX1"
 
-CORPUS_FILE = "corpus.jsonl"
+STRINGS_FILE = "strings.json"
+ROWS_FILE = "rows.i32"
 PASSAGE_EMB_FILE = "passage_embeddings.bin"
 TRIPLET_EMB_FILE = "triplet_embeddings.bin"
 MANIFEST_FILE = "manifest.json"
 # the files the content hash covers, in hashing order
-_HASHED_FILES = (CORPUS_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE)
+HASHED_FILES = (STRINGS_FILE, ROWS_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE)
+# the string tables of STRINGS_FILE, in the order build_index takes them
+_STRING_TABLES = ("names", "passage_ids", "texts")
 
 EXTRACTION_PROMPT = """\
 Extract factual knowledge triples from the passage below.
@@ -178,9 +185,10 @@ def extract_triples(
 
     Records already carrying triples pass through unchanged; ids and text are
     never modified. A record whose replies cannot be parsed after one retry
-    keeps an empty triple list and logs a warning. If the very first request
-    cannot reach the service at all, ServiceUnreachable propagates; transport
-    failures later in the run degrade to per-record soft failures.
+    keeps an empty triple list and logs a warning. Until the service has
+    answered once, ServiceUnreachable and a ServiceReplyError for an HTTP
+    status (such as 401 for a wrong key) propagate; such failures later in
+    the run degrade to per-record soft failures.
     """
     client = ChatCompletionClient(service)
     out: list[CorpusRecord] = []
@@ -199,7 +207,9 @@ def extract_triples(
                     raise
                 log.warning("extraction service dropped out on record %s", record.id)
                 break
-            except ServiceReplyError:
+            except ServiceReplyError as exc:
+                if exc.status is not None and not reached_service:
+                    raise
                 reached_service = True
                 continue
             reached_service = True
@@ -221,14 +231,15 @@ def build_and_embed(records: list[CorpusRecord], encoder: Encoder) -> KnowledgeG
 
     Every passage text and every unique triplet serialization is encoded
     exactly once; triplet rows follow catalog order, passage rows follow
-    sorted passage-id order.
+    sorted passage-id order. Raises DuplicatePassageId when two records
+    share an id, and EmptyField when a triple field canonicalizes to nothing.
     """
     for record in records:
         if record.triples is None:
             raise InvalidParams(f"record {record.id!r} has no triples; run extraction first")
-    by_id, index = _index_records(records)
-    if by_id:
-        passage_rows = encoder.encode_batch([p.text for p in by_id.values()])
+    texts, index = _index_records(records)
+    if texts:
+        passage_rows = encoder.encode_batch(list(texts))
     else:
         try:
             dim = encoder.dim
@@ -237,19 +248,39 @@ def build_and_embed(records: list[CorpusRecord], encoder: Encoder) -> KnowledgeG
                 f"empty corpus: encoder {encoder.encoder_id} has no text to learn its dimension from"
             ) from exc
         passage_rows = np.empty((0, dim), dtype=np.float32)
-    if index.catalog:
-        triplet_rows = encoder.encode_batch([serialize_hypernode([t]) for t in index.catalog])
+    if index.triplet_rows.shape[0]:
+        names = index.names
+        # Triplet.as_text, which is serialize_hypernode of the singleton
+        triplet_texts = [" ".join(map(names.__getitem__, row)) for row in index.triplet_rows.tolist()]
+        triplet_rows = encoder.encode_batch(triplet_texts)
     else:
         triplet_rows = np.empty((0, passage_rows.shape[1]), dtype=np.float32)
     store = EmbeddingStore(passage_rows, triplet_rows, encoder.encoder_id)
-    return KnowledgeGraph(by_id, index, store)
+    return KnowledgeGraph(PassageTable(index, texts), index, store)
 
 
-def _index_records(records: list[CorpusRecord]) -> tuple[dict[str, Passage], TripleToPassageIndex]:
-    """Canonicalize extracted records into passages and index them."""
-    return build_index(
-        [Passage(r.id, r.text, tuple(canonicalize_triplet(*t) for t in r.triples)) for r in records]
-    )
+def _index_records(records: list[CorpusRecord]) -> tuple[tuple[str, ...], TripleToPassageIndex]:
+    """Passage texts in sorted id order, and the index of the extracted records.
+
+    Each distinct raw field is canonicalized once.
+    """
+    by_id: dict[str, CorpusRecord] = {}
+    for record in records:
+        if record.id in by_id:
+            raise DuplicatePassageId(record.id)
+        by_id[record.id] = record
+    ordered = [by_id[pid] for pid in sorted(by_id)]
+    raw = [f for record in ordered for triple in record.triples for f in triple]
+    canonical = {f: canonical_field(f) for f in set(raw)}
+    if not all(canonical.values()):
+        pid, triple = next((r.id, t) for r in ordered for t in r.triples if not all(map(canonical.get, t)))
+        raise EmptyField(f"record {pid!r}: a field of {list(triple)!r} is empty after canonicalization")
+    names = sorted(set(canonical.values()))
+    name_ids = dict(zip(names, range(len(names))))
+    rows = np.array([name_ids[canonical[f]] for f in raw], dtype=np.int32).reshape(-1, 3)
+    offsets = np.cumsum([0] + [len(r.triples) for r in ordered], dtype=np.int32)
+    index = build_index(tuple(names), tuple(r.id for r in ordered), offsets, rows)
+    return tuple(r.text for r in ordered), index
 
 
 # --- bundle persistence -------------------------------------------------------
@@ -289,26 +320,21 @@ def _dumps(obj: object) -> str:
 def save_index(bundle_dir: str | Path, graph: KnowledgeGraph) -> dict:
     """Persist a graph and its embeddings as an index bundle; returns the manifest."""
     store = graph.embeddings
+    index = graph.index
     bundle = Path(bundle_dir)
     bundle.mkdir(parents=True, exist_ok=True)
 
-    corpus_lines = [
-        _dumps(
-            {
-                "id": p.id,
-                "text": p.text,
-                "triples": [[t.head, t.relation, t.tail] for t in p.triplets],
-            }
-        )
-        for p in graph.passages.values()
-    ]
+    tables = dict(zip(_STRING_TABLES, (index.names, index.passage_ids, graph.passages.texts)))
+    # each passage's (head, relation, tail) name-id rows in given order, after the offsets
+    rows = index.triplet_rows[index.passage_triplets].reshape(-1)
     payloads = {
-        CORPUS_FILE: (("\n".join(corpus_lines) + "\n" if corpus_lines else "").encode("utf-8"),),
+        STRINGS_FILE: ((_dumps(tables) + "\n").encode("utf-8"),),
+        ROWS_FILE: (np.concatenate([index.passage_offsets, rows]).astype("<i4").tobytes(),),
         PASSAGE_EMB_FILE: _embedding_chunks(store.passage_rows),
         TRIPLET_EMB_FILE: _embedding_chunks(store.triplet_rows),
     }
     digest = hashlib.sha256()
-    for name in _HASHED_FILES:
+    for name in HASHED_FILES:
         for chunk in payloads[name]:
             digest.update(chunk)
         _write_atomic(bundle / name, *payloads[name])
@@ -317,7 +343,7 @@ def save_index(bundle_dir: str | Path, graph: KnowledgeGraph) -> dict:
         "version": INDEX_VERSION,
         "encoder_id": store.encoder_id,
         "dim": store.dim,
-        "counts": {"passages": len(graph.passages), "triplets": len(graph.index.catalog)},
+        "counts": {"passages": len(index.passage_ids), "triplets": index.triplet_rows.shape[0]},
         "content_hash": digest.hexdigest(),
         "extraction_prompt_sha256": EXTRACTION_PROMPT_SHA256,
     }
@@ -325,14 +351,63 @@ def save_index(bundle_dir: str | Path, graph: KnowledgeGraph) -> dict:
     return manifest
 
 
+def _strictly_ascending(table: Sequence[str]) -> bool:
+    return all(map(operator.lt, table, table[1:]))
+
+
+def _read_strings(raw: bytes) -> tuple[tuple[str, ...], ...]:
+    """The string tables, each checked: non-empty strings, names and ids sorted and unique."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise CorruptFile(f"{STRINGS_FILE} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CorruptFile(f"{STRINGS_FILE} is not a JSON object")
+    tables = []
+    for key in _STRING_TABLES:
+        table = doc.get(key)
+        if not isinstance(table, list) or not all(isinstance(s, str) and s for s in table):
+            raise CorruptFile(f"{STRINGS_FILE}: {key!r} is not a list of non-empty strings")
+        tables.append(tuple(table))
+    names, passage_ids, texts = tables
+    if not _strictly_ascending(names) or any(canonical_field(s) != s for s in names):
+        raise CorruptFile(f"{STRINGS_FILE}: names are not sorted, unique and canonical")
+    if not _strictly_ascending(passage_ids):
+        raise CorruptFile(f"{STRINGS_FILE}: passage ids are not sorted and unique")
+    if len(texts) != len(passage_ids):
+        raise CorruptFile(f"{STRINGS_FILE}: {len(texts)} texts for {len(passage_ids)} passage ids")
+    return names, passage_ids, texts
+
+
+def _read_rows(raw: bytes, n_passages: int, n_names: int) -> tuple[np.ndarray, np.ndarray]:
+    """Passage offsets and (head, relation, tail) name-id rows: read-only views over ``raw``."""
+    if len(raw) % 4:
+        raise CorruptFile(f"{ROWS_FILE}: size is not a whole number of int32 values")
+    values = np.frombuffer(raw, dtype="<i4")
+    offsets, flat = values[: n_passages + 1], values[n_passages + 1 :]
+    if (
+        offsets.shape[0] != n_passages + 1
+        or offsets[0] != 0
+        or np.any(offsets[1:] < offsets[:-1])
+        or 3 * int(offsets[-1]) != flat.shape[0]
+    ):
+        raise CorruptFile(f"{ROWS_FILE}: passage offsets do not rise from 0 to the row count")
+    if flat.size and (flat.min() < 0 or flat.max() >= n_names):
+        raise CorruptFile(f"{ROWS_FILE}: a name id is out of range")
+    return offsets, flat.reshape(-1, 3)
+
+
 def load_index(bundle_dir: str | Path) -> KnowledgeGraph:
     """Load a bundle, verifying version, content hash, and internal consistency.
 
-    The graph is parsed from the bytes that were hashed, never re-read from
-    disk, and its catalog is derived from the corpus. Consistency covers the
-    embedding row counts against the manifest, the corpus and the catalog,
-    and the manifest's dim against both embedding files. Embedding rows are
-    read-only views over the verified file bytes.
+    The graph is read from the bytes that were hashed, never re-read from
+    disk, and its catalog is derived from the stored rows by the same
+    :func:`build_index` a fresh build runs. Every malformed table raises
+    CorruptFile: see :func:`_read_strings` and :func:`_read_rows`.
+    Consistency also covers the embedding row counts against the manifest,
+    the passages and the catalog, and the manifest's dim against both
+    embedding files. Embedding rows are read-only views over the verified
+    file bytes.
     """
     bundle = Path(bundle_dir)
     try:
@@ -352,7 +427,7 @@ def load_index(bundle_dir: str | Path) -> KnowledgeGraph:
 
     payloads = {}
     digest = hashlib.sha256()
-    for name in _HASHED_FILES:
+    for name in HASHED_FILES:
         path = bundle / name
         if not path.exists():
             raise CorruptFile(f"missing bundle file {name}")
@@ -361,20 +436,19 @@ def load_index(bundle_dir: str | Path) -> KnowledgeGraph:
     if digest.hexdigest() != manifest.get("content_hash"):
         raise CorruptFile("content hash mismatch; bundle files were modified or truncated")
 
-    records = _parse_corpus(payloads[CORPUS_FILE].decode("utf-8"))
-    if any(r.triples is None for r in records):
-        raise CorruptFile("bundle corpus contains unextracted records")
-    by_id, index = _index_records(records)
+    names, passage_ids, texts = _read_strings(payloads[STRINGS_FILE])
+    offsets, rows = _read_rows(payloads[ROWS_FILE], len(passage_ids), len(names))
+    index = build_index(names, passage_ids, offsets, rows)
 
     passage_rows = _read_embedding_bytes(payloads[PASSAGE_EMB_FILE], PASSAGE_EMB_FILE)
     triplet_rows = _read_embedding_bytes(payloads[TRIPLET_EMB_FILE], TRIPLET_EMB_FILE)
-    if passage_rows.shape[0] != counts.get("passages") or passage_rows.shape[0] != len(by_id):
-        raise CorruptFile("passage embedding count disagrees with manifest or corpus")
-    if triplet_rows.shape[0] != counts.get("triplets") or triplet_rows.shape[0] != len(index.catalog):
+    if passage_rows.shape[0] != counts.get("passages") or passage_rows.shape[0] != len(passage_ids):
+        raise CorruptFile("passage embedding count disagrees with manifest or passages")
+    if triplet_rows.shape[0] != counts.get("triplets") or triplet_rows.shape[0] != index.triplet_rows.shape[0]:
         raise CorruptFile("triplet embedding count disagrees with manifest or catalog")
     dims = (manifest.get("dim"), passage_rows.shape[1], triplet_rows.shape[1])
     if len(set(dims)) != 1:
         raise CorruptFile(f"embedding dims disagree (manifest, passage file, triplet file): {dims}")
 
     store = EmbeddingStore(passage_rows, triplet_rows, manifest.get("encoder_id", ""))
-    return KnowledgeGraph(by_id, index, store)
+    return KnowledgeGraph(PassageTable(index, texts), index, store)

@@ -1,19 +1,27 @@
-"""Knowledge graph over extracted triples.
+"""Knowledge graph over extracted triples, held as integer ids and arrays.
 
-Holds canonical (head, relation, tail) triplets, the inverted
-triple-to-passage provenance index with density-normalized weights, and an
-entity adjacency map used by path expansion. After construction the graph is
-immutable and safe to share across concurrent queries.
+Canonical entity and relation names live in one sorted string table, so a
+name's id rises with its string order. A triplet is a row of three name
+ids; the catalog is the sorted set of unique rows, which is the
+(head, relation, tail) order of :class:`Triplet`. Passages, provenance and
+adjacency are integer arrays over those ids. :class:`Triplet` and
+:class:`Passage` objects are built only when a caller reads one. After
+construction the graph is immutable and safe to share across concurrent
+queries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, ItemsView, Mapping
+from typing import TYPE_CHECKING, Iterable, ItemsView, Iterator
 
-from .errors import DuplicatePassageId, EmptyField
+import numpy as np
+
+from .errors import EmptyField
 
 if TYPE_CHECKING:
     from .ingestion import EmbeddingStore
@@ -40,7 +48,8 @@ class Passage:
     triplets: tuple[Triplet, ...]
 
 
-def _canonical_field(raw: str) -> str:
+def canonical_field(raw: str) -> str:
+    """One field trimmed, whitespace runs collapsed to one space, and lowercased."""
     # split() trims and collapses any whitespace runs, including tabs/newlines
     return " ".join(raw.split()).lower()
 
@@ -50,35 +59,151 @@ def canonicalize_triplet(raw_head: str, raw_relation: str, raw_tail: str) -> Tri
 
     Idempotent by construction. Raises EmptyField if any field ends up empty.
     """
-    head = _canonical_field(raw_head)
-    relation = _canonical_field(raw_relation)
-    tail = _canonical_field(raw_tail)
+    head = canonical_field(raw_head)
+    relation = canonical_field(raw_relation)
+    tail = canonical_field(raw_tail)
     for name, value in (("head", head), ("relation", relation), ("tail", tail)):
         if not value:
             raise EmptyField(f"{name} is empty after canonicalization")
     return Triplet(head, relation, tail)
 
 
-@dataclass(frozen=True)
-class TripleToPassageIndex:
-    """Inverted map triplet -> {passage id: weight} plus entity adjacency.
+def _lookup(table: Sequence[str], value: str) -> int | None:
+    """Position of ``value`` in a sorted table of unique strings, or None."""
+    i = bisect.bisect_left(table, value)
+    return i if i < len(table) and table[i] == value else None
 
-    The weight for every triplet of passage p is exactly 1/|unique triplets
-    of p|, stored as a Fraction so the weight law can be checked with exact
+
+@dataclass(frozen=True, eq=False)
+class TripleToPassageIndex:
+    """Catalog, provenance and adjacency as integer arrays; built by :func:`build_index`.
+
+    Triplet ids are catalog positions and passage indices are positions in
+    the sorted ``passage_ids``. The provenance weight of every triplet of
+    passage p is exactly 1/|unique triplets of p|; :meth:`provenance`
+    derives it as a Fraction so the weight law can be checked with exact
     rational comparison. Adjacency is undirected: a triplet is listed under
-    both its head and its tail entity. Built by :func:`build_index`.
+    both its head and its tail entity.
     """
 
-    catalog: tuple[Triplet, ...]  # all unique triplets, sorted by (head, relation, tail)
-    weights: Mapping[Triplet, Mapping[str, Fraction]]
-    adjacency: Mapping[str, frozenset[Triplet]]
+    names: tuple[str, ...]  # sorted unique canonical entity and relation names
+    passage_ids: tuple[str, ...]  # sorted
+    passage_offsets: np.ndarray  # (P+1,): passage p holds passage_triplets[off[p]:off[p+1]]
+    passage_triplets: np.ndarray  # triplet ids per passage, in given order, duplicates kept
+    triplet_rows: np.ndarray  # (T, 3) name ids of the catalog, in catalog order
+    passage_counts: np.ndarray  # (P,) unique triplets per passage
+    provenance_offsets: np.ndarray  # (T+1,) CSR: triplet -> ascending passage indices
+    provenance_passages: np.ndarray
+    adjacency_offsets: np.ndarray  # (len(names)+1,) CSR: name id -> ascending triplet ids
+    adjacency_triplets: np.ndarray
+    # built on access and kept: a triplet's object, its id, an entity's neighbours
+    _triplets: dict[int, Triplet] = field(default_factory=dict, init=False, repr=False)
+    _ids: dict[Triplet, int] = field(default_factory=dict, init=False, repr=False)
+    _adjacent: dict[str, frozenset[Triplet]] = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def catalog(self) -> "Catalog":
+        """All unique triplets, sorted by (head, relation, tail)."""
+        return Catalog(self)
+
+    def triplet(self, tid: int) -> Triplet:
+        found = self._triplets.get(tid)
+        if found is None:
+            head, relation, tail = self.triplet_rows[tid].tolist()
+            names = self.names
+            found = self._triplets.setdefault(tid, Triplet(names[head], names[relation], names[tail]))
+            self._ids[found] = tid
+        return found
+
+    def triplet_id(self, triplet: Triplet) -> int | None:
+        """The catalog position of a triplet, or None when the graph lacks it."""
+        tid = self._ids.get(triplet)
+        if tid is not None:
+            return tid
+        ids = [_lookup(self.names, name) for name in (triplet.head, triplet.relation, triplet.tail)]
+        if None in ids:
+            return None
+        # the triplet, if present, is among its head's neighbours
+        candidates = self._neighbour_ids(ids[0])
+        match = candidates[(self.triplet_rows[candidates] == ids).all(axis=1)]
+        if not match.size:
+            return None
+        tid = int(match[0])
+        self.triplet(tid)
+        return tid
+
+    def _neighbour_ids(self, name_id: int) -> np.ndarray:
+        lo, hi = self.adjacency_offsets[name_id : name_id + 2].tolist()
+        return self.adjacency_triplets[lo:hi]
+
+    def provenance_ids(self, tid: int) -> tuple[list[int], list[int]]:
+        """Ascending indices of the passages holding a triplet, and their unique-triplet counts."""
+        lo, hi = self.provenance_offsets[tid : tid + 2].tolist()
+        passages = self.provenance_passages[lo:hi]
+        return passages.tolist(), self.passage_counts[passages].tolist()
 
     def provenance(self, triplet: Triplet) -> ItemsView[str, Fraction]:
-        """Read-only (passage id, weight) pairs of a triplet; empty if unknown."""
-        return self.weights.get(triplet, {}).items()
+        """Read-only (passage id, weight) pairs of a triplet, by passage id; empty if unknown."""
+        tid = self.triplet_id(triplet)
+        if tid is None:
+            return {}.items()
+        passages, counts = self.provenance_ids(tid)
+        return {self.passage_ids[p]: Fraction(1, n) for p, n in zip(passages, counts)}.items()
 
     def adjacent(self, entity: str) -> frozenset[Triplet]:
-        return self.adjacency.get(entity, frozenset())
+        found = self._adjacent.get(entity)
+        if found is None:
+            name_id = _lookup(self.names, entity)
+            if name_id is None:
+                return frozenset()
+            tids = self._neighbour_ids(name_id).tolist()
+            found = self._adjacent.setdefault(entity, frozenset(map(self.triplet, tids)))
+        return found
+
+    def passage_triplet_ids(self, p: int) -> list[int]:
+        lo, hi = self.passage_offsets[p : p + 2].tolist()
+        return self.passage_triplets[lo:hi].tolist()
+
+
+class Catalog(Sequence[Triplet]):
+    """The catalog of an index as a sequence of triplets, each built on access."""
+
+    def __init__(self, index: TripleToPassageIndex):
+        self._index = index
+        self._positions = range(index.triplet_rows.shape[0])
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def __iter__(self) -> Iterator[Triplet]:
+        return map(self._index.triplet, self._positions)
+
+    def __getitem__(self, i):
+        # bounds and negative indices as a tuple has them
+        if isinstance(i, slice):
+            return tuple(map(self._index.triplet, self._positions[i]))
+        return self._index.triplet(self._positions[i])
+
+
+class PassageTable(Mapping[str, Passage]):
+    """Passages by id, in sorted id order; each :class:`Passage` is built on access."""
+
+    def __init__(self, index: TripleToPassageIndex, texts: tuple[str, ...]):
+        self.index = index
+        self.texts = texts  # in passage_ids order
+
+    def __len__(self) -> int:
+        return len(self.index.passage_ids)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.index.passage_ids)
+
+    def __getitem__(self, pid: str) -> Passage:
+        p = _lookup(self.index.passage_ids, pid) if isinstance(pid, str) else None
+        if p is None:
+            raise KeyError(pid)
+        triplets = tuple(map(self.index.triplet, self.index.passage_triplet_ids(p)))
+        return Passage(pid, self.texts[p], triplets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +216,7 @@ class KnowledgeGraph:
     Graphs compare by identity.
     """
 
-    passages: Mapping[str, Passage]
+    passages: PassageTable
     index: TripleToPassageIndex
     embeddings: "EmbeddingStore"
 
@@ -101,34 +226,63 @@ class KnowledgeGraph:
         return tuple(self.passages)
 
 
-def build_index(passages: Iterable[Passage]) -> tuple[dict[str, Passage], TripleToPassageIndex]:
-    """Index a corpus; deterministic regardless of input passage order.
+def _csr_offsets(groups: np.ndarray, size: int) -> np.ndarray:
+    """Offsets of a CSR map whose entries, grouped in ascending order, belong to ``groups``."""
+    return np.concatenate([[0], np.cumsum(np.bincount(groups, minlength=size))])
 
-    Returns the passages keyed by id in sorted id order, and their triple
-    index. Raises DuplicatePassageId when two passages share an id.
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values; ``np.unique``'s hash path is far slower on large int arrays."""
+    keys = np.sort(keys)
+    first = np.ones(keys.shape[0], dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
+def build_index(
+    names: tuple[str, ...],
+    passage_ids: tuple[str, ...],
+    offsets: np.ndarray,
+    rows: np.ndarray,
+) -> TripleToPassageIndex:
+    """Derive the triple index from the string tables and each passage's name-id rows.
+
+    ``names`` and ``passage_ids`` are sorted and unique; passage p holds the
+    rows ``rows[offsets[p]:offsets[p+1]]`` of (head, relation, tail) name
+    ids, in given order with duplicates. Fresh builds and bundle loads both
+    derive the index here, with no per-triplet Python object.
     """
-    by_id: dict[str, Passage] = {}
-    for passage in passages:
-        if passage.id in by_id:
-            raise DuplicatePassageId(passage.id)
-        by_id[passage.id] = passage
-    by_id = {pid: by_id[pid] for pid in sorted(by_id)}
+    n_names, n_passages = len(names), len(passage_ids)
+    wide = rows.astype(np.int64)
+    # ids rise with string order, so these keys sort like (head, relation, tail)
+    pairs, pair_of = np.unique(wide[:, 0] * n_names + wide[:, 1], return_inverse=True)
+    keys, inverse = np.unique(pair_of * n_names + wide[:, 2], return_inverse=True)
+    pair, tail = np.divmod(keys, n_names)
+    head, relation = np.divmod(pairs[pair], n_names)
+    n_triplets = keys.shape[0]
+    tids = np.arange(n_triplets)
 
-    weights: dict[Triplet, dict[str, Fraction]] = {}
-    adjacency: dict[str, set[Triplet] | frozenset[Triplet]] = {}
-    # sorted id order makes every provenance map list its passages by id
-    for pid, passage in by_id.items():
-        unique = frozenset(passage.triplets)
-        if not unique:
-            continue
-        weight = Fraction(1, len(unique))
-        for triplet in unique:
-            weights.setdefault(triplet, {})[pid] = weight
-            adjacency.setdefault(triplet.head, set()).add(triplet)
-            adjacency.setdefault(triplet.tail, set()).add(triplet)
-    for entity, found in adjacency.items():
-        adjacency[entity] = frozenset(found)
-    return by_id, TripleToPassageIndex(tuple(sorted(weights)), weights, adjacency)
+    owner = np.repeat(np.arange(n_passages), np.diff(offsets))
+    # one link per distinct (passage, triplet), ordered by triplet, then passage
+    links = _distinct(inverse * n_passages + owner)
+    link_triplet, link_passage = np.divmod(links, n_passages)
+    # one entry under the head and one under the tail, a single one when they are equal
+    ends = _distinct(np.concatenate([head * n_triplets + tids, tail * n_triplets + tids]))
+    end_name, end_triplet = np.divmod(ends, n_triplets)
+
+    arrays = (
+        np.asarray(offsets, dtype=np.int32),
+        inverse.astype(np.int32),
+        np.stack([head, relation, tail], axis=1).astype(np.int32),
+        np.bincount(link_passage, minlength=n_passages).astype(np.int32),
+        _csr_offsets(link_triplet, n_triplets).astype(np.int32),
+        link_passage.astype(np.int32),
+        _csr_offsets(end_name, n_names).astype(np.int32),
+        end_triplet.astype(np.int32),
+    )
+    for array in arrays:
+        array.flags.writeable = False
+    return TripleToPassageIndex(names, passage_ids, *arrays)
 
 
 def adjacent_triplets(graph: KnowledgeGraph, entities: Iterable[str]) -> frozenset[Triplet]:

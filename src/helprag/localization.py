@@ -68,20 +68,28 @@ def score_passages(graph: KnowledgeGraph, final_beam: list[HyperNode]) -> list[S
     Returns only positively scored passages, sorted by descending score
     with passage-id tie-break.
     """
-    scores: dict[str, float] = {}
-    support: dict[str, set[Triplet]] = {}
+    index = graph.index
+    # keyed by passage index and triplet id, whose orders are passage-id and Triplet order
+    scores: dict[int, float] = {}
+    support: dict[int, dict[int, Triplet]] = {}
     for node in final_beam:
         if node.query_distance is None:
             raise InvalidParams(f"hypernode {node.serialized!r} has no cached query distance")
         soft_match = math.exp(-node.query_distance)
         for triplet in node.triplets:
-            for pid, weight in graph.index.provenance(triplet):
-                scores[pid] = scores.get(pid, 0.0) + soft_match * float(weight)
-                support.setdefault(pid, set()).add(triplet)
+            tid = index.triplet_id(triplet)
+            if tid is None:
+                continue
+            # 1.0 / count is float(Fraction(1, count)): both are correctly rounded
+            for p, count in zip(*index.provenance_ids(tid)):
+                scores[p] = scores.get(p, 0.0) + soft_match * (1.0 / count)
+                support.setdefault(p, {})[tid] = triplet
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
     return [
-        ScoredPassage(pid, score, PATH_CHANNEL, tuple(sorted(support[pid])))
-        for pid, score in ranked
+        ScoredPassage(
+            index.passage_ids[p], score, PATH_CHANNEL, tuple(v for _, v in sorted(support[p].items()))
+        )
+        for p, score in ranked
         if score > 0.0
     ]
 

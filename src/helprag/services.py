@@ -112,7 +112,7 @@ def post_json(config: ServiceConfig, payload: dict) -> dict:
             continue
         if status != 200:
             text = body.decode("utf-8", errors="replace")
-            raise ServiceReplyError(f"{config.url} returned status {status}: {text[:200]}")
+            raise ServiceReplyError(f"{config.url} returned status {status}: {text[:200]}", status)
         try:
             return json.loads(body)
         except ValueError as exc:

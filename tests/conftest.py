@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from helprag.encoding import HashEncoder, OracleEncoder, serialize_hypernode
@@ -71,15 +73,20 @@ def directional_oracle(query: str, placements: dict[str, float]):
 def graph_differences(a: KnowledgeGraph, b: KnowledgeGraph) -> list[str]:
     """The parts in which two graphs differ: graphs compare by identity, so tests compare these.
 
-    Covers the passages, the triple index, the encoder id and the exact bytes,
-    dtype and shape of both embedding matrices.
+    Covers the passages, the triple index (its string tables and the exact
+    bytes, dtype and shape of its id arrays), the encoder id and the exact
+    bytes, dtype and shape of both embedding matrices.
     """
     def rows(matrix):
         return matrix.dtype.str, matrix.shape, matrix.tobytes()
 
+    def tables(index):
+        values = (getattr(index, f.name) for f in dataclasses.fields(index) if f.init)
+        return [rows(v) if isinstance(v, np.ndarray) else v for v in values]
+
     parts = {
         "passages": (dict(a.passages), dict(b.passages)),
-        "index": (a.index, b.index),
+        "index": (tables(a.index), tables(b.index)),
         "encoder_id": (a.embeddings.encoder_id, b.embeddings.encoder_id),
         "passage rows": (rows(a.embeddings.passage_rows), rows(b.embeddings.passage_rows)),
         "triplet rows": (rows(a.embeddings.triplet_rows), rows(b.embeddings.triplet_rows)),

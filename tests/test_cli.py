@@ -85,6 +85,27 @@ class TestIndex:
         assert "--extract" in capsys.readouterr().err
 
 
+    def test_bundle_bytes_stable_across_hash_seeds(self, tmp_path):
+        corpus = tmp_path / "mixed.jsonl"
+        corpus.write_text(
+            json.dumps({"id": "b", "text": "t1", "triples": [["Q", " Links ", "a"], ["a", "b  c", "d"]]}) + "\n"
+            + json.dumps({"id": "a", "text": "t2", "triples": [["a", "b", "C d"], ["q", "links", "a"]]}) + "\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        bundles = []
+        for hash_seed in ("1", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"idx{hash_seed}"
+            done = subprocess.run(
+                [sys.executable, "-m", "helprag.cli", "index", "--corpus", str(corpus), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            bundles.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert bundles[0] == bundles[1]
+
+
 class TestQuery:
     def test_json_output_schema(self, bundle_dir, capsys):
         code = main(

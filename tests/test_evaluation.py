@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +231,17 @@ class TestRunBenchmark:
         mean_latency = sum(r["latency_s"] for r in report.rows) / len(report.rows)
         assert report.aggregates["recall_at_k"] == pytest.approx(recall, abs=1e-12)
         assert report.aggregates["mean_latency_s"] == pytest.approx(mean_latency, rel=1e-9)
+        percentiles = statistics.quantiles(
+            [r["latency_s"] for r in report.rows], n=100, method="inclusive"
+        )
+        assert report.aggregates["p95_latency_s"] == percentiles[94]
+        assert report.aggregates["p99_latency_s"] == percentiles[98]
+
+    def test_percentiles_of_one_row_are_its_latency(self, synthetic_bundle):
+        bundle, fx, encoder = synthetic_bundle
+        report = run_benchmark(bundle, fx.qa[:1], ExpansionConfig(), HybridConfig(), encoder)
+        latency = report.rows[0]["latency_s"]
+        assert report.aggregates["p95_latency_s"] == report.aggregates["p99_latency_s"] == latency
 
     def test_generation_adds_f1_and_em(self, synthetic_bundle):
         bundle, fx, encoder = synthetic_bundle

@@ -5,13 +5,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import graph_differences, random_corpus
-from helprag import services
+from helprag import kg, services
 from helprag.errors import (
     CorruptFile,
     DuplicateId,
@@ -22,10 +23,12 @@ from helprag.errors import (
 )
 from helprag.encoding import HashEncoder
 from helprag.ingestion import (
-    CORPUS_FILE,
     EXTRACTION_PROMPT_SHA256,
+    HASHED_FILES,
     MANIFEST_FILE,
     PASSAGE_EMB_FILE,
+    ROWS_FILE,
+    STRINGS_FILE,
     TRIPLET_EMB_FILE,
     CorpusRecord,
     build_and_embed,
@@ -34,6 +37,7 @@ from helprag.ingestion import (
     load_index,
     save_index,
 )
+from helprag.kg import Passage, Triplet
 from helprag.localization import retrieve_result
 from helprag.services import ServiceConfig
 from stub_server import StubService
@@ -128,6 +132,19 @@ class TestExtractTriples:
             out = extract_triples([CorpusRecord("p1", "text")], self._config(stub))
         assert out[0].triples == (("x", "rel", "y"), ("y", "rel", "z"))
 
+    def test_status_after_first_answer_stays_soft(self):
+        answered = []
+
+        def handler(body, headers):
+            answered.append(True)
+            return self._chat_reply('[["a","r","b"]]') if len(answered) == 1 else (401, {"error": "expired"})
+
+        records = [CorpusRecord("p1", "first"), CorpusRecord("p2", "second")]
+        with StubService(handler) as stub:
+            out = extract_triples(records, self._config(stub))
+        assert [r.triples for r in out] == [(("a", "r", "b"),), ()]
+        assert len(stub.requests) == 3  # p2 is asked twice, as an unusable reply is
+
     def test_unreachable_service_raises(self):
         config = ServiceConfig(url="http://127.0.0.1:9/v1", model="m", timeout_s=0.2)
         with pytest.raises(ServiceUnreachable):
@@ -167,7 +184,7 @@ class TestBundleRoundTrip:
     def test_save_load_bit_exact(self, tmp_path, hash_encoder):
         graph = build_and_embed(random_corpus(random.Random(42), n_passages=25), hash_encoder)
         manifest = save_index(tmp_path / "idx", graph)
-        assert manifest["version"] == 2
+        assert manifest["version"] == 3
         assert manifest["encoder_id"] == hash_encoder.encoder_id
         assert manifest["extraction_prompt_sha256"] == EXTRACTION_PROMPT_SHA256
 
@@ -180,7 +197,7 @@ class TestBundleRoundTrip:
         save_index(tmp_path / "a", graph)
         save_index(tmp_path / "b", graph)
         names = sorted(p.name for p in (tmp_path / "a").iterdir())
-        assert names == sorted([CORPUS_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE, MANIFEST_FILE])
+        assert names == sorted([STRINGS_FILE, ROWS_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE, MANIFEST_FILE])
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -188,7 +205,7 @@ class TestBundleRoundTrip:
         graph = build_and_embed(random_corpus(random.Random(11), n_passages=25), hash_encoder)
         save_index(tmp_path / "a", graph)
         save_index(tmp_path / "b", load_index(tmp_path / "a"))
-        for name in (CORPUS_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE, MANIFEST_FILE):
+        for name in (*HASHED_FILES, MANIFEST_FILE):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_loaded_rows_are_read_only(self, tmp_path, hash_encoder):
@@ -206,8 +223,8 @@ class TestBundleRoundTrip:
 
         def read_then_rewrite(path):
             data = read_bytes(path)
-            if path.name == CORPUS_FILE:
-                # the corpus changes on disk right after its bytes were hashed
+            if path.name == STRINGS_FILE:
+                # the passage texts change on disk right after its bytes were hashed
                 path.write_bytes(data.replace(b"passage number 0", b"passage number X"))
                 rewritten.append(path)
             return data
@@ -221,7 +238,7 @@ class TestBundleRoundTrip:
         text = "one\u0085two\u2028three\u2029four"
         graph = build_and_embed([CorpusRecord("p1", text, (("a", "r", "b"),))], hash_encoder)
         save_index(tmp_path / "idx", graph)
-        assert "\u2028" in (tmp_path / "idx" / CORPUS_FILE).read_text(encoding="utf-8")
+        assert "\u2028" in (tmp_path / "idx" / STRINGS_FILE).read_text(encoding="utf-8")
         assert load_index(tmp_path / "idx").passages["p1"].text == text
 
     def test_corpus_without_triplets_round_trips(self, tmp_path, hash_encoder):
@@ -241,7 +258,7 @@ class TestBundleRoundTrip:
             (p.id, p.score, p.channel) for p in again.passages
         ]
 
-    @pytest.mark.parametrize("version", [1, 3])
+    @pytest.mark.parametrize("version", [1, 2, 4])
     def test_version_mismatch(self, tmp_path, hash_encoder, version):
         graph = build_and_embed(random_corpus(random.Random(1), n_passages=4), hash_encoder)
         save_index(tmp_path / "idx", graph)
@@ -273,10 +290,10 @@ class TestBundleRoundTrip:
     def test_flipped_byte_detected(self, tmp_path, hash_encoder):
         graph = build_and_embed(random_corpus(random.Random(1), n_passages=4), hash_encoder)
         save_index(tmp_path / "idx", graph)
-        corpus = tmp_path / "idx" / "corpus.jsonl"
-        raw = bytearray(corpus.read_bytes())
+        strings = tmp_path / "idx" / STRINGS_FILE
+        raw = bytearray(strings.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
-        corpus.write_bytes(bytes(raw))
+        strings.write_bytes(bytes(raw))
         with pytest.raises(CorruptFile):
             load_index(tmp_path / "idx")
 
@@ -292,7 +309,7 @@ class TestBundleRoundTrip:
             save_index(tmp_path / "narrow", build_and_embed(records, HashEncoder(dim=128)))
             (bundle / TRIPLET_EMB_FILE).write_bytes((tmp_path / "narrow" / TRIPLET_EMB_FILE).read_bytes())
             digest = hashlib.sha256()
-            for name in (CORPUS_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE):
+            for name in HASHED_FILES:
                 digest.update((bundle / name).read_bytes())
             manifest["content_hash"] = digest.hexdigest()
         else:
@@ -307,3 +324,145 @@ class TestBundleRoundTrip:
         (tmp_path / "idx" / PASSAGE_EMB_FILE).unlink()
         with pytest.raises(CorruptFile):
             load_index(tmp_path / "idx")
+
+
+def rehash(bundle: Path) -> None:
+    """Recompute the manifest's content hash after a hand edit of the hashed files."""
+    manifest_path = bundle / MANIFEST_FILE
+    manifest = json.loads(manifest_path.read_text())
+    digest = hashlib.sha256()
+    for name in HASHED_FILES:
+        digest.update((bundle / name).read_bytes())
+    manifest["content_hash"] = digest.hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+
+# names a b c d e r s; passage offsets [0, 2, 3, 5] come first in the rows file,
+# then p0's rows at values 4..9, p1's at 10..12 and p2's at 13..18
+SMALL_CORPUS = [
+    CorpusRecord("p0", "zero", (("a", "r", "b"), ("b", "r", "c"))),
+    CorpusRecord("p1", "one", (("c", "s", "d"),)),
+    CorpusRecord("p2", "two", (("a", "r", "b"), ("d", "s", "e"))),
+]
+
+
+def edit_strings(edit):
+    def apply(bundle: Path) -> None:
+        path = bundle / STRINGS_FILE
+        tables = json.loads(path.read_text(encoding="utf-8"))
+        edit(tables)
+        path.write_text(json.dumps(tables, ensure_ascii=False), encoding="utf-8")
+
+    return apply
+
+
+def edit_rows(edit):
+    def apply(bundle: Path) -> None:
+        path = bundle / ROWS_FILE
+        values = np.frombuffer(path.read_bytes(), dtype="<i4").copy()
+        path.write_bytes(np.asarray(edit(values), dtype="<i4").tobytes())
+
+    return apply
+
+
+def edit_bytes(name, edit):
+    def apply(bundle: Path) -> None:
+        (bundle / name).write_bytes(edit((bundle / name).read_bytes()))
+
+    return apply
+
+
+def edit_manifest_count(key):
+    def apply(bundle: Path) -> None:
+        manifest = json.loads((bundle / MANIFEST_FILE).read_text())
+        manifest["counts"][key] += 1
+        (bundle / MANIFEST_FILE).write_text(json.dumps(manifest))
+
+    return apply
+
+
+def swap_first_two(table):
+    table[0], table[1] = table[1], table[0]
+
+
+def set_values(**at):
+    def edit(values):
+        for position, value in at.items():
+            values[int(position.lstrip("v"))] = value
+        return values
+
+    return edit
+
+
+def add_passage_without_triplets(bundle: Path) -> None:
+    edit_strings(lambda t: (t["passage_ids"].append("p3"), t["texts"].append("three")))(bundle)
+    edit_rows(lambda v: np.concatenate([v[:4], [5], v[4:]]))(bundle)
+
+
+def repeat_a_row(values):
+    values[16:19] = values[13:16]  # p2 states (a, r, b) twice: the catalog loses (d, s, e)
+    return values
+
+
+# each check of load_index, broken alone: (edit, the message it must raise)
+CORRUPTIONS = {
+    "offsets not monotone": (edit_rows(set_values(v1=3, v2=2)), "offsets"),
+    "offsets not from 0": (edit_rows(set_values(v0=1)), "offsets"),
+    "offsets end before the rows": (edit_rows(set_values(v3=4)), "offsets"),
+    "offsets end past the rows": (edit_rows(lambda v: v[:-3]), "offsets"),
+    "rows not whole int32s": (edit_bytes(ROWS_FILE, lambda raw: raw + b"\0"), "int32"),
+    "name id too large": (edit_rows(set_values(v18=7)), "name id"),
+    "name id negative": (edit_rows(set_values(v18=-1)), "name id"),
+    "names not sorted": (edit_strings(lambda t: swap_first_two(t["names"])), "names"),
+    "names not unique": (edit_strings(lambda t: t["names"].__setitem__(1, "a")), "names"),
+    "name empty": (edit_strings(lambda t: t["names"].__setitem__(0, "")), "non-empty"),
+    "name not canonical": (edit_strings(lambda t: t["names"].__setitem__(-1, "s\t")), "canonical"),
+    "passage ids not sorted": (edit_strings(lambda t: swap_first_two(t["passage_ids"])), "passage ids"),
+    "passage ids not unique": (
+        edit_strings(lambda t: t["passage_ids"].__setitem__(1, "p0")), "passage ids"
+    ),
+    "passage id empty": (edit_strings(lambda t: t["passage_ids"].__setitem__(0, "")), "non-empty"),
+    "text empty": (edit_strings(lambda t: t["texts"].__setitem__(0, "")), "non-empty"),
+    "texts fewer than passages": (edit_strings(lambda t: t["texts"].pop()), "texts for"),
+    "table missing": (edit_strings(lambda t: t.pop("names")), "names"),
+    "strings not JSON": (edit_bytes(STRINGS_FILE, lambda raw: raw[:-5]), "JSON"),
+    "strings not UTF-8": (edit_bytes(STRINGS_FILE, lambda raw: raw.replace(b"zero", b"z\xffro")), "UTF-8"),
+    "passage count vs manifest": (edit_manifest_count("passages"), "passage embedding count"),
+    "triplet count vs manifest": (edit_manifest_count("triplets"), "triplet embedding count"),
+    "passage rows vs passages": (add_passage_without_triplets, "passage embedding count"),
+    "triplet rows vs catalog": (edit_rows(repeat_a_row), "triplet embedding count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_corrupt_table_under_a_valid_hash_raises_corrupt_file(tmp_path, hash_encoder, case):
+    edit, message = CORRUPTIONS[case]
+    bundle = tmp_path / "idx"
+    save_index(bundle, build_and_embed(SMALL_CORPUS, hash_encoder))
+    load_index(bundle)  # intact before the edit
+    edit(bundle)
+    rehash(bundle)
+    with pytest.raises(CorruptFile, match=message):
+        load_index(bundle)
+
+
+def test_load_builds_no_triplet_or_passage_objects(tmp_path, hash_encoder, monkeypatch):
+    graph = build_and_embed(random_corpus(random.Random(9), n_passages=200, entity_pool=120), hash_encoder)
+    save_index(tmp_path / "idx", graph)
+    built: Counter[str] = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Triplet, "__init__", counted("Triplet", Triplet.__init__))
+    monkeypatch.setattr(Passage, "__init__", counted("Passage", Passage.__init__))
+    monkeypatch.setattr(kg, "canonicalize_triplet", counted("canonicalize", kg.canonicalize_triplet))
+    loaded = load_index(tmp_path / "idx")
+    assert built == Counter()
+    retrieve_result(loaded, hash_encoder, "how is e1 connected to e2?")
+    assert 0 < built["Triplet"] < len(loaded.index.catalog)
+

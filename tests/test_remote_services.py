@@ -349,3 +349,15 @@ class TestServiceFaultExitCodes:
         assert code == 3
         assert len(stub.requests) == 1
         assert stub.url in capsys.readouterr().err
+
+    @pytest.mark.parametrize("status", [401, 403])
+    def test_extraction_refused_from_the_start_exit_3(self, status, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id":"p1","text":"alpha feeds beta."}\n{"id":"p2","text":"beta feeds gamma."}\n')
+        with StubService(lambda b, h: (status, {"error": "denied"})) as stub:
+            monkeypatch.setenv("HELP_LLM_URL", stub.url)
+            code = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "idx"), "--extract"])
+        assert code == 3
+        assert len(stub.requests) == 1
+        assert not (tmp_path / "idx").exists()
+        assert f"status {status}" in capsys.readouterr().err
