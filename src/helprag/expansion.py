@@ -10,29 +10,35 @@ agree, so seed scoring and pruning use one consistent order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 import numpy as np
 
-from .encoding import Encoder, encode, row_norms, serialize_hypernode, smallest_k
+from .encoding import TRIPLET_JOIN, Encoder, encode, row_norms, serialize_hypernode, smallest_k
 from .errors import EmptyGraph, InvalidParams
-from .kg import KnowledgeGraph, Triplet, adjacent_triplets
+from .kg import KnowledgeGraph, TripleToPassageIndex, Triplet, adjacent_triplets
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class HyperNode:
     """A reasoning path: triplet set plus cached embedding and query distance.
 
-    ``embedding`` and ``query_distance`` are None on freshly expanded
-    candidates and are filled in by :func:`prune`.
+    Nodes the engine builds hold ``ids``, the ascending catalog ids of their
+    triplets in the index they were grown on; :attr:`triplets` builds the
+    :class:`Triplet` objects the first time it is read. Nodes made by
+    :meth:`from_triplets` hold the triplets and look their ids up in the
+    first index that needs them. ``embedding`` and ``query_distance`` are
+    None on freshly expanded candidates and are filled in by :func:`prune`.
     """
 
-    triplets: frozenset[Triplet]
+    ids: tuple[int, ...] | None
     serialized: str
-    entities: frozenset[str]
+    _index: TripleToPassageIndex | None = field(default=None, repr=False)
     embedding: np.ndarray | None = None
     query_distance: float | None = None
+    _triplets: frozenset[Triplet] | None = field(default=None, repr=False)
 
     @classmethod
     def from_triplets(
@@ -41,14 +47,25 @@ class HyperNode:
         embedding: np.ndarray | None = None,
         query_distance: float | None = None,
     ) -> "HyperNode":
-        entities = frozenset(t.head for t in triplets) | frozenset(t.tail for t in triplets)
-        return cls(
-            triplets=triplets,
-            serialized=serialize_hypernode(triplets),
-            entities=entities,
-            embedding=embedding,
-            query_distance=query_distance,
-        )
+        return cls(None, serialize_hypernode(triplets), None, embedding, query_distance, frozenset(triplets))
+
+    @property
+    def triplets(self) -> frozenset[Triplet]:
+        if self._triplets is None:
+            self._triplets = frozenset(map(self._index.triplet, self.ids))
+        return self._triplets
+
+    def ids_in(self, index: TripleToPassageIndex) -> tuple[int, ...]:
+        """The ascending catalog ids of the node's triplets in ``index``.
+
+        Raises InvalidParams when the index lacks one of them.
+        """
+        if self._index is not index:
+            ids = [index.triplet_id(t) for t in self.triplets]
+            if None in ids:
+                raise InvalidParams(f"hypernode {self.serialized!r} holds a triplet the graph lacks")
+            self.ids, self._index = tuple(sorted(ids)), index
+        return self.ids
 
 
 @dataclass(frozen=True)
@@ -81,15 +98,10 @@ def select_seeds(graph: KnowledgeGraph, query_vector: np.ndarray, n: int) -> lis
     scores = rows @ query_vector
 
     seeds = []
-    for i in smallest_k(-scores, n, lambda i: index.triplet(i).as_text()):
+    for i in smallest_k(-scores, n, index.texts.__getitem__):
         emb = rows[i]
-        seeds.append(
-            HyperNode.from_triplets(
-                frozenset([index.triplet(i)]),
-                embedding=emb,
-                query_distance=float(np.linalg.norm(emb - query_vector)),
-            )
-        )
+        distance = float(np.linalg.norm(emb - query_vector))
+        seeds.append(HyperNode((i,), index.texts[i], index, emb, distance))
     return seeds
 
 
@@ -104,18 +116,33 @@ def expand_candidates(graph: KnowledgeGraph, beam: list[HyperNode]) -> list[Hype
     """
     if not beam:
         raise InvalidParams("beam must be non-empty")
-    seen: dict[frozenset[Triplet], HyperNode] = {}
+    index = graph.index
+    texts, ends = index.texts, index.ends
+    seen: dict[tuple[int, ...], HyperNode] = {}
     for node in beam:
-        fresh = adjacent_triplets(graph, node.entities) - node.triplets
+        ids = node.ids_in(index)
+        entities = {end for tid in ids for end in ends[tid]}
+        fresh = adjacent_triplets(graph, entities).difference(ids)
         if not fresh:
-            seen.setdefault(node.triplets, node)
+            seen.setdefault(ids, node)
             continue
+        # ids are in catalog order, the order serialize_hypernode renders, so growing a
+        # node at insertion point i splits both its ids and its text there
+        parts = [texts[tid] for tid in ids]
+        cuts = [
+            (
+                ids[:i],
+                ids[i:],
+                "".join([part + TRIPLET_JOIN for part in parts[:i]]),
+                "".join([TRIPLET_JOIN + part for part in parts[i:]]),
+            )
+            for i in range(len(ids) + 1)
+        ]
         for nxt in fresh:
-            triplets = node.triplets | {nxt}
-            if triplets not in seen:
-                seen[triplets] = HyperNode(
-                    triplets, serialize_hypernode(triplets), node.entities | {nxt.head, nxt.tail}
-                )
+            head, tail, before, after = cuts[bisect_left(ids, nxt)]
+            grown = head + (nxt,) + tail
+            if grown not in seen:
+                seen[grown] = HyperNode(grown, before + texts[nxt] + after, index)
     # sets that render the same text share one vector, so their relative order changes no batch
     return sorted(seen.values(), key=attrgetter("serialized"))
 

@@ -17,7 +17,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, ItemsView, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, ItemsView, Iterator
 
 import numpy as np
 
@@ -96,10 +96,9 @@ class TripleToPassageIndex:
     provenance_passages: np.ndarray
     adjacency_offsets: np.ndarray  # (len(names)+1,) CSR: name id -> ascending triplet ids
     adjacency_triplets: np.ndarray
-    # built on access and kept: a triplet's object, its id, an entity's neighbours
+    # built on access and kept: a triplet's object and its id
     _triplets: dict[int, Triplet] = field(default_factory=dict, init=False, repr=False)
     _ids: dict[Triplet, int] = field(default_factory=dict, init=False, repr=False)
-    _adjacent: dict[str, frozenset[Triplet]] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def catalog(self) -> "Catalog":
@@ -114,6 +113,23 @@ class TripleToPassageIndex:
             found = self._triplets.setdefault(tid, Triplet(names[head], names[relation], names[tail]))
             self._ids[found] = tid
         return found
+
+    @cached_property
+    def texts(self) -> "Memo[int, str]":
+        """Each triplet's "head relation tail" text by id, as :meth:`Triplet.as_text` renders it."""
+        names, rows = self.names, self.triplet_rows
+        return Memo(lambda tid: " ".join([names[i] for i in rows[tid].tolist()]))
+
+    @cached_property
+    def ends(self) -> "Memo[int, tuple[int, int]]":
+        """Each triplet's head and tail name ids by id."""
+        rows = self.triplet_rows
+        return Memo(lambda tid: tuple(rows[tid, ::2].tolist()))
+
+    @cached_property
+    def adjacency(self) -> "Memo[int, frozenset[int]]":
+        """The ids of the triplets whose head or tail is a name, by name id; none for a relation."""
+        return Memo(lambda name_id: frozenset(self._neighbour_ids(name_id).tolist()))
 
     def triplet_id(self, triplet: Triplet) -> int | None:
         """The catalog position of a triplet, or None when the graph lacks it."""
@@ -136,33 +152,34 @@ class TripleToPassageIndex:
         lo, hi = self.adjacency_offsets[name_id : name_id + 2].tolist()
         return self.adjacency_triplets[lo:hi]
 
-    def provenance_ids(self, tid: int) -> tuple[list[int], list[int]]:
-        """Ascending indices of the passages holding a triplet, and their unique-triplet counts."""
-        lo, hi = self.provenance_offsets[tid : tid + 2].tolist()
-        passages = self.provenance_passages[lo:hi]
-        return passages.tolist(), self.passage_counts[passages].tolist()
-
     def provenance(self, triplet: Triplet) -> ItemsView[str, Fraction]:
         """Read-only (passage id, weight) pairs of a triplet, by passage id; empty if unknown."""
         tid = self.triplet_id(triplet)
         if tid is None:
             return {}.items()
-        passages, counts = self.provenance_ids(tid)
-        return {self.passage_ids[p]: Fraction(1, n) for p, n in zip(passages, counts)}.items()
-
-    def adjacent(self, entity: str) -> frozenset[Triplet]:
-        found = self._adjacent.get(entity)
-        if found is None:
-            name_id = _lookup(self.names, entity)
-            if name_id is None:
-                return frozenset()
-            tids = self._neighbour_ids(name_id).tolist()
-            found = self._adjacent.setdefault(entity, frozenset(map(self.triplet, tids)))
-        return found
+        lo, hi = self.provenance_offsets[tid : tid + 2].tolist()
+        passages = self.provenance_passages[lo:hi]
+        counts = self.passage_counts[passages].tolist()
+        return {self.passage_ids[p]: Fraction(1, n) for p, n in zip(passages.tolist(), counts)}.items()
 
     def passage_triplet_ids(self, p: int) -> list[int]:
         lo, hi = self.passage_offsets[p : p + 2].tolist()
         return self.passage_triplets[lo:hi].tolist()
+
+
+class Memo(dict):
+    """A dict whose ``[]`` computes a missing key's value with ``make`` and keeps it.
+
+    The lookup of a kept value runs in C, with no Python call; ``get`` and
+    ``in`` see only the values kept so far.
+    """
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.make(key))
 
 
 class Catalog(Sequence[Triplet]):
@@ -285,9 +302,6 @@ def build_index(
     return TripleToPassageIndex(names, passage_ids, *arrays)
 
 
-def adjacent_triplets(graph: KnowledgeGraph, entities: Iterable[str]) -> frozenset[Triplet]:
-    """Union of triplets touching any of the given entities (head or tail)."""
-    found: set[Triplet] = set()
-    for entity in entities:
-        found |= graph.index.adjacent(entity)
-    return frozenset(found)
+def adjacent_triplets(graph: KnowledgeGraph, entities: Iterable[int]) -> frozenset[int]:
+    """Ids of the triplets touching any of the given entity name ids (head or tail)."""
+    return frozenset().union(*map(graph.index.adjacency.__getitem__, entities))

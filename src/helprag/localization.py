@@ -69,26 +69,34 @@ def score_passages(graph: KnowledgeGraph, final_beam: list[HyperNode]) -> list[S
     with passage-id tie-break.
     """
     index = graph.index
-    # keyed by passage index and triplet id, whose orders are passage-id and Triplet order
-    scores: dict[int, float] = {}
-    support: dict[int, dict[int, Triplet]] = {}
+    tids: list[int] = []
+    soft: list[float] = []
     for node in final_beam:
         if node.query_distance is None:
             raise InvalidParams(f"hypernode {node.serialized!r} has no cached query distance")
-        soft_match = math.exp(-node.query_distance)
-        for triplet in node.triplets:
-            tid = index.triplet_id(triplet)
-            if tid is None:
-                continue
-            # 1.0 / count is float(Fraction(1, count)): both are correctly rounded
-            for p, count in zip(*index.provenance_ids(tid)):
-                scores[p] = scores.get(p, 0.0) + soft_match * (1.0 / count)
-                support.setdefault(p, {})[tid] = triplet
+        ids = node.ids_in(index)
+        tids += ids
+        soft += [math.exp(-node.query_distance)] * len(ids)
+    if not tids:
+        return []
+    # every provenance entry of every beam triplet, in beam order, gathered from the CSR arrays
+    entry_tids = np.array(tids)
+    lo = index.provenance_offsets[entry_tids]
+    sizes = index.provenance_offsets[entry_tids + 1] - lo
+    first = np.cumsum(sizes) - sizes
+    passages = index.provenance_passages[np.arange(first[-1] + sizes[-1]) + np.repeat(lo - first, sizes)]
+    # 1.0 / count is float(Fraction(1, count)): both are correctly rounded
+    terms = np.repeat(soft, sizes) * (1.0 / index.passage_counts[passages])
+    # keyed by passage index and triplet id, whose orders are passage-id and Triplet order
+    scores: dict[int, float] = {}
+    support: dict[int, set[int]] = {}
+    # entries run in beam order, so each passage's sum is repeated addition in beam order
+    for p, term, tid in zip(passages.tolist(), terms.tolist(), np.repeat(entry_tids, sizes).tolist()):
+        scores[p] = scores.get(p, 0.0) + term
+        support.setdefault(p, set()).add(tid)
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
     return [
-        ScoredPassage(
-            index.passage_ids[p], score, PATH_CHANNEL, tuple(v for _, v in sorted(support[p].items()))
-        )
+        ScoredPassage(index.passage_ids[p], score, PATH_CHANNEL, tuple(map(index.triplet, sorted(support[p]))))
         for p, score in ranked
         if score > 0.0
     ]

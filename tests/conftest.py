@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from helprag.encoding import HashEncoder, OracleEncoder, serialize_hypernode
+from helprag.encoding import Encoder, HashEncoder, OracleEncoder, serialize_hypernode
 from helprag.ingestion import CorpusRecord
 from helprag.kg import KnowledgeGraph, canonicalize_triplet
 
@@ -44,6 +44,27 @@ def random_corpus(
     return records
 
 
+def ten_k_triplet_records(rng: random.Random) -> list[CorpusRecord]:
+    """10,000 distinct triplets over 400 entities, five to a passage."""
+    entities = [f"entity {i:03d}" for i in range(400)]
+    relations = ["links to", "supplies", "reports to", "borders", "mentors"]
+    triples: set[tuple[str, str, str]] = set()
+    while len(triples) < 10_000:
+        triples.add((rng.choice(entities), rng.choice(relations), rng.choice(entities)))
+    ordered = sorted(triples)
+    records = []
+    for p in range(0, 10_000, 5):
+        chunk = ordered[p : p + 5]
+        records.append(
+            CorpusRecord(
+                f"p{p // 5:05d}",
+                f"passage {p // 5} covers {chunk[0][0]} and {chunk[-1][2]}.",
+                tuple(chunk),
+            )
+        )
+    return records
+
+
 def colliding_corpus() -> list[CorpusRecord]:
     """Two paths from (q, links, a) whose texts are both "a b c d; q links a".
 
@@ -68,6 +89,26 @@ def directional_oracle(query: str, placements: dict[str, float]):
     for text, cos in placements.items():
         table[text] = [cos, math.sqrt(max(0.0, 1.0 - cos * cos)), 0.0]
     return OracleEncoder(3, table)
+
+
+class RecordingEncoder(Encoder):
+    """Delegates to another encoder and records every text it is asked for."""
+
+    def __init__(self, inner: Encoder):
+        self.inner = inner
+        self.texts: list[str] = []
+
+    @property
+    def dim(self) -> int:
+        return self.inner.dim
+
+    @property
+    def encoder_id(self) -> str:
+        return self.inner.encoder_id
+
+    def encode_batch(self, texts):
+        self.texts.extend(texts)
+        return self.inner.encode_batch(texts)
 
 
 def graph_differences(a: KnowledgeGraph, b: KnowledgeGraph) -> list[str]:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import graph_differences, random_corpus
+from conftest import RecordingEncoder, graph_differences, random_corpus, ten_k_triplet_records
 from helprag.encoding import HashEncoder, OracleEncoder, encode
 from helprag.evaluation import (
     exact_match,
@@ -25,7 +25,7 @@ from helprag.evaluation import (
     token_f1,
 )
 from helprag.expansion import ExpansionConfig, HyperNode, run_expansion, select_seeds
-from helprag.ingestion import CorpusRecord, build_and_embed, load_corpus, load_index, save_index
+from helprag.ingestion import build_and_embed, load_corpus, load_index, save_index
 from helprag.kg import canonicalize_triplet
 from helprag.localization import (
     DENSE_CHANNEL,
@@ -223,31 +223,11 @@ def test_case_study_reproduction():
         assert recall_at_k([p.id for p in result.passages], qa.gold_passage_ids, 5) == 1
 
 
-def _ten_k_triplet_records(rng: random.Random) -> list[CorpusRecord]:
-    entities = [f"entity {i:03d}" for i in range(400)]
-    relations = ["links to", "supplies", "reports to", "borders", "mentors"]
-    triples: set[tuple[str, str, str]] = set()
-    while len(triples) < 10_000:
-        triples.add((rng.choice(entities), rng.choice(relations), rng.choice(entities)))
-    ordered = sorted(triples)
-    records = []
-    for p in range(0, 10_000, 5):
-        chunk = ordered[p : p + 5]
-        records.append(
-            CorpusRecord(
-                f"p{p // 5:05d}",
-                f"passage {p // 5} covers {chunk[0][0]} and {chunk[-1][2]}.",
-                tuple(chunk),
-            )
-        )
-    return records
-
-
 def test_latency_and_hop_scaling():
     with criterion("latency-and-hop-scaling"):
         rng = random.Random(0x10C)
         encoder = HashEncoder()
-        graph = build_and_embed(_ten_k_triplet_records(rng), encoder)
+        graph = build_and_embed(ten_k_triplet_records(rng), encoder)
         assert len(graph.index.catalog) == 10_000
         bundle = Path(_tmpdir()) / "latency_bundle"
         save_index(bundle, graph)
@@ -266,12 +246,16 @@ def test_latency_and_hop_scaling():
         from helprag.evaluation import QARecord
 
         qa = [QARecord(f"q{i}", question, ("entity 000",)) for i in range(7)]
-        floors = []
+        floors, texts_per_query = [], []
         for hops in (1, 2, 3, 4):
+            recorder = RecordingEncoder(encoder)
             report = run_benchmark(
-                bundle, qa, ExpansionConfig(hops=hops), HybridConfig(), encoder
+                bundle, qa, ExpansionConfig(hops=hops), HybridConfig(), recorder
             )
             floors.append(min(r["latency_s"] for r in report.rows))
+            texts_per_query.append(len(recorder.texts) / len(qa))
+        # the work behind the floors, counted: each extra hop encodes more candidate paths
+        assert all(a < b for a, b in zip(texts_per_query, texts_per_query[1:])), texts_per_query
         assert all(a < b for a, b in zip(floors, floors[1:])), floors
 
 

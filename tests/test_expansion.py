@@ -9,8 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import colliding_corpus, directional_oracle, passage, random_corpus, serialized
-from helprag.encoding import Encoder, encode
+from conftest import (
+    RecordingEncoder,
+    colliding_corpus,
+    directional_oracle,
+    passage,
+    random_corpus,
+    serialized,
+    ten_k_triplet_records,
+)
+import helprag.expansion
+from helprag.encoding import encode, row_norms, serialize_hypernode
 from helprag.errors import EmptyGraph, InvalidParams
 from helprag.expansion import (
     ExpansionConfig,
@@ -20,9 +29,9 @@ from helprag.expansion import (
     run_expansion,
     select_seeds,
 )
-from helprag.ingestion import CorpusRecord, build_and_embed
-from helprag.kg import canonicalize_triplet
-from helprag.localization import dense_rank
+from helprag.ingestion import CorpusRecord, build_and_embed, load_index, save_index
+from helprag.kg import Triplet, canonicalize_triplet
+from helprag.localization import dense_rank, retrieve_result, score_passages
 from oracles import brute_force_expansion, sort_rank
 
 
@@ -118,6 +127,78 @@ class TestExpandCandidates:
             expand_candidates(graph, [])
 
 
+class TestIdCandidates:
+    """Candidates grow as sorted catalog-id tuples; their triplets are built on read."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_every_candidate_reads_as_its_triplets(self, hash_encoder, seed, colliding):
+        rng = random.Random(seed)
+        records = random_corpus(rng, n_passages=rng.randint(1, 25), entity_pool=rng.randint(4, 20))
+        if colliding:
+            records += colliding_corpus()  # passage ids p0..p2 differ from random_corpus's p0000..
+        graph = build_and_embed(records, hash_encoder)
+        if not graph.index.catalog:
+            return
+        index = graph.index
+        vq = encode(hash_encoder, [rng.choice(["q links a", f"probe {seed}"])])[0]
+        beam = select_seeds(graph, vq, rng.randint(1, 5))
+        for _ in range(3):
+            candidates = expand_candidates(graph, beam)
+            assert len({c.ids for c in candidates}) == len(candidates)
+            assert [c.serialized for c in candidates] == sorted(c.serialized for c in candidates)
+            for c in candidates:
+                assert c.serialized == serialize_hypernode(c.triplets)
+                assert [index.triplet(i) for i in c.ids] == sorted(c.triplets)
+            beam = prune(candidates, hash_encoder, vq, rng.randint(1, 10))
+
+    def test_triplet_the_graph_lacks_rejected(self, hash_encoder):
+        graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
+        stranger = HyperNode.from_triplets(
+            frozenset({canonicalize_triplet("a", "r", "b"), canonicalize_triplet("b", "r", "z")}),
+            query_distance=0.5,
+        )
+        with pytest.raises(InvalidParams):
+            expand_candidates(graph, [stranger])
+        with pytest.raises(InvalidParams):
+            score_passages(graph, [stranger])
+
+    def test_triplets_built_only_for_pools_beam_and_support(self, hash_encoder, tmp_path, monkeypatch):
+        save_index(tmp_path, build_and_embed(ten_k_triplet_records(random.Random(0x10C)), hash_encoder))
+        graph = load_index(tmp_path)
+        question = "which entity ultimately reports to entity 042?"
+        pruned: list[tuple[list[HyperNode], int]] = []
+        original_prune = helprag.expansion.prune
+
+        def recording_prune(candidates, encoder, query_vector, k):
+            pruned.append((candidates, k))
+            return original_prune(candidates, encoder, query_vector, k)
+
+        built = 0
+        original_init = Triplet.__init__
+
+        def counting_init(self, *args):
+            nonlocal built
+            built += 1
+            original_init(self, *args)
+
+        monkeypatch.setattr(helprag.expansion, "prune", recording_prune)
+        monkeypatch.setattr(Triplet, "__init__", counting_init)
+        result = retrieve_result(graph, hash_encoder, question, ExpansionConfig(hops=3))
+        monkeypatch.undo()
+
+        # prune orders its tie pool, the candidates at or below the k-th distance, by triplets
+        vq = encode(hash_encoder, [question])[0]
+        allowed = {t for node in result.hypernodes for t in node.triplets}
+        for candidates, k in pruned:
+            dists = row_norms(encode(hash_encoder, [c.serialized for c in candidates]), vq)
+            kth = np.partition(dists, k - 1)[k - 1] if k < len(candidates) else np.inf
+            allowed |= {t for c, d in zip(candidates, dists) if d <= kth for t in c.triplets}
+        allowed |= {t for p in result.passages for t in p.supporting_triplets}
+        assert len(pruned) == 2 and sum(len(c) for c, _ in pruned) > 10 * len(allowed)
+        assert 0 < built <= len(allowed)
+
+
 class TestPrune:
     def _candidates(self):
         texts = {
@@ -168,26 +249,6 @@ class TestPrune:
         for order in (nodes, nodes[::-1]):
             kept = prune(order, enc, vq, k=1)
             assert beam_sets(kept) == [frozenset({spaced_tail})]  # relation "b" < "b c"
-
-
-class RecordingEncoder(Encoder):
-    """Delegates to another encoder and records every text it is asked for."""
-
-    def __init__(self, inner: Encoder):
-        self.inner = inner
-        self.texts: list[str] = []
-
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
-
-    @property
-    def encoder_id(self) -> str:
-        return self.inner.encoder_id
-
-    def encode_batch(self, texts):
-        self.texts.extend(texts)
-        return self.inner.encode_batch(texts)
 
 
 def tied_graph(cosines: list[float]):

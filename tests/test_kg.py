@@ -16,6 +16,17 @@ from helprag.kg import Triplet, adjacent_triplets, canonicalize_triplet
 from oracles import scan_adjacent
 
 
+def name_ids(graph, names) -> set[int]:
+    """The name ids of those of the given names that the graph holds."""
+    table = {name: i for i, name in enumerate(graph.index.names)}
+    return {table[name] for name in names if name in table}
+
+
+def adjacent(graph, entities) -> set[Triplet]:
+    """``adjacent_triplets`` over the ids of entity names, mapped back to triplets."""
+    return set(map(graph.index.triplet, adjacent_triplets(graph, name_ids(graph, entities))))
+
+
 class TestCanonicalize:
     def test_case_study_seed_triple(self):
         t = canonicalize_triplet(
@@ -65,7 +76,7 @@ class TestBuildIndex:
             [passage("p1", text="no facts here"), passage("p2", ("a", "r", "b"))], hash_encoder
         )
         assert len(graph.index.catalog) == 1
-        assert graph.index.adjacent("a") == graph.index.adjacent("b") == set(graph.index.catalog)
+        assert adjacent(graph, {"a"}) == adjacent(graph, {"b"}) == set(graph.index.catalog)
 
     def test_duplicate_passage_id_rejected(self, hash_encoder):
         with pytest.raises(DuplicatePassageId):
@@ -94,8 +105,7 @@ class TestAdjacency:
     def test_chain_middle_entity(self, hash_encoder):
         p = passage("p1", ("a", "r1", "b"), ("b", "r2", "c"), ("c", "r3", "d"))
         graph = build_and_embed([p], hash_encoder)
-        got = adjacent_triplets(graph, {"b"})
-        assert got == {
+        assert adjacent(graph, {"b"}) == {
             canonicalize_triplet("a", "r1", "b"),
             canonicalize_triplet("b", "r2", "c"),
         }
@@ -106,7 +116,9 @@ class TestAdjacency:
 
     def test_absent_entity(self, hash_encoder):
         graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
-        assert adjacent_triplets(graph, {"z"}) == frozenset()
+        assert name_ids(graph, {"z"}) == set()
+        # a relation name has an id, but no triplet has it as head or tail
+        assert adjacent_triplets(graph, name_ids(graph, {"r"})) == frozenset()
 
     def test_matches_linear_scan_on_random_graphs(self, hash_encoder):
         rng = random.Random(20240811)
@@ -117,7 +129,7 @@ class TestAdjacency:
         entity_names = [f"e{i}" for i in range(50)]  # includes entities absent from graph
         for _ in range(100):
             sample = set(rng.sample(entity_names, rng.randint(0, 6)))
-            assert adjacent_triplets(graph, sample) == scan_adjacent(catalog, sample)
+            assert adjacent(graph, sample) == scan_adjacent(catalog, sample)
 
 
 class TestProperties:
@@ -152,6 +164,6 @@ class TestProperties:
     def test_adjacency_covers_every_catalog_triplet(self, hash_encoder):
         rng = random.Random(7)
         graph = build_and_embed(random_corpus(rng, n_passages=40), hash_encoder)
-        for t in graph.index.catalog:
-            assert t in graph.index.adjacent(t.head)
-            assert t in graph.index.adjacent(t.tail)
+        for tid, t in enumerate(graph.index.catalog):
+            assert tid in adjacent_triplets(graph, name_ids(graph, {t.head}))
+            assert tid in adjacent_triplets(graph, name_ids(graph, {t.tail}))

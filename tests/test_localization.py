@@ -76,6 +76,30 @@ class TestScorePassages:
             for pid, score in mine.items():
                 assert score == pytest.approx(reference[pid], rel=1e-9)
 
+    def test_bit_equal_to_sequential_sum_in_beam_order(self, hash_encoder):
+        # every node holds a triplet of one anchor passage, so the anchor's score sums one
+        # term per node, each scaled by a different distance
+        rng = random.Random(2718)
+        checked = 0
+        while checked < 40:
+            graph = build_and_embed(random_corpus(rng, n_passages=rng.randint(2, 15), entity_pool=10), hash_encoder)
+            catalog = list(graph.index.catalog)
+            anchors = [p for p in graph.passages.values() if p.triplets]
+            if not anchors:
+                continue
+            anchor = rng.choice(anchors)
+            beam = [
+                HyperNode.from_triplets(
+                    frozenset([rng.choice(anchor.triplets)] + rng.sample(catalog, rng.randint(0, 2))),
+                    query_distance=rng.uniform(0.0, 2.0),
+                )
+                for _ in range(rng.randint(4, 10))
+            ]
+            mine = {p.id: p.score for p in score_passages(graph, beam)}
+            reference = brute_force_scores(graph, beam)  # one running Python sum per passage
+            assert {pid: s.hex() for pid, s in mine.items()} == {pid: s.hex() for pid, s in reference.items()}
+            checked += 1
+
     def test_missing_distance_rejected(self, hash_encoder):
         graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
         bare = HyperNode.from_triplets(frozenset({canonicalize_triplet("a", "r", "b")}))
