@@ -6,16 +6,25 @@ backends are provided: a deterministic character-3-gram feature-hashing
 encoder for offline tests, an oracle encoder backed by an explicit
 string-to-vector table, and a client for a remote embeddings service.
 
-All backends emit float32 rows that were normalized in float64 and then
-quantized; callers re-normalize in float64 via :func:`unit_rows`. Routing
-every vector through the float32 quantization step makes the in-memory unit
-vectors bit-identical to the ones reconstructed from a persisted index.
+All backends emit finite float32 rows that were normalized in float64 and
+then quantized; callers re-normalize in float64 via :func:`unit_rows`.
+Routing every vector through the float32 quantization step makes the
+in-memory unit vectors bit-identical to the ones reconstructed from a
+persisted index.
+
+Expansion's prune does not build a float64 unit row for every candidate it
+encodes. It ranks the float32 rows by :func:`screen_distances`, whose error
+:func:`screen_error` bounds, and runs :func:`unit_rows` and the exact
+distances only for the :func:`screen_pool`: the rows that can still reach
+the beam. Both float64 steps reduce each row on its own, so a row's bits do
+not depend on which rows share its matrix.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from operator import attrgetter
@@ -92,6 +101,75 @@ def smallest_k(values: np.ndarray, k: int, tie_key: Callable[[int], object]) -> 
     return sorted(pool, key=lambda i: (values[i], tie_key(i)))[:k]
 
 
+# float32 unit roundoff
+_F32_UNIT = 2.0**-24
+# the smallest float32 squared row norm the screen trusts: above it, what float32
+# underflow loses is far below one unit roundoff of the norm
+_SCREEN_MIN_SQUARE = 2.0**-100
+
+
+def screen_distances(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Approximate squared distance from each row's unit vector to the unit ``query``.
+
+    ``A = 2 - 2 (r . q32) / |r|``, where ``q32`` is the query quantized to
+    float32 and the dot product and the squared norm are reduced in float32
+    (one ``sgemv`` and one ``einsum``), so no float64 copy of ``rows`` is
+    made. :func:`screen_error` bounds ``|A - d^2|`` against the exact
+    ``row_norms(unit_rows(rows), query) ** 2``. A row whose float32 squared
+    norm lies outside ``[2**-100, inf)`` reads NaN: there underflow or
+    overflow break that bound.
+    """
+    rows = rows.astype(np.float32, copy=False)  # the bound is for float32 arithmetic
+    square = np.einsum("ij,ij->i", rows, rows)
+    with np.errstate(divide="ignore", invalid="ignore"):  # such rows are set to NaN below
+        approx = 2.0 - 2.0 * (rows @ query.astype(np.float32)) / np.sqrt(square.astype(np.float64))
+    approx[~((square >= _SCREEN_MIN_SQUARE) & (square < np.inf))] = np.nan
+    return approx
+
+
+def screen_error(dim: int) -> float:
+    """The bound ``eps = 4 (dim + 2) u`` on ``|A - d^2|``, with ``u = 2**-24``.
+
+    Take a float32 row ``r`` of ``dim`` entries, the float64 unit query
+    ``q`` and ``c``, the exact cosine between them. Then:
+
+    - quantizing ``q`` to float32 moves ``r . q`` by at most ``u |r|``;
+    - the float32 dot product of ``dim`` terms, summed in any order, errs
+      by at most ``dim u |r|``;
+    - the float32 squared norm errs by at most ``dim u |r|^2``, so its
+      root errs by ``dim u |r| / 2``.
+
+    So the screen's cosine is within ``(1.5 dim + 1) u`` of ``c``, and
+    ``|A - (2 - 2c)| <= (3 dim + 2) u``. The exact ``d^2`` is ``2 - 2c`` up
+    to float64 roundoff, about ``dim 2**-52``. That, and the second-order
+    terms of the float32 errors, fit in the remaining ``(dim + 6) u`` while
+    ``dim u`` is small (``dim`` up to ``2**20``).
+    """
+    return 4 * (dim + 2) * _F32_UNIT
+
+
+def screen_pool(rows: np.ndarray, query: np.ndarray, k: int) -> np.ndarray:
+    """Ascending indices of the rows whose exact distance can be among the k smallest.
+
+    The pool is ``{i : A_i <= A_(k) + 2 eps}``: ``A`` from
+    :func:`screen_distances`, ``A_(k)`` its k-th smallest value, and ``eps``
+    twice :func:`screen_error` for margin. It holds every row whose exact
+    ``d^2`` is at most ``D_k^2``, the k-th smallest: the k rows with the
+    smallest ``A`` have ``d^2 <= A_(k) + eps``, so ``D_k^2 <= A_(k) + eps``,
+    and a row with ``d^2 <= D_k^2`` has ``A <= d^2 + eps <= A_(k) + 2 eps``.
+    So :func:`smallest_k` over the pool's exact distances returns the rows,
+    in the order, that it would return over every row. When ``k >=
+    len(rows)``, or when any ``A`` is not finite, the pool is every row.
+    """
+    n = rows.shape[0]
+    if k < n:
+        approx = screen_distances(rows, query)
+        if np.isfinite(approx).all():
+            kth = np.partition(approx, k - 1)[k - 1]
+            return np.flatnonzero(approx <= kth + 4 * screen_error(rows.shape[1]))
+    return np.arange(n)
+
+
 # --- encoder backends --------------------------------------------------------
 
 
@@ -113,21 +191,32 @@ class Encoder(ABC):
 
     @abstractmethod
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
-        """Return a float32 (len(texts), dim) matrix of near-unit rows."""
+        """Return a float32 (len(texts), dim) matrix of finite, near-unit rows."""
 
 
-def encode(encoder: Encoder, texts: Sequence[str]) -> np.ndarray:
-    """Encode texts to exact float64 unit vectors, order-preserving."""
-    if any(not t for t in texts):
+def encode_rows(encoder: Encoder, texts: Sequence[str]) -> np.ndarray:
+    """Encode texts to the backend's float32 rows in one batch, order-preserving.
+
+    Checks that every text is non-empty, that the batch has one row of the
+    encoder's dimension per text, and that no row is zero.
+    """
+    if not all(texts):
         raise ValueError("texts must be non-empty strings")
     if not texts:
-        return np.empty((0, encoder.dim), dtype=np.float64)
+        return np.empty((0, encoder.dim), dtype=np.float32)
     rows = encoder.encode_batch(list(texts))
     if rows.shape != (len(texts), encoder.dim):
         raise EncoderFailure(
             f"backend returned shape {rows.shape}, expected {(len(texts), encoder.dim)}"
         )
-    return unit_rows(rows)
+    if not rows.any(axis=1).all():
+        raise ZeroVector("cannot normalize a zero row")
+    return rows
+
+
+def encode(encoder: Encoder, texts: Sequence[str]) -> np.ndarray:
+    """Encode texts to exact float64 unit vectors, order-preserving."""
+    return unit_rows(encode_rows(encoder, texts))
 
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
@@ -234,6 +323,9 @@ class OracleEncoder(Encoder):
             if raw.shape != (dim,):
                 raise InvalidParams(f"oracle entry for {text!r} has shape {raw.shape}")
             norm = np.linalg.norm(raw)
+            # a NaN or Infinity value makes the norm non-finite: one scalar check per entry
+            if not math.isfinite(norm):
+                raise InvalidParams(f"oracle entry for {text!r} has a non-finite norm")
             if norm == 0.0:
                 raise ZeroVector(f"oracle entry for {text!r} is a zero vector")
             self._rows[text] = (raw / norm).astype(np.float32)
@@ -309,7 +401,10 @@ class RemoteEncoder(Encoder):
             raise EncoderFailure(f"malformed embeddings reply from {self.config.url}") from exc
         if len(rows) != len(chunk) or any(r.ndim != 1 for r in rows):
             raise EncoderFailure(f"embeddings reply shape mismatch from {self.config.url}")
-        return np.stack(rows)
+        raw = np.stack(rows)
+        if not np.isfinite(raw).all():
+            raise EncoderFailure(f"non-finite value in embeddings reply from {self.config.url}")
+        return raw
 
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
         chunks = [

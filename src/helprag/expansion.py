@@ -16,7 +16,16 @@ from operator import attrgetter
 
 import numpy as np
 
-from .encoding import TRIPLET_JOIN, Encoder, encode, row_norms, serialize_hypernode, smallest_k
+from .encoding import (
+    TRIPLET_JOIN,
+    Encoder,
+    encode_rows,
+    row_norms,
+    screen_pool,
+    serialize_hypernode,
+    smallest_k,
+    unit_rows,
+)
 from .errors import EmptyGraph, InvalidParams
 from .kg import KnowledgeGraph, TripleToPassageIndex, Triplet, adjacent_triplets
 
@@ -153,25 +162,30 @@ def prune(
     """Keep the k candidates nearest the query by Euclidean distance.
 
     Embeds the serializations of candidates without an embedding in one
-    batch; carried-forward candidates keep the one they hold. Orders
-    ascending by (distance, serialized form, sorted triplets) and returns
-    at most k filled-in nodes.
+    batch; carried-forward candidates keep the one they hold. The float32
+    rows are screened first (:func:`screen_pool`), and exact float64 unit
+    rows and distances are computed only for the new candidates that can
+    reach the beam, and for the carried ones. Orders ascending by
+    (distance, serialized form, sorted triplets) and returns at most k
+    filled-in nodes.
     """
     if not candidates:
         raise InvalidParams("candidate list must be non-empty")
     if k < 1:
         raise InvalidParams("beam width must be >= 1")
-    rows = encode(encoder, [c.serialized for c in candidates if c.embedding is None])
-    if rows.shape[0] < len(candidates):
-        fresh = iter(rows)
-        rows = np.stack([next(fresh) if c.embedding is None else c.embedding for c in candidates])
-    dists = row_norms(rows, query_vector)
+    fresh = [c for c in candidates if c.embedding is None]
+    carried = [c for c in candidates if c.embedding is not None]
+    rows = encode_rows(encoder, [c.serialized for c in fresh])
+    # carried nodes join the pool unscreened, with the float64 rows they hold. Only
+    # the pool is upcast, so the beam's embeddings view a pool-sized matrix
+    pool = screen_pool(rows, query_vector, k)
+    picked = [fresh[i] for i in pool.tolist()] + carried
+    units = np.vstack([unit_rows(rows[pool]), *(c.embedding for c in carried)])
+    dists = row_norms(units, query_vector)
     return [
-        replace(candidates[i], embedding=rows[i], query_distance=float(dists[i]))
+        replace(picked[j], embedding=units[j], query_distance=float(dists[j]))
         # distinct triplet sets may render one text; their sorted triplets still differ
-        for i in smallest_k(
-            dists, k, lambda i: (candidates[i].serialized, sorted(candidates[i].triplets))
-        )
+        for j in smallest_k(dists, k, lambda j: (picked[j].serialized, sorted(picked[j].triplets)))
     ]
 
 

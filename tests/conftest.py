@@ -92,11 +92,15 @@ def directional_oracle(query: str, placements: dict[str, float]):
 
 
 class RecordingEncoder(Encoder):
-    """Delegates to another encoder and records every text it is asked for."""
+    """Delegates to another encoder and records every batch it is asked for."""
 
     def __init__(self, inner: Encoder):
         self.inner = inner
-        self.texts: list[str] = []
+        self.calls: list[list[str]] = []
+
+    @property
+    def texts(self) -> list[str]:
+        return [text for call in self.calls for text in call]
 
     @property
     def dim(self) -> int:
@@ -107,7 +111,7 @@ class RecordingEncoder(Encoder):
         return self.inner.encoder_id
 
     def encode_batch(self, texts):
-        self.texts.extend(texts)
+        self.calls.append(list(texts))
         return self.inner.encode_batch(texts)
 
 

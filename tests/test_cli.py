@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -68,6 +69,24 @@ class TestIndex:
         missing = tmp_path / "nope.jsonl"
         assert main(["index", "--corpus", str(missing), "--out", str(tmp_path / "idx")]) == 2
         assert str(missing) in capsys.readouterr().err
+
+    def test_oracle_table_with_nan_exit_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            '{"id":"p1","text":"first.","triples":[["a","r","b"]]}\n'
+            '{"id":"p2","text":"second.","triples":[["b","r","c"]]}\n'
+        )
+        table = {"dim": 4, "vectors": {
+            "first.": [1.0, 0, 0, 0], "second.": [0, 1.0, 0, 0],
+            "a r b": [0, 0, 1.0, 0], "b r c": [math.nan, 0, 1.0, 0],
+        }}
+        vectors = tmp_path / "vectors.json"
+        vectors.write_text(json.dumps(table))  # json writes the NaN literal that json.load reads
+        out = tmp_path / "idx"
+        code = main(["index", "--corpus", str(corpus), "--out", str(out), "--encoder", f"oracle:{vectors}"])
+        assert code == 2
+        assert "'b r c'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_remote_encoder_without_env_exit_2(self, corpus_file, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("HELP_EMBED_URL", raising=False)

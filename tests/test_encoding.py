@@ -22,6 +22,9 @@ from helprag.encoding import (
     encode,
     encoder_from_spec,
     row_norms,
+    screen_distances,
+    screen_error,
+    screen_pool,
     serialize_hypernode,
     unit_rows,
 )
@@ -112,6 +115,64 @@ class TestVectorPrimitives:
         assert by_cos == by_dist
 
 
+class TestScreenFacts:
+    """The two facts prune's float32 screen rests on."""
+
+    @pytest.mark.parametrize("dim", [2, 256])
+    def test_row_subsets_are_bit_equal_to_the_full_matrix(self, dim):
+        rng = np.random.default_rng(dim)
+        rows = rng.standard_normal((1200, dim)).astype(np.float32)
+        query = unit_rows(rng.standard_normal(dim).astype(np.float32))[0]
+        units = unit_rows(rows)
+        dists = row_norms(units, query)
+        subsets = [
+            [700],
+            list(range(500, 1013)),  # 513 rows crossing a 512-row block
+            sorted(rng.choice(1200, size=513, replace=False).tolist()),
+            sorted(rng.choice(1200, size=53, replace=False).tolist()),
+        ]
+        for idx in subsets:
+            sub = unit_rows(rows[idx])
+            assert sub.tobytes() == units[idx].tobytes()
+            assert row_norms(sub, query).tobytes() == dists[idx].tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 4, 256, 900])
+    def test_screen_error_bounds_the_screen(self, dim):
+        rng = np.random.default_rng(dim)
+        query = unit_rows(rng.standard_normal(dim).astype(np.float32))[0]
+        random_rows = rng.standard_normal((2000, dim))
+        # nearly parallel and nearly antipodal rows: d^2 near 0 and near 4
+        near = query * rng.choice([-1.0, 1.0], size=(2000, 1)) + rng.standard_normal((2000, dim)) * (
+            10.0 ** rng.uniform(-8, -1, size=(2000, 1))
+        )
+        rows = np.concatenate([random_rows, near]).astype(np.float32)
+        rows = np.concatenate([rows, rows * np.float32(1e3), rows * np.float32(1e-3)])
+        approx = screen_distances(rows, query)
+        exact = row_norms(unit_rows(rows), query) ** 2
+        assert np.isfinite(approx).all()
+        assert np.abs(approx - exact).max() <= screen_error(dim)
+
+    def test_pool_holds_every_row_that_can_reach_the_k_smallest(self):
+        rng = np.random.default_rng(12)
+        query = unit_rows(rng.standard_normal(256).astype(np.float32))[0]
+        # 300 clusters of 10 rows whose distances agree to ~1e-7, so float32 rounding
+        # reorders rows inside a cluster; a pool without the margin misses some here
+        centers = rng.standard_normal(256) + rng.standard_normal((300, 1, 256)) * 1e-2
+        rows = (centers + rng.standard_normal((300, 10, 256)) * 1e-7).reshape(3000, 256).astype(np.float32)
+        exact = row_norms(unit_rows(rows), query)
+        for k in (3, 5, 15, 55, 505):
+            pool = screen_pool(rows, query, k)
+            kth = np.partition(exact, k - 1)[k - 1]
+            assert set(np.flatnonzero(exact <= kth).tolist()) <= set(pool.tolist())
+            assert len(pool) < len(rows)
+
+    def test_rows_outside_the_trusted_range_read_nan(self):
+        query = unit_rows(np.array([1.0, 0.0, 0.0], dtype=np.float32))[0]
+        rows = np.array([[1e-30, 0, 0], [3e19, 0, 0], [np.nan, 1, 0], [1, 1, 0]], dtype=np.float32)
+        approx = screen_distances(rows, query)
+        assert np.isnan(approx[:3]).all() and np.isfinite(approx[3])
+
+
 class TestHashEncoder:
     def test_deterministic_repeat(self, hash_encoder):
         a, b = encode(hash_encoder, ["same input text", "same input text"])
@@ -183,6 +244,13 @@ class TestOracleEncoder:
         rows = encode(enc, ["dense entry", "sparse entry"])
         assert np.allclose(rows[0], [0, 1, 0, 0])
         assert np.allclose(rows[1], [0.6, 0, 0, 0.8], atol=1e-7)
+
+    @pytest.mark.parametrize(
+        "entry", [[math.nan, 0.0, 1.0], [0.0, math.inf, 1.0], {"i": [0, 2], "v": [1.0, -math.inf]}]
+    )
+    def test_non_finite_entry_rejected(self, entry):
+        with pytest.raises(InvalidParams, match="non-finite"):
+            OracleEncoder(3, {"ok": [1.0, 0.0, 0.0], "bad": entry})
 
     def test_encoder_id_tracks_table_content(self):
         a = OracleEncoder(2, {"t": [1.0, 0.0]})

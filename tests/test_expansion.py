@@ -19,7 +19,7 @@ from conftest import (
     ten_k_triplet_records,
 )
 import helprag.expansion
-from helprag.encoding import encode, row_norms, serialize_hypernode
+from helprag.encoding import Encoder, encode, row_norms, serialize_hypernode, smallest_k
 from helprag.errors import EmptyGraph, InvalidParams
 from helprag.expansion import (
     ExpansionConfig,
@@ -305,6 +305,89 @@ class TestTiesAtTheKth:
             (n.serialized, n.query_distance) for n in reencoded
         ]
         assert all(np.array_equal(a.embedding, b.embedding) for a, b in zip(kept, reencoded))
+
+
+class ScaledEncoder(Encoder):
+    """Another encoder's rows times a constant, so they are far from unit length."""
+
+    def __init__(self, inner: Encoder, scale: float):
+        self.inner = inner
+        self.scale = np.float32(scale)
+
+    @property
+    def dim(self) -> int:
+        return self.inner.dim
+
+    @property
+    def encoder_id(self) -> str:
+        return f"{self.inner.encoder_id}-x{self.scale}"
+
+    def encode_batch(self, texts):
+        return self.inner.encode_batch(texts) * self.scale
+
+
+def unscreened_prune(candidates, encoder, query_vector, k) -> list[tuple]:
+    """prune without the screen: exact rows and distances for every candidate."""
+    fresh = iter(encode(encoder, [c.serialized for c in candidates if c.embedding is None]))
+    rows = np.stack([next(fresh) if c.embedding is None else c.embedding for c in candidates])
+    dists = row_norms(rows, query_vector)
+    kept = smallest_k(dists, k, lambda i: (candidates[i].serialized, sorted(candidates[i].triplets)))
+    return [
+        (candidates[i].serialized, sorted(candidates[i].triplets), float(dists[i]).hex(), rows[i].tobytes())
+        for i in kept
+    ]
+
+
+def kept_bits(beam: list[HyperNode]) -> list[tuple]:
+    return [
+        (n.serialized, sorted(n.triplets), n.query_distance.hex(), n.embedding.tobytes()) for n in beam
+    ]
+
+
+class TestScreenedPrune:
+    """The float32 screen keeps the survivors, order and bits of an unscreened prune."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+        st.sampled_from([1.0, 1e3, 1e-3]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equal_to_unscreened_on_random_graphs(self, hash_encoder, seed, colliding, scale):
+        rng = random.Random(seed)
+        records = random_corpus(rng, n_passages=rng.randint(1, 30), entity_pool=rng.randint(4, 20))
+        if colliding:
+            records += colliding_corpus()
+        encoder = ScaledEncoder(hash_encoder, scale)
+        graph = build_and_embed(records, encoder)
+        if not graph.index.catalog:
+            return
+        vq = encode(encoder, [rng.choice(["q links a", f"probe {seed}"])])[0]
+        beam = select_seeds(graph, vq, rng.randint(1, 5))
+        for _ in range(3):
+            candidates = expand_candidates(graph, beam)
+            # below, at and above the candidate count
+            k = rng.choice([1, 2, 3, 5, 8, len(candidates), len(candidates) + 1])
+            beam = prune(candidates, encoder, vq, k)
+            assert kept_bits(beam) == unscreened_prune(candidates, encoder, vq, k)
+
+    @given(
+        st.lists(st.sampled_from([0.9, 0.6, 0.3, -0.2]), min_size=1, max_size=12),
+        st.integers(0, 3),
+        st.integers(1, 13),
+    )
+    @example([0.9, 0.6, 0.6, 0.6, 0.3], 1, 2)
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_unscreened_with_ties_and_carried_nodes(self, cosines, carried, k):
+        graph, enc, vq = tied_graph(cosines)
+        catalog = graph.index.catalog
+        carried = min(carried, len(catalog))
+        # carried nodes hold the float64 rows seed selection gave them
+        seeds = select_seeds(graph, vq, len(catalog))[:carried]
+        held = {s.serialized for s in seeds}
+        fresh = [HyperNode.from_triplets(frozenset([t])) for t in catalog if t.as_text() not in held]
+        candidates = sorted(seeds + fresh, key=lambda c: c.serialized)
+        assert kept_bits(prune(candidates, enc, vq, k)) == unscreened_prune(candidates, enc, vq, k)
 
 
 class TestRunExpansion:

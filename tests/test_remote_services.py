@@ -331,6 +331,21 @@ class TestServiceFaultExitCodes:
         assert len(stub.requests) == 1
         assert stub.url in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [b"NaN", b"Infinity", b"-Infinity"])
+    def test_non_finite_embedding_exit_3(self, value, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id":"p1","text":"alpha feeds beta.","triples":[["alpha","feeds","beta"]]}\n')
+        reply = b'{"data": [{"index": 0, "embedding": [1.0, ' + value + b', 0.5]}]}'
+        with StubService(lambda b, h: (200, reply)) as stub:
+            monkeypatch.setenv("HELP_EMBED_URL", stub.url)
+            code = main(
+                ["index", "--corpus", str(corpus), "--out", str(tmp_path / "idx"), "--encoder", "remote"]
+            )
+        assert code == 3
+        assert len(stub.requests) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "idx").exists()
+
     @pytest.mark.parametrize("fault", sorted(SERVICE_FAULTS))
     def test_chat_fault_exit_3(self, fault, tmp_path, monkeypatch, capsys):
         fixture_dir, bundle = tmp_path / "fx", tmp_path / "idx"

@@ -4,8 +4,10 @@
 wrappers. A rename in the program makes its ``install`` raise, and a wrapped
 name that a query no longer calls leaves a layer metric at zero; these tests
 see both without starting a benchmark run. The tracer also counts carried
-nodes by ``id()`` and reads four ``HyperNode`` fields, so a change there
-fails here too instead of zeroing a layer metric.
+nodes by ``id()``, reads four ``HyperNode`` fields and times the one
+``encode_batch`` call each prune makes, so a change there fails here too
+instead of zeroing a layer metric. The last test guards the memory the final
+beam keeps alive, which a benchmark would show only as peak RSS.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import random
 import sys
 from pathlib import Path
 
-from conftest import passage, random_corpus
-from helprag.encoding import encode
+from conftest import RecordingEncoder, passage, random_corpus
+import helprag.expansion
+from helprag.encoding import encode, encode_rows, screen_pool
 from helprag.expansion import ExpansionConfig, HyperNode, expand_candidates, prune, select_seeds
 from helprag.ingestion import build_and_embed
 from helprag.localization import retrieve_result
@@ -72,3 +75,51 @@ def test_hypernode_exposes_the_pinned_fields(hash_encoder):
     nodes.append(HyperNode.from_triplets(seeds[0].triplets))
     for node in nodes:
         assert [name for name in PINNED_FIELDS if not hasattr(node, name)] == []
+
+
+def lonely_graph(encoder):
+    """A random graph plus (x, r, y), which touches nothing else and so is carried forward."""
+    records = random_corpus(random.Random(8), n_passages=30, entity_pool=12)
+    return build_and_embed(records + [passage("lonely", ("x", "r", "y"))], encoder)
+
+
+def test_prune_encodes_the_fresh_candidates_in_one_batch(hash_encoder):
+    graph = lonely_graph(hash_encoder)
+    vq = encode(hash_encoder, ["x r y"])[0]  # the lonely triplet is the first seed
+    beam = select_seeds(graph, vq, 3)
+    carried = 0
+    for _ in range(3):
+        candidates = expand_candidates(graph, beam)
+        recorder = RecordingEncoder(hash_encoder)
+        beam = prune(candidates, recorder, vq, 8)
+        assert recorder.calls == [[c.serialized for c in candidates if c.embedding is None]]
+        carried += sum(c.embedding is not None for c in candidates)
+    assert carried > 0
+
+
+def test_final_beam_keeps_no_more_rows_than_the_pool(hash_encoder, monkeypatch):
+    graph = lonely_graph(hash_encoder)
+    pruned: list[tuple[list[HyperNode], int]] = []
+    original_prune = helprag.expansion.prune
+
+    def recording_prune(candidates, encoder, query_vector, k):
+        pruned.append((candidates, k))
+        return original_prune(candidates, encoder, query_vector, k)
+
+    monkeypatch.setattr(helprag.expansion, "prune", recording_prune)
+    result = retrieve_result(graph, hash_encoder, "probe", ExpansionConfig(hops=3, seed_size=3, beam_size=8))
+    monkeypatch.undo()
+
+    # a pool is the fresh candidates that pass the screen, plus the carried ones
+    vq = encode(hash_encoder, ["probe"])[0]
+    pools = []
+    for candidates, k in pruned:
+        rows = encode_rows(hash_encoder, [c.serialized for c in candidates if c.embedding is None])
+        carried = sum(c.embedding is not None for c in candidates)
+        pools.append(len(screen_pool(rows, vq, k)) + carried)
+    assert len(pools) == 2 and max(pools) < min(len(c) for c, _ in pruned)
+    seed_rows = graph.embeddings.triplet_units()
+    for node in result.hypernodes:
+        base = node.embedding.base
+        # a seed carried to the end views the graph's own matrix, which the graph keeps anyway
+        assert base is seed_rows or base.shape[0] <= max(pools)
