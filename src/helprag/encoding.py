@@ -12,6 +12,11 @@ Routing every vector through the float32 quantization step makes the
 in-memory unit vectors bit-identical to the ones reconstructed from a
 persisted index.
 
+The hash encoder hashes every byte position of a chunk of texts at once,
+yet each row has the bits of hashing its text alone: bit-built signs,
+floor-divide buckets and integer counts are exact, and so is the squared
+norm below ``2**53`` (see :class:`HashEncoder`).
+
 Expansion's prune does not build a float64 unit row for every candidate it
 encodes. It ranks the float32 rows by :func:`screen_distances`, whose error
 :func:`screen_error` bounds, and runs :func:`unit_rows` and the exact
@@ -222,6 +227,9 @@ def encode(encoder: Encoder, texts: Sequence[str]) -> np.ndarray:
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 _GRAM_WIDTH = 3
+# the float64 sign bit, and the bits of 1.0: OR-ed together they make -1.0 or +1.0
+_SIGN_BIT = np.uint64(1 << 63)
+_ONE_BITS = np.uint64(0x3FF0000000000000)
 # texts hashed per bincount. Bounds the per-gram arrays and the float64 count
 # matrix, small enough that a chunk's arrays stay in cache
 HASH_CHUNK_TEXTS = 512
@@ -233,31 +241,76 @@ def _fnv1a_gram_hashes(encoded: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray
     Returns ``(rows, hashes)``: gram ``g`` belongs to ``encoded[rows[g]]``, and
     the grams of one text follow in window order. A text shorter than the
     window hashes as a single whole-text gram.
+
+    The texts are joined, an empty one as one zero byte so that every text
+    has a position, and each round runs over the whole buffer at once: round
+    ``c`` XORs in the bytes ``c`` positions on. Position ``p`` then holds the
+    hash of the window at ``p``. The last two positions of each text, whose
+    windows run into the next text, are dropped, and a text of ``n < 3``
+    bytes keeps its first position, reset to the hash after ``n`` rounds.
     """
     lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
-    # pad bytes keep the three reads of every gram, even an empty text's, inside the buffer
-    buf = np.frombuffer(b"".join(encoded) + bytes(_GRAM_WIDTH), dtype=np.uint8)
-    grams = np.maximum(lengths - (_GRAM_WIDTH - 1), 1)
-    rows = np.repeat(np.arange(len(encoded)), grams)
-    text_start = np.cumsum(lengths) - lengths
-    gram_start = np.cumsum(grams) - grams
-    starts = np.arange(rows.shape[0]) + (text_start - gram_start)[rows]
-    width = np.minimum(lengths, _GRAM_WIDTH)
-    short = bool((width < _GRAM_WIDTH).any())
-    h = np.full(rows.shape[0], _FNV_OFFSET, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for col in range(_GRAM_WIDTH):
-            stepped = (h ^ buf[starts + col].astype(np.uint64)) * _FNV_PRIME
-            h = np.where(width[rows] > col, stepped, h) if short else stepped
-    return rows, h
+    spans = np.maximum(lengths, 1)
+    ends = np.cumsum(spans)
+    size = int(spans.sum())
+    joined = b"".join(encoded)
+    if len(joined) != size:  # some text is empty
+        joined = b"".join(text or b"\0" for text in encoded)
+    # pad bytes keep the last rounds' slices inside the buffer
+    data = np.frombuffer(joined + bytes(_GRAM_WIDTH - 1), dtype=np.uint8).astype(np.uint64)
+    short = lengths < _GRAM_WIDTH
+    first = (ends - spans)[short]
+    h = data[:size] ^ _FNV_OFFSET
+    h *= _FNV_PRIME
+    # after[n]: each short text's hash after n rounds
+    after = [np.full(first.size, _FNV_OFFSET), h[first]]
+    for col in range(1, _GRAM_WIDTH):
+        h ^= data[col : col + size]
+        h *= _FNV_PRIME
+        after.append(h[first])
+    h[first] = np.choose(lengths[short], after)
+    keep = np.ones(size, dtype=bool)
+    for back in range(1, _GRAM_WIDTH):
+        keep[ends[lengths > back] - back] = False
+    rows = np.repeat(np.arange(len(encoded)), np.maximum(lengths - (_GRAM_WIDTH - 1), 1))
+    return rows, h[keep]
+
+
+def _signed_cells(rows: np.ndarray, hashes: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat count cell ``rows * dim + hashes % dim`` and sign weight of each gram.
+
+    The weight is -1.0 when the hash's top bit is set, else +1.0, built from
+    bits: the top bit OR-ed into the bits of 1.0. The bucket is ``h - (h //
+    dim) * dim``, which equals ``h % dim`` for unsigned integers. Overwrites
+    ``rows`` and ``hashes``; the cells are a view of ``hashes``.
+    """
+    signs = hashes & _SIGN_BIT
+    signs |= _ONE_BITS
+    udim = np.uint64(dim)
+    quotient = hashes // udim
+    quotient *= udim
+    hashes -= quotient
+    cells = hashes.view(np.int64)
+    rows *= dim
+    cells += rows
+    return cells, signs.view(np.float64)
 
 
 class HashEncoder(Encoder):
     """Deterministic signed feature hashing over character 3-grams.
 
-    Each 3-gram's FNV-1a 64-bit hash selects a bucket (low bits, modulo the
-    dimension) and a sign (top bit); bucket counts are accumulated and
-    L2-normalized. Identical across runs and platforms.
+    Each 3-gram's FNV-1a 64-bit hash selects a bucket (modulo the dimension)
+    and a sign (top bit); bucket counts are accumulated and L2-normalized.
+    Identical across runs and platforms.
+
+    Every step is exact, so each row has the bits of the per-text reference
+    ``(counts / sqrt(sum(c * c))).astype(float32)``: the signs are -1.0 or
+    +1.0 built from bits, the bucket is an integer floor-divide remainder,
+    and the counts are integers summed in float64. So are their squares and
+    every partial sum of the squared norm while they stay below ``2**53``,
+    which holds for any text under ~9e7 bytes; the norm is then one
+    correctly rounded square root, and each quotient is rounded once, from
+    float64 to float32.
     """
 
     def __init__(self, dim: int = 256):
@@ -276,24 +329,20 @@ class HashEncoder(Encoder):
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
         """Hash every text's grams and accumulate the signed bucket counts per row.
 
-        Works in chunks of :data:`HASH_CHUNK_TEXTS` texts. The counts are
-        small integers, exact in float64 in any summation order, so each row
-        equals hashing its text alone.
+        Works in chunks of :data:`HASH_CHUNK_TEXTS` texts, one ``bincount``
+        of the signed grams each.
         """
         dim = self._dim
         out = np.empty((len(texts), dim), dtype=np.float32)
         for lo in range(0, len(texts), HASH_CHUNK_TEXTS):
             chunk = texts[lo : lo + HASH_CHUNK_TEXTS]
-            rows, hashes = _fnv1a_gram_hashes([t.encode("utf-8") for t in chunk])
-            cells = rows * dim + (hashes % np.uint64(dim)).astype(np.intp)
-            signs = np.where(hashes >> np.uint64(63), -1.0, 1.0)
+            cells, signs = _signed_cells(*_fnv1a_gram_hashes([t.encode("utf-8") for t in chunk]), dim)
             raw = np.bincount(cells, weights=signs, minlength=len(chunk) * dim).reshape(len(chunk), dim)
-            norms = row_norms(raw)
+            norms = np.sqrt(np.einsum("ij,ij->i", raw, raw))
             zero = np.flatnonzero(norms == 0.0)
             if zero.size:
                 raise ZeroVector(f"hash embedding of {chunk[zero[0]]!r} cancelled to zero")
-            raw /= norms[:, None]
-            out[lo : lo + len(chunk)] = raw
+            np.divide(raw, norms[:, None], out=out[lo : lo + len(chunk)], casting="unsafe")
         return out
 
 
@@ -396,12 +445,13 @@ class RemoteEncoder(Encoder):
             raise EncoderFailure(str(exc)) from exc
         try:
             data = sorted(reply["data"], key=lambda item: item["index"])
-            rows = [np.asarray(item["embedding"], dtype=np.float64) for item in data]
-        except (KeyError, TypeError) as exc:
+            indices = [item["index"] for item in data]
+            # ragged rows or a non-numeric value make these raise ValueError
+            raw = np.stack([np.asarray(item["embedding"], dtype=np.float64) for item in data])
+        except (KeyError, TypeError, ValueError) as exc:
             raise EncoderFailure(f"malformed embeddings reply from {self.config.url}") from exc
-        if len(rows) != len(chunk) or any(r.ndim != 1 for r in rows):
+        if indices != list(range(len(chunk))) or raw.ndim != 2:
             raise EncoderFailure(f"embeddings reply shape mismatch from {self.config.url}")
-        raw = np.stack(rows)
         if not np.isfinite(raw).all():
             raise EncoderFailure(f"non-finite value in embeddings reply from {self.config.url}")
         return raw

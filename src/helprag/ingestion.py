@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .encoding import Encoder, unit_rows
+from .encoding import Encoder, encode_rows, unit_rows
 from .errors import (
     CorruptFile,
     DuplicateId,
@@ -231,15 +231,17 @@ def build_and_embed(records: list[CorpusRecord], encoder: Encoder) -> KnowledgeG
 
     Every passage text and every unique triplet serialization is encoded
     exactly once; triplet rows follow catalog order, passage rows follow
-    sorted passage-id order. Raises DuplicatePassageId when two records
-    share an id, and EmptyField when a triple field canonicalizes to nothing.
+    sorted passage-id order. Both batches pass :func:`encode_rows`' checks.
+    Raises DuplicatePassageId when two records share an id, EmptyField when
+    a triple field canonicalizes to nothing, EncoderFailure when the encoder
+    returns the wrong number or width of rows, and ZeroVector for a zero row.
     """
     for record in records:
         if record.triples is None:
             raise InvalidParams(f"record {record.id!r} has no triples; run extraction first")
     texts, index = _index_records(records)
     if texts:
-        passage_rows = encoder.encode_batch(list(texts))
+        passage_rows = encode_rows(encoder, texts)
     else:
         try:
             dim = encoder.dim
@@ -252,7 +254,7 @@ def build_and_embed(records: list[CorpusRecord], encoder: Encoder) -> KnowledgeG
         names = index.names
         # Triplet.as_text, which is serialize_hypernode of the singleton
         triplet_texts = [" ".join(map(names.__getitem__, row)) for row in index.triplet_rows.tolist()]
-        triplet_rows = encoder.encode_batch(triplet_texts)
+        triplet_rows = encode_rows(encoder, triplet_texts)
     else:
         triplet_rows = np.empty((0, passage_rows.shape[1]), dtype=np.float32)
     store = EmbeddingStore(passage_rows, triplet_rows, encoder.encoder_id)

@@ -19,6 +19,7 @@ from helprag.encoding import (
     HashEncoder,
     OracleEncoder,
     _fnv1a_gram_hashes,
+    _signed_cells,
     encode,
     encoder_from_spec,
     row_norms,
@@ -282,9 +283,9 @@ def test_hash_batch_equals_single(seed):
     assert np.array_equal(batch, singles)
 
 
-# 1-2 byte texts (ASCII, or one 2-byte character) and long texts of any script
+# 0-2 byte texts (the empty one, ASCII, or one 2-byte character) and long texts of any script
 HASH_TEXTS = st.one_of(
-    st.text(alphabet=st.characters(max_codepoint=0x7F), min_size=1, max_size=2),
+    st.text(alphabet=st.characters(max_codepoint=0x7F), max_size=2),
     st.sampled_from(["é", "ß", "ж"]),
     st.text(alphabet=st.characters(blacklist_categories=("Cs",)), min_size=3, max_size=60),
 )
@@ -296,7 +297,7 @@ def reference_rows(texts: list[str], dim: int) -> np.ndarray:
     return np.vstack([oracles.hash_encode_text(t, dim) for t in texts])
 
 
-@given(st.lists(HASH_TEXTS, min_size=1, max_size=24), st.integers(2, 300), st.integers(1, 5))
+@given(st.lists(HASH_TEXTS, min_size=1, max_size=24), st.integers(2, 1024), st.integers(1, 5))
 @settings(max_examples=150, deadline=None)
 def test_hash_batch_matches_per_text_reference(texts, dim, chunk):
     # a chunk of 1-5 texts makes most batches span several chunks
@@ -310,10 +311,34 @@ def test_hash_batch_matches_per_text_reference(texts, dim, chunk):
             assert HashEncoder(dim).encode_batch(texts).tobytes() == expected.tobytes()
 
 
+def long_texts(count: int) -> list[str]:
+    return [f"entity {i:04d} links to entity {i * 7 % 1000:04d}; ü{i % 3}" for i in range(count)]
+
+
 def test_hash_batch_larger_than_one_chunk():
-    texts = [f"entity {i:04d} links to entity {i * 7 % 1000:04d}; ü{i % 3}" for i in range(HASH_CHUNK_TEXTS + 5)]
-    texts[HASH_CHUNK_TEXTS - 1 : HASH_CHUNK_TEXTS + 2] = ["a", "ab", "é"]
-    assert np.array_equal(HashEncoder().encode_batch(texts), reference_rows(texts, 256))
+    texts = long_texts(HASH_CHUNK_TEXTS + 5)
+    # 0-, 1- and 2-byte texts on both sides of the chunk edge
+    texts[HASH_CHUNK_TEXTS - 3 : HASH_CHUNK_TEXTS + 3] = ["", "a", "ab", "é", "", "b"]
+    assert HashEncoder().encode_batch(texts).tobytes() == reference_rows(texts, 256).tobytes()
+
+
+@pytest.mark.parametrize("dim", [7, 256, 1024])
+def test_hash_batch_of_long_texts_across_chunks(dim):
+    texts = long_texts(2 * HASH_CHUNK_TEXTS + 3)
+    assert HashEncoder(dim).encode_batch(texts).tobytes() == reference_rows(texts, dim).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7, 256, 1000, 1024])
+def test_signed_cells_are_exact(dim):
+    rng = np.random.default_rng(dim)
+    hashes = rng.integers(0, 2**64, size=5000, dtype=np.uint64)
+    hashes[:4] = [0, 2**63, 2**64 - 1, 2**63 - 1]
+    rows = rng.integers(0, 512, size=hashes.size)
+    expected_cells = rows * dim + (hashes % np.uint64(dim)).astype(np.int64)
+    expected_signs = np.where(hashes >> np.uint64(63), -1.0, 1.0)
+    cells, signs = _signed_cells(rows.copy(), hashes.copy(), dim)
+    assert cells.tolist() == expected_cells.tolist()
+    assert signs.tobytes() == expected_signs.tobytes()
 
 
 def test_hash_zero_vector_names_the_first_such_text():

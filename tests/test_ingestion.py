@@ -12,14 +12,16 @@ import numpy as np
 import pytest
 
 from conftest import graph_differences, random_corpus
-from helprag import kg, services
+from helprag import cli, kg, services
 from helprag.errors import (
     CorruptFile,
     DuplicateId,
+    EncoderFailure,
     InvalidParams,
     ParseError,
     ServiceUnreachable,
     VersionMismatch,
+    ZeroVector,
 )
 from helprag.encoding import HashEncoder
 from helprag.ingestion import (
@@ -178,6 +180,39 @@ class TestBuildAndEmbed:
     def test_unextracted_record_rejected(self, hash_encoder):
         with pytest.raises(InvalidParams):
             build_and_embed([CorpusRecord("p1", "text", None)], hash_encoder)
+
+
+class DropsLastRow(HashEncoder):
+    def encode_batch(self, texts):
+        return super().encode_batch(texts)[:-1]
+
+
+class ZeroesLastRow(HashEncoder):
+    def encode_batch(self, texts):
+        rows = super().encode_batch(texts)
+        rows[-1] = 0.0
+        return rows
+
+
+# two passages and three triplets
+TWO_PASSAGE_LINES = [
+    '{"id":"p1","text":"alpha feeds beta.","triples":[["alpha","feeds","beta"],["beta","feeds","gamma"]]}',
+    '{"id":"p2","text":"gamma feeds delta.","triples":[["gamma","feeds","delta"]]}',
+]
+
+
+class TestBuildChecksEncoderRows:
+    @pytest.mark.parametrize(
+        ("encoder", "error", "code"), [(DropsLastRow, EncoderFailure, 3), (ZeroesLastRow, ZeroVector, 2)]
+    )
+    def test_bad_rows_fail_the_build(self, tmp_path, monkeypatch, encoder, error, code):
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus(corpus, TWO_PASSAGE_LINES)
+        with pytest.raises(error):
+            build_and_embed(load_corpus(corpus), encoder())
+        monkeypatch.setattr(cli, "encoder_from_spec", lambda spec: encoder())
+        assert cli.main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "idx")]) == code
+        assert not (tmp_path / "idx").exists()
 
 
 class TestBundleRoundTrip:

@@ -317,12 +317,37 @@ SERVICE_FAULTS = {
 }
 
 
+def rows_reply(edit):
+    """An embeddings handler whose reply ``edit`` corrupts, given its data items in index order."""
+
+    def handler(body, headers):
+        data = [{"index": i, "embedding": embedding_for(t)} for i, t in enumerate(body["input"])]
+        edit(data)
+        return 200, {"data": data}
+
+    return handler
+
+
+# the faults above, plus embeddings replies of the wrong shape that parse as JSON
+EMBEDDINGS_FAULTS = {
+    **SERVICE_FAULTS,
+    "ragged": rows_reply(lambda data: data[1]["embedding"].append(1.0)),
+    "non-numeric": rows_reply(lambda data: data[2]["embedding"].__setitem__(0, "x")),
+    "repeated-index": rows_reply(lambda data: data[1].__setitem__("index", 0)),
+}
+
+
 class TestServiceFaultExitCodes:
-    @pytest.mark.parametrize("fault", sorted(SERVICE_FAULTS))
+    @pytest.mark.parametrize("fault", sorted(EMBEDDINGS_FAULTS))
     def test_embeddings_fault_exit_3(self, fault, tmp_path, monkeypatch, capsys):
         corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text('{"id":"p1","text":"alpha feeds beta.","triples":[["alpha","feeds","beta"]]}\n')
-        with StubService(SERVICE_FAULTS[fault]) as stub:
+        corpus.write_text(
+            "".join(
+                f'{{"id":"p{i}","text":"passage {i}.","triples":[["e{i}","r","e{i + 1}"]]}}\n'
+                for i in range(3)
+            )
+        )
+        with StubService(EMBEDDINGS_FAULTS[fault]) as stub:
             monkeypatch.setenv("HELP_EMBED_URL", stub.url)
             code = main(
                 ["index", "--corpus", str(corpus), "--out", str(tmp_path / "idx"), "--encoder", "remote"]
@@ -330,6 +355,7 @@ class TestServiceFaultExitCodes:
         assert code == 3
         assert len(stub.requests) == 1
         assert stub.url in capsys.readouterr().err
+        assert not (tmp_path / "idx").exists()
 
     @pytest.mark.parametrize("value", [b"NaN", b"Infinity", b"-Infinity"])
     def test_non_finite_embedding_exit_3(self, value, tmp_path, monkeypatch, capsys):
