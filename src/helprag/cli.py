@@ -254,9 +254,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (EncoderFailure, ServiceReplyError, ServiceUnreachable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except KeyError as exc:
-        print(f"error: missing configuration: {exc}", file=sys.stderr)
-        return 2
     except (HelpRagError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,10 +12,14 @@ Routing every vector through the float32 quantization step makes the
 in-memory unit vectors bit-identical to the ones reconstructed from a
 persisted index.
 
-The hash encoder hashes every byte position of a chunk of texts at once,
-yet each row has the bits of hashing its text alone: bit-built signs,
+Expansion renders a hop's new candidates into one :class:`TextBatch`, a
+UTF-8 buffer with the offsets of its texts, by gathering name bytes
+(:func:`serialize_rows`); no ``str`` is built per candidate. The hash
+encoder hashes every byte position of a chunk of that buffer at once, yet
+each row has the bits of hashing its text alone: bit-built signs,
 floor-divide buckets and integer counts are exact, and so is the squared
-norm below ``2**53`` (see :class:`HashEncoder`).
+norm below ``2**53`` (see :class:`HashEncoder`). The other backends read
+the batch as strings.
 
 Expansion's prune does not build a float64 unit row for every candidate it
 encodes. It ranks the float32 rows by :func:`screen_distances`, whose error
@@ -34,15 +38,20 @@ from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import EmptyHyperNode, EncoderFailure, InvalidParams, ZeroVector
-from .kg import Triplet
+from .kg import TRIPLET_JOIN, Triplet
 from .services import ServiceConfig, ServiceReplyError, ServiceUnreachable, post_json
 
-TRIPLET_JOIN = "; "
+if TYPE_CHECKING:
+    from .kg import TripleToPassageIndex
+
+# per segment of a triplet in a serialization: the join, head, relation and tail take
+# their whole entry of the index's text bytes, but the tail drops its space
+_TAIL_SPACE = np.array([0, 0, 0, 1])
 # the (head, relation, tail) order of Triplet's dataclass comparison, as a C-level key
 _TRIPLET_FIELDS = attrgetter("head", "relation", "tail")
 
@@ -58,6 +67,85 @@ def serialize_hypernode(triplets: Iterable[Triplet]) -> str:
     if not ordered:
         raise EmptyHyperNode("cannot serialize an empty triplet set")
     return TRIPLET_JOIN.join(t.as_text() for t in ordered)
+
+
+class TextBatch(Sequence[str]):
+    """Texts held as one UTF-8 buffer: text i is ``data[offsets[i] : offsets[i + 1]]``.
+
+    Indexing decodes one text, and a slice is a list of decoded texts.
+    :meth:`HashEncoder.encode_batch` hashes the buffer itself.
+    """
+
+    def __init__(self, data: np.ndarray, offsets: np.ndarray):
+        self.data = data  # uint8
+        self.offsets = offsets  # int64, ascending, one more than the texts
+
+    @classmethod
+    def of(cls, texts: Sequence[str]) -> "TextBatch":
+        """``texts`` as a batch, each encoded once; a batch is returned as it is."""
+        if isinstance(texts, TextBatch):
+            return texts
+        encoded = [text.encode("utf-8") for text in texts]
+        offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)), out=offsets[1:])
+        return cls(np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Each text's length in bytes."""
+        return np.diff(self.offsets)
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # bounds and negative indices as a list has them
+        lo, hi = self.offsets[i : i + 2].tolist()
+        return self.data[lo:hi].tobytes().decode("utf-8")
+
+    def __iter__(self) -> Iterator[str]:
+        data, offsets = self.data.tobytes(), self.offsets.tolist()
+        return (data[lo:hi].decode("utf-8") for lo, hi in zip(offsets, offsets[1:]))
+
+    def __contains__(self, text: object) -> bool:
+        # compares bytes, and only those of texts of the same length, so "" in batch decodes nothing
+        if not isinstance(text, str):
+            return False
+        encoded = text.encode("utf-8")
+        starts = self.offsets[:-1][self.lengths == len(encoded)].tolist()
+        return any(self.data[lo : lo + len(encoded)].tobytes() == encoded for lo in starts)
+
+
+def serialize_rows(index: "TripleToPassageIndex", rows: np.ndarray) -> TextBatch:
+    """:func:`serialize_hypernode` of each row of catalog ids, as one batch.
+
+    Each row holds the ascending catalog ids of one triplet set, padded at
+    the end with -1 to the width of the widest. Catalog order is (head,
+    relation, tail) order, so the text is the row's triplets in row order.
+    It is gathered from the index's text bytes: for each id, the join (from
+    the second id on), then head, relation and tail, the first two with the
+    space that follows them.
+    """
+    data, starts, spans = index.text_bytes
+    n, width = rows.shape
+    # four segments per id, in text order, each an entry of the text bytes
+    entries = np.empty((n, width, 4), dtype=np.int64)
+    entries[..., 0] = starts.shape[0] - 1  # the join
+    entries[..., 1:] = index.triplet_rows[rows]  # a pad reads some triplet; its segments get length 0
+    seg_lengths = spans[entries] - _TAIL_SPACE
+    seg_lengths[:, 0, 0] = 0
+    seg_lengths *= (rows >= 0)[..., None]
+    seg_ends = np.cumsum(seg_lengths)
+    # byte p of a segment is data[seg_start + (p - seg_out_start)]; int32 positions halve
+    # the largest temporaries whenever every position fits
+    size = max(int(seg_ends[-1]) if n else 0, data.shape[0])
+    dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    shifts = starts[entries].ravel() - (seg_ends - seg_lengths.ravel())
+    gather = np.repeat(shifts.astype(dtype), seg_lengths.ravel())
+    gather += np.arange(gather.shape[0], dtype=dtype)
+    return TextBatch(data.take(gather), np.concatenate([[0], seg_ends[width * 4 - 1 :: width * 4]]))
 
 
 # --- unit-vector primitives -------------------------------------------------
@@ -202,14 +290,16 @@ class Encoder(ABC):
 def encode_rows(encoder: Encoder, texts: Sequence[str]) -> np.ndarray:
     """Encode texts to the backend's float32 rows in one batch, order-preserving.
 
-    Checks that every text is non-empty, that the batch has one row of the
+    Hands the backend ``texts`` as they are: a list of ``str``, or a
+    :class:`TextBatch`, which the hash encoder reads without decoding. Checks
+    that every text is non-empty, that the batch has one row of the
     encoder's dimension per text, and that no row is zero.
     """
-    if not all(texts):
+    if "" in texts:
         raise ValueError("texts must be non-empty strings")
     if not texts:
         return np.empty((0, encoder.dim), dtype=np.float32)
-    rows = encoder.encode_batch(list(texts))
+    rows = encoder.encode_batch(texts)
     if rows.shape != (len(texts), encoder.dim):
         raise EncoderFailure(
             f"backend returned shape {rows.shape}, expected {(len(texts), encoder.dim)}"
@@ -235,44 +325,49 @@ _ONE_BITS = np.uint64(0x3FF0000000000000)
 HASH_CHUNK_TEXTS = 512
 
 
-def _fnv1a_gram_hashes(encoded: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
+def _fnv1a_gram_hashes(data: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """64-bit FNV-1a hash of every 3-byte window of each UTF-8 text, in one pass.
 
-    Returns ``(rows, hashes)``: gram ``g`` belongs to ``encoded[rows[g]]``, and
-    the grams of one text follow in window order. A text shorter than the
-    window hashes as a single whole-text gram.
+    Text i is ``data[offsets[i] : offsets[i + 1]]``. Returns ``(rows,
+    hashes)``: gram ``g`` belongs to text ``rows[g]``, and the grams of one
+    text follow in window order. A text shorter than the window hashes as a
+    single whole-text gram.
 
-    The texts are joined, an empty one as one zero byte so that every text
-    has a position, and each round runs over the whole buffer at once: round
-    ``c`` XORs in the bytes ``c`` positions on. Position ``p`` then holds the
-    hash of the window at ``p``. The last two positions of each text, whose
-    windows run into the next text, are dropped, and a text of ``n < 3``
-    bytes keeps its first position, reset to the hash after ``n`` rounds.
+    The texts' bytes are laid out one after another, an empty text as one
+    zero byte so that every text has a position, and each round runs over
+    the whole buffer at once: round ``c`` XORs in the bytes ``c`` positions
+    on. Position ``p`` then holds the hash of the window at ``p``. The last
+    two positions of each text, whose windows run into the next text, are
+    dropped, and a text of ``n < 3`` bytes keeps its first position, reset
+    to the hash after ``n`` rounds.
     """
-    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    lengths = np.diff(offsets)
     spans = np.maximum(lengths, 1)
     ends = np.cumsum(spans)
-    size = int(spans.sum())
-    joined = b"".join(encoded)
-    if len(joined) != size:  # some text is empty
-        joined = b"".join(text or b"\0" for text in encoded)
+    starts = ends - spans
+    size = int(ends[-1])
+    lo, hi = offsets[0], offsets[-1]
     # pad bytes keep the last rounds' slices inside the buffer
-    data = np.frombuffer(joined + bytes(_GRAM_WIDTH - 1), dtype=np.uint8).astype(np.uint64)
+    laid = np.zeros(size + _GRAM_WIDTH - 1, dtype=np.uint64)
+    if size == hi - lo:
+        laid[:size] = data[lo:hi]
+    else:  # some text is empty: its position stays zero, and the texts after it shift
+        laid[np.arange(lo, hi) + np.repeat(starts - offsets[:-1], lengths)] = data[lo:hi]
     short = lengths < _GRAM_WIDTH
-    first = (ends - spans)[short]
-    h = data[:size] ^ _FNV_OFFSET
+    first = starts[short]
+    h = laid[:size] ^ _FNV_OFFSET
     h *= _FNV_PRIME
     # after[n]: each short text's hash after n rounds
     after = [np.full(first.size, _FNV_OFFSET), h[first]]
     for col in range(1, _GRAM_WIDTH):
-        h ^= data[col : col + size]
+        h ^= laid[col : col + size]
         h *= _FNV_PRIME
         after.append(h[first])
     h[first] = np.choose(lengths[short], after)
     keep = np.ones(size, dtype=bool)
     for back in range(1, _GRAM_WIDTH):
         keep[ends[lengths > back] - back] = False
-    rows = np.repeat(np.arange(len(encoded)), np.maximum(lengths - (_GRAM_WIDTH - 1), 1))
+    rows = np.repeat(np.arange(lengths.shape[0]), np.maximum(lengths - (_GRAM_WIDTH - 1), 1))
     return rows, h[keep]
 
 
@@ -311,6 +406,10 @@ class HashEncoder(Encoder):
     which holds for any text under ~9e7 bytes; the norm is then one
     correctly rounded square root, and each quotient is rounded once, from
     float64 to float32.
+
+    It hashes the UTF-8 buffer of a :class:`TextBatch` directly, so a batch
+    that expansion rendered is never decoded; a sequence of ``str`` is
+    encoded into one batch first.
     """
 
     def __init__(self, dim: int = 256):
@@ -329,20 +428,22 @@ class HashEncoder(Encoder):
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
         """Hash every text's grams and accumulate the signed bucket counts per row.
 
-        Works in chunks of :data:`HASH_CHUNK_TEXTS` texts, one ``bincount``
-        of the signed grams each.
+        Works in chunks of :data:`HASH_CHUNK_TEXTS` texts of the batch's
+        buffer, one ``bincount`` of the signed grams each.
         """
+        batch = TextBatch.of(texts)
         dim = self._dim
-        out = np.empty((len(texts), dim), dtype=np.float32)
-        for lo in range(0, len(texts), HASH_CHUNK_TEXTS):
-            chunk = texts[lo : lo + HASH_CHUNK_TEXTS]
-            cells, signs = _signed_cells(*_fnv1a_gram_hashes([t.encode("utf-8") for t in chunk]), dim)
-            raw = np.bincount(cells, weights=signs, minlength=len(chunk) * dim).reshape(len(chunk), dim)
+        out = np.empty((len(batch), dim), dtype=np.float32)
+        for lo in range(0, len(batch), HASH_CHUNK_TEXTS):
+            offsets = batch.offsets[lo : lo + HASH_CHUNK_TEXTS + 1]
+            n = offsets.shape[0] - 1
+            cells, signs = _signed_cells(*_fnv1a_gram_hashes(batch.data, offsets), dim)
+            raw = np.bincount(cells, weights=signs, minlength=n * dim).reshape(n, dim)
             norms = np.sqrt(np.einsum("ij,ij->i", raw, raw))
             zero = np.flatnonzero(norms == 0.0)
             if zero.size:
-                raise ZeroVector(f"hash embedding of {chunk[zero[0]]!r} cancelled to zero")
-            np.divide(raw, norms[:, None], out=out[lo : lo + len(chunk)], casting="unsafe")
+                raise ZeroVector(f"hash embedding of {batch[lo + int(zero[0])]!r} cancelled to zero")
+            np.divide(raw, norms[:, None], out=out[lo : lo + n], casting="unsafe")
         return out
 
 
@@ -365,6 +466,8 @@ class OracleEncoder(Encoder):
         for text in sorted(vectors):
             entry = vectors[text]
             if isinstance(entry, dict):
+                if not {"i", "v"} <= entry.keys():
+                    raise InvalidParams(f'sparse oracle entry for {text!r} needs "i" and "v"')
                 raw = np.zeros(dim, dtype=np.float64)
                 raw[np.asarray(entry["i"], dtype=np.intp)] = np.asarray(entry["v"], dtype=np.float64)
             else:
@@ -384,6 +487,8 @@ class OracleEncoder(Encoder):
     @classmethod
     def from_table(cls, spec: dict) -> "OracleEncoder":
         """Build from a {"dim": D, "vectors": {...}} table with dense or sparse entries."""
+        if not isinstance(spec, dict) or not {"dim", "vectors"} <= spec.keys():
+            raise InvalidParams('an oracle table is an object with "dim" and "vectors"')
         return cls(int(spec["dim"]), spec["vectors"])
 
     @classmethod
@@ -486,9 +591,5 @@ def encoder_from_spec(spec: str) -> Encoder:
             raise InvalidParams("oracle encoder needs a fixture path: oracle:<file>")
         return OracleEncoder.from_file(path)
     if spec == "remote":
-        try:
-            config = ServiceConfig.from_env("HELP_EMBED")
-        except KeyError as exc:
-            raise InvalidParams(str(exc)) from exc
-        return RemoteEncoder(config)
+        return RemoteEncoder(ServiceConfig.from_env("HELP_EMBED"))
     raise InvalidParams(f"unknown encoder spec {spec!r} (use hash | oracle:<file> | remote)")

@@ -6,23 +6,33 @@ grows each path by one adjacent triplet per hop, and keeps the k paths with
 smallest Euclidean distance to the query after every hop. Because all
 embeddings are unit vectors, cosine ranking and Euclidean-distance ranking
 agree, so seed scoring and pruning use one consistent order.
+
+A hop's new candidates are held as arrays until prune has screened them:
+rows of ascending catalog ids, grown and deduplicated with numpy, and their
+serializations in one UTF-8 buffer that the hash encoder reads as it is.
+:class:`Candidates` builds a :class:`HyperNode` only when one is indexed,
+which prune does for the pool its screen keeps. The order of a hop's
+candidates (fresh ones by ascending id tuple, then carried ones) changes no
+output: prune ranks by a total order, and each encoder row, screen value and
+exact distance depends on its own text or row alone.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from itertools import chain
 
 import numpy as np
 
 from .encoding import (
-    TRIPLET_JOIN,
     Encoder,
+    TextBatch,
     encode_rows,
     row_norms,
     screen_pool,
     serialize_hypernode,
+    serialize_rows,
     smallest_k,
     unit_rows,
 )
@@ -114,78 +124,181 @@ def select_seeds(graph: KnowledgeGraph, query_vector: np.ndarray, n: int) -> lis
     return seeds
 
 
-def expand_candidates(graph: KnowledgeGraph, beam: list[HyperNode]) -> list[HyperNode]:
+_KEY_LIMIT = 2**63 - 1
+
+
+def _lex_keys(columns: list[np.ndarray], radices: list[int]) -> np.ndarray:
+    """int64 keys that order rows as the tuples ``(columns[0][i], columns[1][i], ...)`` do.
+
+    Column j holds int64 values in ``[0, radices[j])``, and the key appends
+    them as mixed-radix digits. When the next digit would overflow int64,
+    the keys so far are first replaced by their dense ranks, which keep
+    their order and are below the row count.
+    """
+    keys, bound = columns[0], radices[0]  # every key is below the bound
+    for column, radix in zip(columns[1:], radices[1:]):
+        if bound * radix > _KEY_LIMIT:
+            distinct, keys = np.unique(keys, return_inverse=True)
+            bound = distinct.shape[0]
+        keys = keys * radix + column
+        bound *= radix
+    return keys
+
+
+def expand_candidates(graph: KnowledgeGraph, beam: Sequence[HyperNode]) -> "Candidates":
     """Grow every beam member by one adjacent triplet.
 
     A member whose entities have no unvisited neighbors is carried forward
     unchanged, so strong short paths survive to the final hop. Candidates
-    are deduplicated by triplet set, so distinct sets that render the same
-    text are all kept, and returned in serialized order; embeddings of new
-    candidates are left unset for :func:`prune`.
+    are deduplicated by triplet set across the hop, carried members
+    included: a set that several members yield takes the form, carried or
+    fresh, that the earliest of them gives it. Distinct sets that render
+    the same text are all kept.
+
+    Returns :class:`Candidates`: the fresh ones in ascending id-tuple order,
+    then the carried members in beam order. Fresh candidates are held as id
+    rows and one buffer of their texts, with no embedding; :func:`prune`
+    embeds them and builds nodes only for those its screen keeps. A carried
+    member that holds no embedding is returned as a fresh candidate.
     """
     if not beam:
         raise InvalidParams("beam must be non-empty")
     index = graph.index
-    texts, ends = index.texts, index.ends
-    seen: dict[tuple[int, ...], HyperNode] = {}
-    for node in beam:
+    ends = index.ends
+    # by row width: each member's beam position, its ids but the one added, its row count and
+    # the added ids. A carried member is one row, its own ids, with its last id as the added one
+    groups: dict[int, tuple[list[int], list[tuple[int, ...]], list[int], list[int]]] = {}
+    carried_at = np.zeros(len(beam), dtype=bool)
+    for position, node in enumerate(beam):
         ids = node.ids_in(index)
         entities = {end for tid in ids for end in ends[tid]}
         fresh = adjacent_triplets(graph, entities).difference(ids)
-        if not fresh:
-            seen.setdefault(ids, node)
-            continue
-        # ids are in catalog order, the order serialize_hypernode renders, so growing a
-        # node at insertion point i splits both its ids and its text there
-        parts = [texts[tid] for tid in ids]
-        cuts = [
-            (
-                ids[:i],
-                ids[i:],
-                "".join([part + TRIPLET_JOIN for part in parts[:i]]),
-                "".join([TRIPLET_JOIN + part for part in parts[i:]]),
-            )
-            for i in range(len(ids) + 1)
-        ]
-        for nxt in fresh:
-            head, tail, before, after = cuts[bisect_left(ids, nxt)]
-            grown = head + (nxt,) + tail
-            if grown not in seen:
-                seen[grown] = HyperNode(grown, before + texts[nxt] + after, index)
-    # sets that render the same text share one vector, so their relative order changes no batch
-    return sorted(seen.values(), key=attrgetter("serialized"))
+        if fresh:
+            positions, parents, counts, added = groups.setdefault(len(ids) + 1, ([], [], [], []))
+            parents.append(ids)
+            counts.append(len(fresh))
+            added.extend(fresh)
+        else:
+            positions, parents, counts, added = groups.setdefault(len(ids), ([], [], [], []))
+            parents.append(ids[:-1])
+            counts.append(1)
+            added.append(ids[-1])
+            # one without an embedding is a fresh candidate, for prune to embed
+            carried_at[position] = node.embedding is not None
+        positions.append(position)
+
+    # every row, padded at the end with -1 to the widest, and the member it came from
+    width = max(groups)
+    blocks, members = [], []
+    for w, (positions, parents, counts, added) in groups.items():
+        block = np.full((len(added), width), -1, dtype=np.int64)
+        parents = np.array(parents, dtype=np.int64).reshape(len(parents), w - 1)
+        block[:, : w - 1] = np.repeat(parents, counts, axis=0)
+        block[:, w - 1] = added
+        block[:, :w].sort(axis=1)
+        blocks.append(block)
+        members.append(np.repeat(positions, counts))
+    rows, members = np.concatenate(blocks), np.concatenate(members)
+
+    # ascending rows, each set first at the earliest member that yields it; a pad becomes
+    # digit 0, so a row sorts before the longer rows it begins
+    radix = index.triplet_rows.shape[0] + 1
+    keys = _lex_keys([*(rows + 1).T, members], [radix] * width + [len(beam)])
+    order = np.argsort(keys)
+    row_keys = keys[order] // len(beam)
+    first = np.ones(order.shape[0], dtype=bool)
+    np.not_equal(row_keys[1:], row_keys[:-1], out=first[1:])
+    kept = order[first]
+    carried = carried_at[members[kept]]
+    fresh_rows = rows[kept[~carried]]
+    texts = serialize_rows(index, fresh_rows)
+
+    def grown(i: int) -> HyperNode:
+        row = fresh_rows[i]
+        return HyperNode(tuple(row[row >= 0].tolist()), texts[i], index)
+
+    return Candidates(texts, grown, [beam[p] for p in np.sort(members[kept[carried]]).tolist()])
+
+
+class Candidates(Sequence[HyperNode]):
+    """One hop's candidates: the fresh ones, then the carried ones.
+
+    The fresh candidates are held by ``texts``, their serializations, and
+    ``fresh``, which builds the node of fresh candidate ``i`` each time it
+    is called; indexing and iterating call it. The carried ones are the
+    nodes themselves, with the embeddings they hold.
+    """
+
+    def __init__(self, texts: TextBatch, fresh: Callable[[int], HyperNode], carried: list[HyperNode]):
+        self.texts = texts
+        self.fresh = fresh
+        self.carried = carried
+
+    @classmethod
+    def of(cls, nodes: Sequence[HyperNode]) -> "Candidates":
+        """``nodes`` as candidates: those without an embedding are fresh, in the given order."""
+        if isinstance(nodes, Candidates):
+            return nodes
+        fresh = [c for c in nodes if c.embedding is None]
+        carried = [c for c in nodes if c.embedding is not None]
+        return cls(TextBatch.of([c.serialized for c in fresh]), fresh.__getitem__, carried)
+
+    def __len__(self) -> int:
+        return len(self.texts) + len(self.carried)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # bounds and negative indices as a list has them
+        n = len(self.texts)
+        return self.fresh(i) if i < n else self.carried[i - n]
+
+    def __iter__(self) -> Iterator[HyperNode]:
+        return chain(map(self.fresh, range(len(self.texts))), self.carried)
+
+    def __radd__(self, other: Sequence[HyperNode]) -> list[HyperNode]:
+        # so that a list plus candidates is a list, as it was when candidates were one
+        return [*other, *self]
+
+
+def _tie_key(node: HyperNode) -> tuple:
+    # catalog ids follow Triplet order, so within one index they order nodes as their sorted
+    # triplets do; a node made by from_triplets has no ids before an index looks them up
+    return (0, node.ids) if node.ids is not None else (1, sorted(node.triplets))
 
 
 def prune(
-    candidates: list[HyperNode], encoder: Encoder, query_vector: np.ndarray, k: int
+    candidates: Sequence[HyperNode], encoder: Encoder, query_vector: np.ndarray, k: int
 ) -> list[HyperNode]:
     """Keep the k candidates nearest the query by Euclidean distance.
 
-    Embeds the serializations of candidates without an embedding in one
-    batch; carried-forward candidates keep the one they hold. The float32
-    rows are screened first (:func:`screen_pool`), and exact float64 unit
-    rows and distances are computed only for the new candidates that can
-    reach the beam, and for the carried ones. Orders ascending by
-    (distance, serialized form, sorted triplets) and returns at most k
-    filled-in nodes.
+    Takes :class:`Candidates` or a plain sequence of nodes, which it turns
+    into candidates. Embeds the fresh candidates' texts in one batch, in
+    candidate order; carried candidates keep the embedding they hold. The
+    float32 rows are screened first (:func:`screen_pool`), and nodes, exact
+    float64 unit rows and distances are made only for the fresh candidates
+    that can reach the beam, and for the carried ones. Orders ascending by
+    (distance, serialized form, catalog ids) and returns at most k
+    filled-in nodes. A node without ids, made by
+    :meth:`HyperNode.from_triplets` and never expanded, is ordered after
+    those with ids by its sorted triplets.
     """
     if not candidates:
         raise InvalidParams("candidate list must be non-empty")
     if k < 1:
         raise InvalidParams("beam width must be >= 1")
-    fresh = [c for c in candidates if c.embedding is None]
-    carried = [c for c in candidates if c.embedding is not None]
-    rows = encode_rows(encoder, [c.serialized for c in fresh])
+    candidates = Candidates.of(candidates)
+    rows = encode_rows(encoder, candidates.texts)
     # carried nodes join the pool unscreened, with the float64 rows they hold. Only
     # the pool is upcast, so the beam's embeddings view a pool-sized matrix
     pool = screen_pool(rows, query_vector, k)
-    picked = [fresh[i] for i in pool.tolist()] + carried
-    units = np.vstack([unit_rows(rows[pool]), *(c.embedding for c in carried)])
+    picked = [candidates.fresh(i) for i in pool.tolist()] + candidates.carried
+    units = np.vstack([unit_rows(rows[pool]), *(c.embedding for c in candidates.carried)])
     dists = row_norms(units, query_vector)
     return [
         replace(picked[j], embedding=units[j], query_distance=float(dists[j]))
-        # distinct triplet sets may render one text; their sorted triplets still differ
-        for j in smallest_k(dists, k, lambda j: (picked[j].serialized, sorted(picked[j].triplets)))
+        # distinct triplet sets may render one text; their ids still differ
+        for j in smallest_k(dists, k, lambda j: (picked[j].serialized, _tie_key(picked[j])))
     ]
 
 

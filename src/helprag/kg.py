@@ -27,6 +27,10 @@ if TYPE_CHECKING:
     from .ingestion import EmbeddingStore
 
 
+# separates the triplets of a set in its serialization, each rendered by Triplet.as_text
+TRIPLET_JOIN = "; "
+
+
 @dataclass(frozen=True, order=True)
 class Triplet:
     """One canonical fact; compares and sorts by (head, relation, tail)."""
@@ -119,6 +123,18 @@ class TripleToPassageIndex:
         """Each triplet's "head relation tail" text by id, as :meth:`Triplet.as_text` renders it."""
         names, rows = self.names, self.triplet_rows
         return Memo(lambda tid: " ".join([names[i] for i in rows[tid].tolist()]))
+
+    @cached_property
+    def text_bytes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(data, starts, spans)``: the UTF-8 bytes serializations are gathered from.
+
+        Entry i < ``len(names)`` is name i followed by one space, the field
+        separator of :meth:`Triplet.as_text`; the last entry is
+        :data:`TRIPLET_JOIN`. Entry i is ``data[starts[i] : starts[i] + spans[i]]``.
+        """
+        encoded = [name.encode("utf-8") + b" " for name in self.names] + [TRIPLET_JOIN.encode("utf-8")]
+        spans = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+        return np.frombuffer(b"".join(encoded), dtype=np.uint8), np.cumsum(spans) - spans, spans
 
     @cached_property
     def ends(self) -> "Memo[int, tuple[int, int]]":

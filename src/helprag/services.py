@@ -45,10 +45,13 @@ class ServiceConfig:
 
     @classmethod
     def from_env(cls, prefix: str) -> "ServiceConfig":
-        """Read <PREFIX>_URL / <PREFIX>_MODEL / <PREFIX>_KEY from the environment."""
+        """Read <PREFIX>_URL / <PREFIX>_MODEL / <PREFIX>_KEY from the environment.
+
+        Raises InvalidParams when <PREFIX>_URL is unset or empty.
+        """
         url = os.environ.get(f"{prefix}_URL", "")
         if not url:
-            raise KeyError(f"{prefix}_URL is not set")
+            raise InvalidParams(f"missing configuration: {prefix}_URL is not set")
         return cls(
             url=url,
             model=os.environ.get(f"{prefix}_MODEL", ""),

@@ -54,6 +54,25 @@ def scan_adjacent(catalog, entities) -> set[Triplet]:
     return {t for t in catalog if t.head in wanted or t.tail in wanted}
 
 
+def enumerate_candidates(graph: KnowledgeGraph, beam) -> dict[frozenset[Triplet], object]:
+    """One hop's candidates, node by node: each triplet set, mapped to the beam member it is.
+
+    A member with no unvisited neighbour is carried as itself when it holds an
+    embedding; every other set maps to None. A set reached twice keeps what
+    the earliest member gave it.
+    """
+    catalog = list(graph.index.catalog)
+    seen: dict[frozenset[Triplet], object] = {}
+    for node in beam:
+        entities = {t.head for t in node.triplets} | {t.tail for t in node.triplets}
+        fresh = scan_adjacent(catalog, entities) - node.triplets
+        if not fresh:
+            seen.setdefault(node.triplets, node if node.embedding is not None else None)
+        for extra in fresh:
+            seen.setdefault(node.triplets | {extra}, None)
+    return seen
+
+
 def brute_force_expansion(
     graph: KnowledgeGraph, encoder, query: str, hops: int, seeds: int, beam: int
 ) -> list[frozenset[Triplet]]:

@@ -97,6 +97,22 @@ class TestIndex:
         assert code == 2
         assert "HELP_EMBED_URL" in capsys.readouterr().err
 
+    def test_extract_without_llm_env_exit_2(self, corpus_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("HELP_LLM_URL", raising=False)
+        out = tmp_path / "idx"
+        assert main(["index", "--corpus", str(corpus_file), "--out", str(out), "--extract"]) == 2
+        err = capsys.readouterr().err
+        assert "HELP_LLM_URL is not set" in err and "'" not in err
+        assert not out.exists()
+
+    def test_internal_key_error_is_not_reported_as_configuration(self, corpus_file, tmp_path, monkeypatch):
+        def broken(*args):
+            raise KeyError("internal")
+
+        monkeypatch.setattr("helprag.cli.build_and_embed", broken)
+        with pytest.raises(KeyError):
+            main(["index", "--corpus", str(corpus_file), "--out", str(tmp_path / "idx")])
+
     def test_unextracted_corpus_without_extract_flag(self, tmp_path, capsys):
         path = tmp_path / "raw.jsonl"
         path.write_text('{"id":"p1","text":"no triples yet"}\n')

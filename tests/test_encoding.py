@@ -18,6 +18,7 @@ from helprag.encoding import (
     HASH_CHUNK_TEXTS,
     HashEncoder,
     OracleEncoder,
+    TextBatch,
     _fnv1a_gram_hashes,
     _signed_cells,
     encode,
@@ -186,7 +187,8 @@ class TestHashEncoder:
 
     def test_fnv1a_reference_values(self):
         # published FNV-1a 64 test vectors
-        rows, hashes = _fnv1a_gram_hashes([b"a", b"abc"])
+        batch = TextBatch.of(["a", "abc"])
+        rows, hashes = _fnv1a_gram_hashes(batch.data, batch.offsets)
         assert rows.tolist() == [0, 1]
         assert int(hashes[0]) == 0xAF63DC4C8601EC8C
         assert int(hashes[1]) == 0xE71FA2190541574B
@@ -221,6 +223,14 @@ class TestOracleEncoder:
         enc = OracleEncoder(2, {"known": [1.0, 0.0]})
         with pytest.raises(EncoderFailure):
             encode(enc, ["unknown"])
+
+    @pytest.mark.parametrize(
+        "table",
+        [{"vectors": {}}, {"dim": 2}, [], {"dim": 2, "vectors": {"t": {"i": [0]}}}],
+    )
+    def test_malformed_table_rejected(self, table):
+        with pytest.raises(InvalidParams):
+            OracleEncoder.from_table(table)
 
     def test_zero_vector_rejected_at_construction(self):
         with pytest.raises(ZeroVector):
@@ -347,3 +357,37 @@ def test_hash_zero_vector_names_the_first_such_text():
             oracles.hash_encode_text(text, 256)
     with pytest.raises(ZeroVector, match=repr(CANCEL_AT_256[0])):
         HashEncoder().encode_batch(["a long enough text", *CANCEL_AT_256, "x"])
+
+
+class TestTextBatch:
+    TEXTS = ["a", "é r 日本", "", "🙂; x", "é r 日本"]
+
+    def test_reads_as_the_texts(self):
+        batch = TextBatch.of(self.TEXTS)
+        assert TextBatch.of(batch) is batch
+        assert len(batch) == len(self.TEXTS)
+        assert list(batch) == self.TEXTS
+        assert [batch[i] for i in range(-len(self.TEXTS), len(self.TEXTS))] == self.TEXTS * 2
+        assert batch[1:4] == self.TEXTS[1:4] and batch[::-2] == self.TEXTS[::-2]
+        assert batch.lengths.tolist() == [len(t.encode("utf-8")) for t in self.TEXTS]
+        with pytest.raises(IndexError):
+            batch[len(self.TEXTS)]
+
+    def test_membership_compares_bytes(self):
+        batch = TextBatch.of(self.TEXTS)
+        assert all(text in batch for text in self.TEXTS)
+        assert "é r 日" not in batch and "b" not in batch and None not in batch
+        assert "" not in TextBatch.of(["a", "bc"])
+
+    def test_encode_rows_rejects_an_empty_text_without_decoding(self, hash_encoder):
+        batch = TextBatch.of(["a text", ""])
+        with mock.patch.object(TextBatch, "__getitem__", side_effect=AssertionError("decoded")), \
+                mock.patch.object(TextBatch, "__iter__", side_effect=AssertionError("decoded")):
+            with pytest.raises(ValueError, match="non-empty"):
+                encoding.encode_rows(hash_encoder, batch)
+
+    def test_every_backend_reads_a_batch(self, hash_encoder):
+        texts = ["a r b", "é r 日本"]
+        oracle = OracleEncoder(3, {"a r b": [1.0, 0, 0], "é r 日本": [0, 1.0, 2.0]})
+        for encoder in (hash_encoder, oracle):
+            assert encode(encoder, TextBatch.of(texts)).tobytes() == encode(encoder, texts).tobytes()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from conftest import (
     ten_k_triplet_records,
 )
 import helprag.expansion
-from helprag.encoding import Encoder, encode, row_norms, serialize_hypernode, smallest_k
-from helprag.errors import EmptyGraph, InvalidParams
+from helprag import encoding
+from helprag.encoding import HashEncoder, Encoder, encode, row_norms, serialize_hypernode, smallest_k
+from helprag.errors import EmptyGraph, InvalidParams, ZeroVector
 from helprag.expansion import (
     ExpansionConfig,
     HyperNode,
+    _lex_keys,
     expand_candidates,
     prune,
     run_expansion,
@@ -32,7 +35,7 @@ from helprag.expansion import (
 from helprag.ingestion import CorpusRecord, build_and_embed, load_index, save_index
 from helprag.kg import Triplet, canonicalize_triplet
 from helprag.localization import dense_rank, retrieve_result, score_passages
-from oracles import brute_force_expansion, sort_rank
+from oracles import brute_force_expansion, enumerate_candidates, hash_encode_text, sort_rank
 
 
 def beam_sets(beam: list[HyperNode]) -> list[frozenset]:
@@ -146,7 +149,10 @@ class TestIdCandidates:
         for _ in range(3):
             candidates = expand_candidates(graph, beam)
             assert len({c.ids for c in candidates}) == len(candidates)
-            assert [c.serialized for c in candidates] == sorted(c.serialized for c in candidates)
+            # the fresh candidates in ascending id-tuple order, then the carried ones
+            fresh = sum(c.embedding is None for c in candidates)
+            assert all(c.embedding is None for c in candidates[:fresh])
+            assert [c.ids for c in candidates[:fresh]] == sorted(c.ids for c in candidates[:fresh])
             for c in candidates:
                 assert c.serialized == serialize_hypernode(c.triplets)
                 assert [index.triplet(i) for i in c.ids] == sorted(c.triplets)
@@ -187,16 +193,149 @@ class TestIdCandidates:
         result = retrieve_result(graph, hash_encoder, question, ExpansionConfig(hops=3))
         monkeypatch.undo()
 
-        # prune orders its tie pool, the candidates at or below the k-th distance, by triplets
-        vq = encode(hash_encoder, [question])[0]
+        # prune breaks ties by catalog ids, so its tie pools build no triplets
         allowed = {t for node in result.hypernodes for t in node.triplets}
-        for candidates, k in pruned:
-            dists = row_norms(encode(hash_encoder, [c.serialized for c in candidates]), vq)
-            kth = np.partition(dists, k - 1)[k - 1] if k < len(candidates) else np.inf
-            allowed |= {t for c, d in zip(candidates, dists) if d <= kth for t in c.triplets}
         allowed |= {t for p in result.passages for t in p.supporting_triplets}
         assert len(pruned) == 2 and sum(len(c) for c, _ in pruned) > 10 * len(allowed)
         assert 0 < built <= len(allowed)
+
+
+# names with multi-byte UTF-8 and with the join's ";" in them
+ODD_NAMES = ["é", "日本", "🙂 x", "a;b", "c; d", "ß"]
+
+
+def odd_corpus(rng: random.Random) -> list[CorpusRecord]:
+    """A random graph over plain and odd names, a closed pair and a lonely triplet.
+
+    The pair's two triplets touch only each other, so a path holding both is
+    carried, and a path holding one grows into the same set.
+    """
+    names = [f"e{i}" for i in range(rng.randint(2, 8))] + ODD_NAMES
+    relations = ["r", "ü;", "日"]
+    records = [
+        CorpusRecord(
+            f"q{p:03d}",
+            f"passage {p}",
+            tuple(
+                (rng.choice(names), rng.choice(relations), rng.choice(names))
+                for _ in range(rng.randint(0, 4))
+            ),
+        )
+        for p in range(rng.randint(1, 20))
+    ]
+    return records + [passage("closed", ("u", "r", "v"), ("v", "r", "w")), passage("lonely", ("x", "r", "y"))]
+
+
+def mixed_beam(rng: random.Random, graph, encoder, vq) -> list[HyperNode]:
+    """Beam members of mixed lengths: seeds, carried pairs and from_triplets nodes."""
+    catalog = list(graph.index.catalog)
+    seeds = select_seeds(graph, vq, len(catalog))
+    pair = frozenset(t for t in catalog if t.head in ("u", "v"))
+    beam = []
+    for _ in range(rng.randint(1, 8)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            beam.append(rng.choice(seeds))
+        elif kind == 1:
+            held = frozenset(rng.sample(catalog, rng.randint(1, min(3, len(catalog)))))
+            beam.append(HyperNode.from_triplets(held))
+        elif kind == 2:  # the closed pair, carried with the embedding prune would give it
+            embedding = encode(encoder, [serialize_hypernode(pair)])[0]
+            beam.append(HyperNode.from_triplets(pair, embedding, 0.5))
+        else:  # one of the pair, which grows into the carried set
+            beam.append(HyperNode.from_triplets(frozenset([min(pair)])))
+    return beam
+
+
+def check_candidates(graph, beam, candidates) -> None:
+    """Candidates equal the node-by-node enumeration, in the order and form the contract gives."""
+    index = graph.index
+    expected = enumerate_candidates(graph, beam)
+    found = {c.triplets: next((b for b in beam if b is c), None) for c in candidates}
+    assert len(found) == len(candidates)
+    assert found.keys() == expected.keys()
+    assert all(found[key] is expected[key] for key in expected)
+    fresh = len(candidates.texts)
+    assert all(found[c.triplets] is None and c.embedding is None for c in candidates[:fresh])
+    # fresh ids ascending and unique, then the carried members in beam order
+    ids = [c.ids for c in candidates[:fresh]]
+    assert all(a < b for a, b in zip(ids, ids[1:]))
+    positions = [next(i for i, b in enumerate(beam) if b is c) for c in candidates[fresh:]]
+    assert positions == sorted(positions)
+    assert list(candidates.texts) == [c.serialized for c in candidates[:fresh]]
+    for c in candidates[:fresh]:
+        assert c.serialized == serialize_hypernode(c.triplets)
+        assert [index.triplet(i) for i in c.ids] == sorted(c.triplets)
+
+
+class TestArrayCandidates:
+    """A hop's candidates built as id rows and one text buffer equal the node-by-node enumeration."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "colliding", "odd"]))
+    @settings(max_examples=40, deadline=None)
+    def test_hops_equal_the_node_by_node_enumeration(self, hash_encoder, seed, corpus):
+        rng = random.Random(seed)
+        records = {
+            "random": lambda: random_corpus(rng, n_passages=rng.randint(1, 25), entity_pool=rng.randint(4, 20)),
+            "colliding": colliding_corpus,
+            "odd": lambda: odd_corpus(rng),
+        }[corpus]()
+        graph = build_and_embed(records, hash_encoder)
+        if not graph.index.catalog:
+            return
+        vq = encode(hash_encoder, [rng.choice(["q links a", "日本 r é", f"probe {seed}"])])[0]
+        if corpus == "odd":
+            beam = mixed_beam(rng, graph, hash_encoder, vq)
+        else:
+            beam = select_seeds(graph, vq, rng.randint(1, 5))
+        for _ in range(3):
+            candidates = expand_candidates(graph, beam)
+            check_candidates(graph, beam, candidates)
+            beam = prune(candidates, hash_encoder, vq, rng.randint(1, 10))
+
+    @pytest.mark.parametrize("first_pair", [True, False])
+    def test_carried_set_keeps_the_earliest_members_form(self, hash_encoder, first_pair):
+        graph = build_and_embed(odd_corpus(random.Random(1)), hash_encoder)
+        pair = frozenset(t for t in graph.index.catalog if t.head in ("u", "v"))
+        carried = HyperNode.from_triplets(pair, encode(hash_encoder, [serialize_hypernode(pair)])[0], 0.5)
+        single = HyperNode.from_triplets(frozenset([min(pair)]))
+        beam = [carried, single] if first_pair else [single, carried]
+        candidates = expand_candidates(graph, beam)
+        # the pair is carried when it comes first, and grown from the single otherwise
+        assert [c is carried for c in candidates] == [first_pair]
+        assert [c.triplets for c in candidates] == [pair]
+        check_candidates(graph, beam, candidates)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([7, 256, 1024]), st.integers(1, 5))
+    @settings(max_examples=25, deadline=None)
+    def test_hash_rows_of_the_buffer_equal_the_reference(self, hash_encoder, seed, dim, chunk):
+        rng = random.Random(seed)
+        graph = build_and_embed(odd_corpus(rng), hash_encoder)
+        vq = encode(hash_encoder, ["日本 r é"])[0]
+        texts = expand_candidates(graph, mixed_beam(rng, graph, hash_encoder, vq)).texts
+        # a chunk of 1-5 texts makes most batches span several chunks
+        with mock.patch.object(encoding, "HASH_CHUNK_TEXTS", chunk):
+            try:
+                expected = np.array([hash_encode_text(t, dim) for t in texts], dtype=np.float32)
+            except ZeroVector:
+                with pytest.raises(ZeroVector):
+                    HashEncoder(dim).encode_batch(texts)
+            else:
+                assert HashEncoder(dim).encode_batch(texts).tobytes() == expected.tobytes()
+
+    @given(
+        st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), min_size=1, max_size=30),
+        st.sampled_from([4, 2**20, 2**40]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lex_keys_order_rows_as_tuples(self, digits, scale):
+        # values spread over a radix large enough that the keys overflow and re-rank
+        rows = [tuple(d * (scale // 4) for d in row) for row in digits]
+        keys = _lex_keys([np.array(column) for column in zip(*rows)], [scale] * 3)
+        for i in range(len(rows)):
+            for j in range(len(rows)):
+                assert (keys[i] < keys[j]) == (rows[i] < rows[j])
+                assert (keys[i] == keys[j]) == (rows[i] == rows[j])
 
 
 class TestPrune:

@@ -9,7 +9,7 @@ import pytest
 
 from helprag import services
 from helprag.cli import main
-from helprag.encoding import RemoteEncoder, encode
+from helprag.encoding import RemoteEncoder, TextBatch, encode
 from helprag.errors import EncoderFailure, EncoderMismatch, InvalidParams, ServiceReplyError
 from helprag.evaluation import gen_synthetic
 from helprag.ingestion import load_index
@@ -74,6 +74,16 @@ class TestRemoteEncoder:
         assert sorted(len(r["body"]["input"]) for r in stub.requests) == [2, 2, 64, 64]
         assert rows.shape == (130, 8)
         assert np.array_equal(rows[[7, 129]], alone)
+
+    def test_text_batch_sent_as_its_texts(self):
+        texts = [f"text {i} é" for i in range(130)]
+        with StubService(embeddings_handler) as stub:
+            rows = encode(RemoteEncoder(config_for(stub)), TextBatch.of(texts))
+            sent = [r["body"]["input"] for r in stub.requests]
+            from_list = encode(RemoteEncoder(config_for(stub)), texts)
+        assert sorted(len(chunk) for chunk in sent) == [2, 64, 64]
+        assert sorted(text for chunk in sent for text in chunk) == sorted(texts)
+        assert rows.tobytes() == from_list.tobytes()
 
     def test_dropped_chunk_retried_rows_unchanged(self):
         dropped = []
