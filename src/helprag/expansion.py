@@ -31,7 +31,6 @@ from .encoding import (
     encode_rows,
     row_norms,
     screen_pool,
-    serialize_hypernode,
     serialize_rows,
     smallest_k,
     unit_rows,
@@ -44,29 +43,19 @@ from .kg import KnowledgeGraph, TripleToPassageIndex, Triplet, adjacent_triplets
 class HyperNode:
     """A reasoning path: triplet set plus cached embedding and query distance.
 
-    Nodes the engine builds hold ``ids``, the ascending catalog ids of their
-    triplets in the index they were grown on; :attr:`triplets` builds the
-    :class:`Triplet` objects the first time it is read. Nodes made by
-    :meth:`from_triplets` hold the triplets and look their ids up in the
-    first index that needs them. ``embedding`` and ``query_distance`` are
-    None on freshly expanded candidates and are filled in by :func:`prune`.
+    ``ids`` are the ascending catalog ids of the node's triplets in the
+    index it was grown on, ``_index``; :attr:`triplets` builds the
+    :class:`Triplet` objects the first time it is read. ``embedding`` and
+    ``query_distance`` are None on freshly expanded candidates and are
+    filled in by :func:`prune`.
     """
 
-    ids: tuple[int, ...] | None
+    ids: tuple[int, ...]
     serialized: str
-    _index: TripleToPassageIndex | None = field(default=None, repr=False)
+    _index: TripleToPassageIndex = field(repr=False)
     embedding: np.ndarray | None = None
     query_distance: float | None = None
     _triplets: frozenset[Triplet] | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_triplets(
-        cls,
-        triplets: frozenset[Triplet],
-        embedding: np.ndarray | None = None,
-        query_distance: float | None = None,
-    ) -> "HyperNode":
-        return cls(None, serialize_hypernode(triplets), None, embedding, query_distance, frozenset(triplets))
 
     @property
     def triplets(self) -> frozenset[Triplet]:
@@ -75,15 +64,9 @@ class HyperNode:
         return self._triplets
 
     def ids_in(self, index: TripleToPassageIndex) -> tuple[int, ...]:
-        """The ascending catalog ids of the node's triplets in ``index``.
-
-        Raises InvalidParams when the index lacks one of them.
-        """
+        """The node's ids; raises InvalidParams when it was grown on another index."""
         if self._index is not index:
-            ids = [index.triplet_id(t) for t in self.triplets]
-            if None in ids:
-                raise InvalidParams(f"hypernode {self.serialized!r} holds a triplet the graph lacks")
-            self.ids, self._index = tuple(sorted(ids)), index
+            raise InvalidParams(f"hypernode {self.serialized!r} was grown on another graph")
         return self.ids
 
 
@@ -153,7 +136,8 @@ def expand_candidates(graph: KnowledgeGraph, beam: Sequence[HyperNode]) -> "Cand
     are deduplicated by triplet set across the hop, carried members
     included: a set that several members yield takes the form, carried or
     fresh, that the earliest of them gives it. Distinct sets that render
-    the same text are all kept.
+    the same text are all kept. A member grown on another graph's index
+    raises InvalidParams (:meth:`HyperNode.ids_in`).
 
     Returns :class:`Candidates`: the fresh ones in ascending id-tuple order,
     then the carried members in beam order. Fresh candidates are held as id
@@ -256,16 +240,6 @@ class Candidates(Sequence[HyperNode]):
     def __iter__(self) -> Iterator[HyperNode]:
         return chain(map(self.fresh, range(len(self.texts))), self.carried)
 
-    def __radd__(self, other: Sequence[HyperNode]) -> list[HyperNode]:
-        # so that a list plus candidates is a list, as it was when candidates were one
-        return [*other, *self]
-
-
-def _tie_key(node: HyperNode) -> tuple:
-    # catalog ids follow Triplet order, so within one index they order nodes as their sorted
-    # triplets do; a node made by from_triplets has no ids before an index looks them up
-    return (0, node.ids) if node.ids is not None else (1, sorted(node.triplets))
-
 
 def prune(
     candidates: Sequence[HyperNode], encoder: Encoder, query_vector: np.ndarray, k: int
@@ -279,9 +253,7 @@ def prune(
     float64 unit rows and distances are made only for the fresh candidates
     that can reach the beam, and for the carried ones. Orders ascending by
     (distance, serialized form, catalog ids) and returns at most k
-    filled-in nodes. A node without ids, made by
-    :meth:`HyperNode.from_triplets` and never expanded, is ordered after
-    those with ids by its sorted triplets.
+    filled-in nodes.
     """
     if not candidates:
         raise InvalidParams("candidate list must be non-empty")
@@ -297,8 +269,9 @@ def prune(
     dists = row_norms(units, query_vector)
     return [
         replace(picked[j], embedding=units[j], query_distance=float(dists[j]))
-        # distinct triplet sets may render one text; their ids still differ
-        for j in smallest_k(dists, k, lambda j: (picked[j].serialized, _tie_key(picked[j])))
+        # distinct triplet sets may render one text; their ids still differ, and catalog ids
+        # follow Triplet order, so they order nodes as their sorted triplets do
+        for j in smallest_k(dists, k, lambda j: (picked[j].serialized, picked[j].ids))
     ]
 
 

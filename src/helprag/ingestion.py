@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .encoding import Encoder, encode_rows, unit_rows
+from .encoding import Encoder, encode_rows, serialize_rows, unit_rows
 from .errors import (
     CorruptFile,
     DuplicateId,
@@ -251,10 +251,9 @@ def build_and_embed(records: list[CorpusRecord], encoder: Encoder) -> KnowledgeG
             ) from exc
         passage_rows = np.empty((0, dim), dtype=np.float32)
     if index.triplet_rows.shape[0]:
-        names = index.names
-        # Triplet.as_text, which is serialize_hypernode of the singleton
-        triplet_texts = [" ".join(map(names.__getitem__, row)) for row in index.triplet_rows.tolist()]
-        triplet_rows = encode_rows(encoder, triplet_texts)
+        # each singleton's serialization, rendered as expansion renders its candidates
+        singletons = np.arange(index.triplet_rows.shape[0])[:, None]
+        triplet_rows = encode_rows(encoder, serialize_rows(index, singletons))
     else:
         triplet_rows = np.empty((0, passage_rows.shape[1]), dtype=np.float32)
     store = EmbeddingStore(passage_rows, triplet_rows, encoder.encoder_id)

@@ -16,8 +16,7 @@ import bisect
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, ItemsView, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -84,9 +83,8 @@ class TripleToPassageIndex:
 
     Triplet ids are catalog positions and passage indices are positions in
     the sorted ``passage_ids``. The provenance weight of every triplet of
-    passage p is exactly 1/|unique triplets of p|; :meth:`provenance`
-    derives it as a Fraction so the weight law can be checked with exact
-    rational comparison. Adjacency is undirected: a triplet is listed under
+    passage p is 1/|unique triplets of p|, held as the count in
+    ``passage_counts``. Adjacency is undirected: a triplet is listed under
     both its head and its tail entity.
     """
 
@@ -100,9 +98,8 @@ class TripleToPassageIndex:
     provenance_passages: np.ndarray
     adjacency_offsets: np.ndarray  # (len(names)+1,) CSR: name id -> ascending triplet ids
     adjacency_triplets: np.ndarray
-    # built on access and kept: a triplet's object and its id
+    # built on access and kept: each triplet's object by id
     _triplets: dict[int, Triplet] = field(default_factory=dict, init=False, repr=False)
-    _ids: dict[Triplet, int] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def catalog(self) -> "Catalog":
@@ -115,7 +112,6 @@ class TripleToPassageIndex:
             head, relation, tail = self.triplet_rows[tid].tolist()
             names = self.names
             found = self._triplets.setdefault(tid, Triplet(names[head], names[relation], names[tail]))
-            self._ids[found] = tid
         return found
 
     @cached_property
@@ -147,36 +143,9 @@ class TripleToPassageIndex:
         """The ids of the triplets whose head or tail is a name, by name id; none for a relation."""
         return Memo(lambda name_id: frozenset(self._neighbour_ids(name_id).tolist()))
 
-    def triplet_id(self, triplet: Triplet) -> int | None:
-        """The catalog position of a triplet, or None when the graph lacks it."""
-        tid = self._ids.get(triplet)
-        if tid is not None:
-            return tid
-        ids = [_lookup(self.names, name) for name in (triplet.head, triplet.relation, triplet.tail)]
-        if None in ids:
-            return None
-        # the triplet, if present, is among its head's neighbours
-        candidates = self._neighbour_ids(ids[0])
-        match = candidates[(self.triplet_rows[candidates] == ids).all(axis=1)]
-        if not match.size:
-            return None
-        tid = int(match[0])
-        self.triplet(tid)
-        return tid
-
     def _neighbour_ids(self, name_id: int) -> np.ndarray:
         lo, hi = self.adjacency_offsets[name_id : name_id + 2].tolist()
         return self.adjacency_triplets[lo:hi]
-
-    def provenance(self, triplet: Triplet) -> ItemsView[str, Fraction]:
-        """Read-only (passage id, weight) pairs of a triplet, by passage id; empty if unknown."""
-        tid = self.triplet_id(triplet)
-        if tid is None:
-            return {}.items()
-        lo, hi = self.provenance_offsets[tid : tid + 2].tolist()
-        passages = self.provenance_passages[lo:hi]
-        counts = self.passage_counts[passages].tolist()
-        return {self.passage_ids[p]: Fraction(1, n) for p, n in zip(passages.tolist(), counts)}.items()
 
     def passage_triplet_ids(self, p: int) -> list[int]:
         lo, hi = self.passage_offsets[p : p + 2].tolist()

@@ -66,7 +66,8 @@ def score_passages(graph: KnowledgeGraph, final_beam: list[HyperNode]) -> list[S
     exp(-query_distance) * weight; triplets repeated across hypernodes
     contribute each time, so consensus across paths raises the score.
     Returns only positively scored passages, sorted by descending score
-    with passage-id tie-break.
+    with passage-id tie-break. A node without a query distance, or grown on
+    another graph's index, raises InvalidParams.
     """
     index = graph.index
     tids: list[int] = []
@@ -85,7 +86,7 @@ def score_passages(graph: KnowledgeGraph, final_beam: list[HyperNode]) -> list[S
     sizes = index.provenance_offsets[entry_tids + 1] - lo
     first = np.cumsum(sizes) - sizes
     passages = index.provenance_passages[np.arange(first[-1] + sizes[-1]) + np.repeat(lo - first, sizes)]
-    # 1.0 / count is float(Fraction(1, count)): both are correctly rounded
+    # the weight 1/|unique triplets|, correctly rounded
     terms = np.repeat(soft, sizes) * (1.0 / index.passage_counts[passages])
     # keyed by passage index and triplet id, whose orders are passage-id and Triplet order
     scores: dict[int, float] = {}

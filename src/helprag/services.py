@@ -73,9 +73,10 @@ def _send(
 
 
 def _retry_after_s(headers: http.client.HTTPMessage) -> float:
-    """A Retry-After header given in whole seconds, else 0 (absent or an HTTP date)."""
+    """A Retry-After header given in whole seconds, else 0 (absent, an HTTP date or malformed)."""
     value = headers.get("Retry-After", "").strip()
-    return float(value) if value.isdigit() else 0.0
+    # str.isdigit() also accepts non-ASCII digits such as "²", which float() rejects
+    return float(value) if value.isascii() and value.isdigit() else 0.0
 
 
 def post_json(config: ServiceConfig, payload: dict) -> dict:

@@ -2,16 +2,29 @@
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
+import os
 import random
+import sys
+from fractions import Fraction
+
+# One OpenBLAS thread for the session, set before numpy loads. With two threads on a
+# 2-vCPU host, a process can see every threaded gemv stall for whole scheduler ticks
+# (~8 ms instead of ~0.5 ms), which swamps the timed hop sweep of the latency test.
+# The variable is read only when OpenBLAS loads, so it takes effect only if numpy
+# was not imported before this file; the latency test checks this flag.
+BLAS_THREADS_PINNED = "numpy" not in sys.modules
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 import pytest
 
 from helprag.encoding import Encoder, HashEncoder, OracleEncoder, serialize_hypernode
+from helprag.expansion import HyperNode
 from helprag.ingestion import CorpusRecord
-from helprag.kg import KnowledgeGraph, canonicalize_triplet
+from helprag.kg import KnowledgeGraph, Triplet, canonicalize_triplet
 
 
 @pytest.fixture(scope="session")
@@ -141,3 +154,39 @@ def graph_differences(a: KnowledgeGraph, b: KnowledgeGraph) -> list[str]:
 
 def serialized(*triples: tuple[str, str, str]) -> str:
     return serialize_hypernode([canonicalize_triplet(*t) for t in triples])
+
+
+def hypernode(
+    graph: KnowledgeGraph,
+    triplets,
+    embedding: np.ndarray | None = None,
+    query_distance: float | None = None,
+) -> HyperNode:
+    """The node of a set of the graph's triplets, as the engine would grow it.
+
+    Each triplet's id is its position in ``graph.index.catalog``, the sorted
+    contract view that ``tests/oracles.py`` reads.
+    """
+    catalog = graph.index.catalog
+    ids = []
+    for triplet in triplets:
+        i = bisect.bisect_left(catalog, triplet)
+        assert i < len(catalog) and catalog[i] == triplet, f"{triplet} is not in the graph"
+        ids.append(i)
+    return HyperNode(tuple(sorted(ids)), serialize_hypernode(triplets), graph.index, embedding, query_distance)
+
+
+def csr_weights(graph: KnowledgeGraph) -> dict[Triplet, dict[str, Fraction]]:
+    """Each catalog triplet's provenance, read from the index's CSR arrays.
+
+    Maps passage id to weight 1/count, where count is the passage's entry in
+    ``passage_counts``, as an exact Fraction, so tests can check the weight
+    law with rational comparison.
+    """
+    index = graph.index
+    weights = {}
+    for tid, triplet in enumerate(index.catalog):
+        lo, hi = index.provenance_offsets[tid : tid + 2].tolist()
+        passages = index.provenance_passages[lo:hi].tolist()
+        weights[triplet] = {index.passage_ids[p]: Fraction(1, int(index.passage_counts[p])) for p in passages}
+    return weights

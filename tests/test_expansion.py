@@ -14,6 +14,7 @@ from conftest import (
     RecordingEncoder,
     colliding_corpus,
     directional_oracle,
+    hypernode,
     passage,
     random_corpus,
     serialized,
@@ -89,7 +90,7 @@ class TestSelectSeeds:
 class TestExpandCandidates:
     def test_chain_grows_by_one(self, hash_encoder):
         graph = build_and_embed([passage("p1", ("a", "r1", "b"), ("b", "r2", "c"))], hash_encoder)
-        seed = HyperNode.from_triplets(frozenset({canonicalize_triplet("a", "r1", "b")}))
+        seed = hypernode(graph, {canonicalize_triplet("a", "r1", "b")})
         candidates = expand_candidates(graph, [seed])
         assert beam_sets(candidates) == [
             frozenset({canonicalize_triplet("a", "r1", "b"), canonicalize_triplet("b", "r2", "c")})
@@ -100,7 +101,7 @@ class TestExpandCandidates:
         graph = build_and_embed(
             [passage("p1", ("a", "r", "b")), passage("p2", ("x", "r", "y"))], hash_encoder
         )
-        lonely = HyperNode.from_triplets(frozenset({canonicalize_triplet("x", "r", "y")}))
+        lonely = hypernode(graph, {canonicalize_triplet("x", "r", "y")})
         candidates = expand_candidates(graph, [lonely])
         assert beam_sets(candidates) == [lonely.triplets]
 
@@ -110,13 +111,13 @@ class TestExpandCandidates:
         graph = build_and_embed([passage("p1", ("a", "r", "b"), ("b", "r", "c"))], hash_encoder)
         candidates = expand_candidates(
             graph,
-            [HyperNode.from_triplets(frozenset({t1})), HyperNode.from_triplets(frozenset({t2}))],
+            [hypernode(graph, {t1}), hypernode(graph, {t2})],
         )
         assert beam_sets(candidates) == [frozenset({t1, t2})]
 
     def test_sets_rendering_one_text_are_both_kept(self, hash_encoder):
         graph = build_and_embed(colliding_corpus(), hash_encoder)
-        seed = HyperNode.from_triplets(frozenset({canonicalize_triplet("q", "links", "a")}))
+        seed = hypernode(graph, {canonicalize_triplet("q", "links", "a")})
         candidates = expand_candidates(graph, [seed])
         assert {c.serialized for c in candidates} == {"a b c d; q links a"}
         assert set(beam_sets(candidates)) == {
@@ -158,16 +159,20 @@ class TestIdCandidates:
                 assert [index.triplet(i) for i in c.ids] == sorted(c.triplets)
             beam = prune(candidates, hash_encoder, vq, rng.randint(1, 10))
 
-    def test_triplet_the_graph_lacks_rejected(self, hash_encoder):
-        graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
-        stranger = HyperNode.from_triplets(
-            frozenset({canonicalize_triplet("a", "r", "b"), canonicalize_triplet("b", "r", "z")}),
-            query_distance=0.5,
-        )
-        with pytest.raises(InvalidParams):
+    def test_node_grown_on_another_graph_rejected(self, hash_encoder):
+        # a second graph from the same records holds equal triplets under equal ids
+        records = [passage("p1", ("a", "r", "b"), ("b", "r", "c"))]
+        graph, twin = build_and_embed(records, hash_encoder), build_and_embed(records, hash_encoder)
+        vq = encode(hash_encoder, ["a r b"])[0]
+        stranger = select_seeds(twin, vq, 1)[0]
+        assert stranger.ids == select_seeds(graph, vq, 1)[0].ids
+        with pytest.raises(InvalidParams, match="another graph"):
             expand_candidates(graph, [stranger])
-        with pytest.raises(InvalidParams):
+        with pytest.raises(InvalidParams, match="another graph"):
             score_passages(graph, [stranger])
+        # a member from the graph itself does not excuse one from the twin
+        with pytest.raises(InvalidParams, match="another graph"):
+            expand_candidates(graph, [select_seeds(graph, vq, 1)[0], stranger])
 
     def test_triplets_built_only_for_pools_beam_and_support(self, hash_encoder, tmp_path, monkeypatch):
         save_index(tmp_path, build_and_embed(ten_k_triplet_records(random.Random(0x10C)), hash_encoder))
@@ -227,7 +232,7 @@ def odd_corpus(rng: random.Random) -> list[CorpusRecord]:
 
 
 def mixed_beam(rng: random.Random, graph, encoder, vq) -> list[HyperNode]:
-    """Beam members of mixed lengths: seeds, carried pairs and from_triplets nodes."""
+    """Beam members of mixed lengths: seeds, carried pairs and nodes of random triplet sets."""
     catalog = list(graph.index.catalog)
     seeds = select_seeds(graph, vq, len(catalog))
     pair = frozenset(t for t in catalog if t.head in ("u", "v"))
@@ -238,12 +243,12 @@ def mixed_beam(rng: random.Random, graph, encoder, vq) -> list[HyperNode]:
             beam.append(rng.choice(seeds))
         elif kind == 1:
             held = frozenset(rng.sample(catalog, rng.randint(1, min(3, len(catalog)))))
-            beam.append(HyperNode.from_triplets(held))
+            beam.append(hypernode(graph, held))
         elif kind == 2:  # the closed pair, carried with the embedding prune would give it
             embedding = encode(encoder, [serialize_hypernode(pair)])[0]
-            beam.append(HyperNode.from_triplets(pair, embedding, 0.5))
+            beam.append(hypernode(graph, pair, embedding, 0.5))
         else:  # one of the pair, which grows into the carried set
-            beam.append(HyperNode.from_triplets(frozenset([min(pair)])))
+            beam.append(hypernode(graph, [min(pair)]))
     return beam
 
 
@@ -297,8 +302,8 @@ class TestArrayCandidates:
     def test_carried_set_keeps_the_earliest_members_form(self, hash_encoder, first_pair):
         graph = build_and_embed(odd_corpus(random.Random(1)), hash_encoder)
         pair = frozenset(t for t in graph.index.catalog if t.head in ("u", "v"))
-        carried = HyperNode.from_triplets(pair, encode(hash_encoder, [serialize_hypernode(pair)])[0], 0.5)
-        single = HyperNode.from_triplets(frozenset([min(pair)]))
+        carried = hypernode(graph, pair, encode(hash_encoder, [serialize_hypernode(pair)])[0], 0.5)
+        single = hypernode(graph, [min(pair)])
         beam = [carried, single] if first_pair else [single, carried]
         candidates = expand_candidates(graph, beam)
         # the pair is carried when it comes first, and grown from the single otherwise
@@ -339,52 +344,51 @@ class TestArrayCandidates:
 
 
 class TestPrune:
-    def _candidates(self):
+    """Prune's order; nodes come from a hash-embedded graph, distances from an oracle."""
+
+    def _candidates(self, hash_encoder):
         texts = {
             serialized(("n1", "r", "m1")): 0.98,  # dist ~0.2
             serialized(("n2", "r", "m2")): 0.595,  # dist ~0.9
             serialized(("n3", "r", "m3")): 0.875,  # dist ~0.5
         }
         enc = directional_oracle("q", texts)
-        nodes = [
-            HyperNode.from_triplets(frozenset({canonicalize_triplet(f"n{i}", "r", f"m{i}")}))
-            for i in (1, 2, 3)
-        ]
+        graph = build_and_embed([passage(f"p{i}", (f"n{i}", "r", f"m{i}")) for i in (1, 2, 3)], hash_encoder)
+        nodes = [hypernode(graph, {canonicalize_triplet(f"n{i}", "r", f"m{i}")}) for i in (1, 2, 3)]
         return enc, nodes
 
-    def test_keeps_k_smallest_distances(self):
-        enc, nodes = self._candidates()
+    def test_keeps_k_smallest_distances(self, hash_encoder):
+        enc, nodes = self._candidates(hash_encoder)
         vq = encode(enc, ["q"])[0]
         kept = prune(nodes, enc, vq, k=2)
         assert [n.serialized for n in kept] == ["n1 r m1", "n3 r m3"]
         assert kept[0].query_distance < kept[1].query_distance
         assert kept[0].embedding is not None
 
-    def test_k_exceeding_candidates_returns_all_sorted(self):
-        enc, nodes = self._candidates()
+    def test_k_exceeding_candidates_returns_all_sorted(self, hash_encoder):
+        enc, nodes = self._candidates(hash_encoder)
         vq = encode(enc, ["q"])[0]
         kept = prune(nodes, enc, vq, k=10)
         assert [n.serialized for n in kept] == ["n1 r m1", "n3 r m3", "n2 r m2"]
 
-    def test_equal_distance_breaks_by_serialization(self):
+    def test_equal_distance_breaks_by_serialization(self, hash_encoder):
         enc = directional_oracle("q", {"a r b": 0.5, "c r d": 0.5})
         vq = encode(enc, ["q"])[0]
+        graph = build_and_embed([passage("p1", ("c", "r", "d")), passage("p2", ("a", "r", "b"))], hash_encoder)
         nodes = [
-            HyperNode.from_triplets(frozenset({canonicalize_triplet("c", "r", "d")})),
-            HyperNode.from_triplets(frozenset({canonicalize_triplet("a", "r", "b")})),
+            hypernode(graph, {canonicalize_triplet("c", "r", "d")}),
+            hypernode(graph, {canonicalize_triplet("a", "r", "b")}),
         ]
         kept = prune(nodes, enc, vq, k=2)
         assert [n.serialized for n in kept] == ["a r b", "c r d"]
 
-    def test_equal_text_breaks_by_sorted_triplets(self):
+    def test_equal_text_breaks_by_sorted_triplets(self, hash_encoder):
         enc = directional_oracle("q", {"a b c d": 0.5})
         vq = encode(enc, ["q"])[0]
+        graph = build_and_embed(colliding_corpus(), hash_encoder)
         spaced_relation = canonicalize_triplet("a", "b c", "d")
         spaced_tail = canonicalize_triplet("a", "b", "c d")
-        nodes = [
-            HyperNode.from_triplets(frozenset({spaced_relation})),
-            HyperNode.from_triplets(frozenset({spaced_tail})),
-        ]
+        nodes = [hypernode(graph, {spaced_relation}), hypernode(graph, {spaced_tail})]
         for order in (nodes, nodes[::-1]):
             kept = prune(order, enc, vq, k=1)
             assert beam_sets(kept) == [frozenset({spaced_tail})]  # relation "b" < "b c"
@@ -423,7 +427,7 @@ class TestTiesAtTheKth:
         seeds = select_seeds(graph, vq, k)
         assert [s.serialized for s in seeds] == sort_rank(texts, rows @ vq)[:k]
 
-        candidates = [HyperNode.from_triplets(frozenset([t])) for t in catalog]
+        candidates = [hypernode(graph, [t]) for t in catalog]
         kept = prune(candidates, enc, vq, k)
         assert [c.serialized for c in kept] == sort_rank(texts, -np.linalg.norm(rows - vq, axis=1))[:k]
 
@@ -435,11 +439,11 @@ class TestTiesAtTheKth:
     def test_carried_candidates_are_not_reencoded(self):
         graph, enc, vq = tied_graph([0.9, 0.6, 0.6, 0.3])
         carried = select_seeds(graph, vq, 1)
-        fresh = [HyperNode.from_triplets(frozenset([t])) for t in graph.index.catalog[1:]]
+        fresh = [hypernode(graph, [t]) for t in graph.index.catalog[1:]]
         recorder = RecordingEncoder(enc)
         kept = prune(carried + fresh, recorder, vq, 3)
         assert recorder.texts == [c.serialized for c in fresh]
-        reencoded = prune([HyperNode.from_triplets(carried[0].triplets)] + fresh, enc, vq, 3)
+        reencoded = prune([hypernode(graph, carried[0].triplets)] + fresh, enc, vq, 3)
         assert [(n.serialized, n.query_distance) for n in kept] == [
             (n.serialized, n.query_distance) for n in reencoded
         ]
@@ -524,7 +528,7 @@ class TestScreenedPrune:
         # carried nodes hold the float64 rows seed selection gave them
         seeds = select_seeds(graph, vq, len(catalog))[:carried]
         held = {s.serialized for s in seeds}
-        fresh = [HyperNode.from_triplets(frozenset([t])) for t in catalog if t.as_text() not in held]
+        fresh = [hypernode(graph, [t]) for t in catalog if t.as_text() not in held]
         candidates = sorted(seeds + fresh, key=lambda c: c.serialized)
         assert kept_bits(prune(candidates, enc, vq, k)) == unscreened_prune(candidates, enc, vq, k)
 

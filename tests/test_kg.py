@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_differences, passage, random_corpus
+from conftest import csr_weights, graph_differences, passage, random_corpus
 from helprag.errors import DuplicatePassageId, EmptyField
 from helprag.ingestion import build_and_embed
 from helprag.kg import Triplet, adjacent_triplets, canonicalize_triplet
@@ -59,17 +59,16 @@ class TestBuildIndex:
     def test_four_triplets_quarter_weight(self, hash_encoder):
         p = passage("p1", ("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d"), ("d", "r", "e"))
         graph = build_and_embed([p], hash_encoder)
+        weights = csr_weights(graph)
         for t in graph.passages["p1"].triplets:
-            assert graph.index.provenance(t) == frozenset({("p1", Fraction(1, 4))})
+            assert weights[t] == {"p1": Fraction(1, 4)}
 
     def test_shared_triplet_gets_per_passage_weights(self, hash_encoder):
         shared = ("x", "r", "y")
         p1 = passage("p1", shared, ("a", "r", "b"))
         p2 = passage("p2", shared, ("c", "r", "d"), ("d", "r", "e"), ("e", "r", "f"), ("f", "r", "g"))
         graph = build_and_embed([p1, p2], hash_encoder)
-        assert graph.index.provenance(canonicalize_triplet(*shared)) == frozenset(
-            {("p1", Fraction(1, 2)), ("p2", Fraction(1, 5))}
-        )
+        assert csr_weights(graph)[canonicalize_triplet(*shared)] == {"p1": Fraction(1, 2), "p2": Fraction(1, 5)}
 
     def test_empty_triplet_list_contributes_nothing(self, hash_encoder):
         graph = build_and_embed(
@@ -88,17 +87,17 @@ class TestBuildIndex:
         p = passage("p1", ("a", "r", "b"), ("a", "r", "b"), ("b", "r", "c"))
         graph = build_and_embed([p], hash_encoder)
         t = canonicalize_triplet("a", "r", "b")
-        assert graph.index.provenance(t) == frozenset({("p1", Fraction(1, 2))})
+        assert csr_weights(graph)[t] == {"p1": Fraction(1, 2)}
 
     def test_singleton_passage_weight_is_one(self, hash_encoder):
         graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
-        assert graph.index.provenance(canonicalize_triplet("a", "r", "b")) == frozenset(
-            {("p1", Fraction(1, 1))}
-        )
+        assert csr_weights(graph)[canonicalize_triplet("a", "r", "b")] == {"p1": Fraction(1, 1)}
 
     def test_unknown_triplet_empty_provenance(self, hash_encoder):
         graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
-        assert graph.index.provenance(canonicalize_triplet("x", "r", "y")) == frozenset()
+        # provenance is held for catalog triplets only
+        assert canonicalize_triplet("x", "r", "y") not in csr_weights(graph)
+        assert list(csr_weights(graph)) == [canonicalize_triplet("a", "r", "b")]
 
 
 class TestAdjacency:
@@ -140,8 +139,8 @@ class TestProperties:
         graph = build_and_embed(random_corpus(rng, n_passages=20), hash_encoder)
         per_passage_weights: dict[str, set[Fraction]] = {}
         per_passage_sum: dict[str, Fraction] = {}
-        for t in graph.index.catalog:
-            for pid, w in graph.index.provenance(t):
+        for t, provenance in csr_weights(graph).items():
+            for pid, w in provenance.items():
                 per_passage_weights.setdefault(pid, set()).add(w)
                 per_passage_sum[pid] = per_passage_sum.get(pid, Fraction(0)) + w
         for pid, weights in per_passage_weights.items():

@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import passage, random_corpus
+from conftest import hypernode, passage, random_corpus
 from helprag.encoding import OracleEncoder, encode
 from helprag.errors import EncoderMismatch, InvalidParams
 from helprag.expansion import ExpansionConfig, HyperNode
@@ -28,16 +28,14 @@ from helprag.localization import (
 from oracles import brute_force_scores, sort_rank
 
 
-def node_with_distance(dist: float, *triples) -> HyperNode:
-    return HyperNode.from_triplets(
-        frozenset(canonicalize_triplet(*t) for t in triples), query_distance=dist
-    )
+def node_with_distance(graph, dist: float, *triples) -> HyperNode:
+    return hypernode(graph, {canonicalize_triplet(*t) for t in triples}, query_distance=dist)
 
 
 class TestScorePassages:
     def test_single_hypernode_zero_distance(self, hash_encoder):
         graph = build_and_embed([passage("p1", ("a", "r", "b"), ("c", "r", "d"))], hash_encoder)
-        scored = score_passages(graph, [node_with_distance(0.0, ("a", "r", "b"))])
+        scored = score_passages(graph, [node_with_distance(graph, 0.0, ("a", "r", "b"))])
         assert len(scored) == 1
         assert scored[0].id == "p1"
         assert scored[0].score == pytest.approx(0.5, abs=1e-12)
@@ -47,8 +45,8 @@ class TestScorePassages:
     def test_second_hypernode_adds_soft_matched_weight(self, hash_encoder):
         graph = build_and_embed([passage("p1", ("a", "r", "b"), ("c", "r", "d"))], hash_encoder)
         beam = [
-            node_with_distance(0.0, ("a", "r", "b")),
-            node_with_distance(1.0, ("a", "r", "b")),
+            node_with_distance(graph, 0.0, ("a", "r", "b")),
+            node_with_distance(graph, 1.0, ("a", "r", "b")),
         ]
         scored = score_passages(graph, beam)
         assert scored[0].score == pytest.approx(0.5 + math.exp(-1) * 0.5, abs=1e-9)
@@ -64,12 +62,7 @@ class TestScorePassages:
             beam = []
             for _ in range(rng.randint(1, 10)):
                 size = rng.randint(1, min(3, len(catalog)))
-                beam.append(
-                    HyperNode.from_triplets(
-                        frozenset(rng.sample(catalog, size)),
-                        query_distance=rng.uniform(0.0, 2.0),
-                    )
-                )
+                beam.append(hypernode(graph, rng.sample(catalog, size), query_distance=rng.uniform(0.0, 2.0)))
             mine = {p.id: p.score for p in score_passages(graph, beam)}
             reference = brute_force_scores(graph, beam)
             assert mine.keys() == reference.keys()
@@ -89,7 +82,8 @@ class TestScorePassages:
                 continue
             anchor = rng.choice(anchors)
             beam = [
-                HyperNode.from_triplets(
+                hypernode(
+                    graph,
                     frozenset([rng.choice(anchor.triplets)] + rng.sample(catalog, rng.randint(0, 2))),
                     query_distance=rng.uniform(0.0, 2.0),
                 )
@@ -102,7 +96,7 @@ class TestScorePassages:
 
     def test_missing_distance_rejected(self, hash_encoder):
         graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
-        bare = HyperNode.from_triplets(frozenset({canonicalize_triplet("a", "r", "b")}))
+        bare = hypernode(graph, {canonicalize_triplet("a", "r", "b")})
         with pytest.raises(InvalidParams):
             score_passages(graph, [bare])
 
@@ -110,7 +104,7 @@ class TestScorePassages:
         graph = build_and_embed(
             [passage("p1", ("a", "r", "b")), passage("p2", ("x", "r", "y"))], hash_encoder
         )
-        scored = score_passages(graph, [node_with_distance(0.0, ("a", "r", "b"))])
+        scored = score_passages(graph, [node_with_distance(graph, 0.0, ("a", "r", "b"))])
         assert [p.id for p in scored] == ["p1"]
 
     def test_additivity_removing_hypernode_never_raises_scores(self, hash_encoder):
@@ -118,10 +112,7 @@ class TestScorePassages:
         graph = build_and_embed(random_corpus(rng, n_passages=12), hash_encoder)
         catalog = list(graph.index.catalog)
         beam = [
-            HyperNode.from_triplets(
-                frozenset(rng.sample(catalog, rng.randint(1, 3))),
-                query_distance=rng.uniform(0, 2),
-            )
+            hypernode(graph, rng.sample(catalog, rng.randint(1, 3)), query_distance=rng.uniform(0, 2))
             for _ in range(5)
         ]
         full = {p.id: p.score for p in score_passages(graph, beam)}
@@ -136,7 +127,7 @@ class TestScorePassages:
         graph = build_and_embed(
             [passage("p1", shared, extra), passage("p2", shared, ("w", "r", "z"))], hash_encoder
         )
-        beam = [node_with_distance(0.3, shared), node_with_distance(0.7, extra)]
+        beam = [node_with_distance(graph, 0.3, shared), node_with_distance(graph, 0.7, extra)]
         scored = {p.id: p.score for p in score_passages(graph, beam)}
         assert scored["p1"] > scored["p2"]
 

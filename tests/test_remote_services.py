@@ -236,6 +236,18 @@ class TestPostJson:
         assert len(stub.requests) == 2
         assert slept == [2.0]  # Retry-After exceeds the 0.5 s backoff
 
+    def test_non_ascii_digit_retry_after_is_ignored(self, monkeypatch):
+        # "²".isdigit() is true, yet float("²") raises ValueError
+        monkeypatch.setattr(services, "BACKOFF_BASE_S", 0.5)
+        slept: list[float] = []
+        monkeypatch.setattr(services.time, "sleep", slept.append)
+        replies = iter([(429, {"error": "slow down"}, {"Retry-After": "²"}), (200, {"ok": True})])
+        with StubService(lambda b, h: next(replies)) as stub:
+            reply = post_json(ServiceConfig(url=stub.url, model="m", timeout_s=5), {"x": 1})
+        assert reply == {"ok": True}
+        assert len(stub.requests) == 2
+        assert slept == [0.5]  # the backoff, as with no Retry-After
+
     def test_retry_after_capped_at_timeout(self, monkeypatch):
         monkeypatch.setattr(services, "BACKOFF_BASE_S", 0.5)
         slept: list[float] = []

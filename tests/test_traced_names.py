@@ -17,7 +17,7 @@ import random
 import sys
 from pathlib import Path
 
-from conftest import RecordingEncoder, passage, random_corpus
+from conftest import RecordingEncoder, hypernode, passage, random_corpus
 import helprag.expansion
 from helprag.encoding import encode, encode_rows, screen_pool
 from helprag.expansion import ExpansionConfig, HyperNode, expand_candidates, prune, select_seeds
@@ -71,8 +71,7 @@ def test_hypernode_exposes_the_pinned_fields(hash_encoder):
     vq = encode(hash_encoder, ["probe"])[0]
     seeds = select_seeds(graph, vq, 1)
     candidates = expand_candidates(graph, seeds)
-    nodes = seeds + candidates + prune(candidates, hash_encoder, vq, 1)
-    nodes.append(HyperNode.from_triplets(seeds[0].triplets))
+    nodes = [*seeds, *candidates, *prune(candidates, hash_encoder, vq, 1), hypernode(graph, seeds[0].triplets)]
     for node in nodes:
         assert [name for name in PINNED_FIELDS if not hasattr(node, name)] == []
 
