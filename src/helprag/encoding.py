@@ -458,20 +458,23 @@ class OracleEncoder(Encoder):
     """
 
     def __init__(self, dim: int, vectors: Mapping[str, Sequence[float] | np.ndarray | dict]):
-        if dim < 1:
-            raise InvalidParams("oracle dimension must be >= 1")
+        # a JSON table may hold any value here; bool is an int, and 2.5 must not become 2
+        if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
+            raise InvalidParams(f"oracle dimension must be an integer >= 1, got {dim!r}")
+        if not isinstance(vectors, Mapping):
+            raise InvalidParams(f"oracle vectors must map texts to vectors, got {type(vectors).__name__}")
         self._dim = dim
         self._rows: dict[str, np.ndarray] = {}
         digest = hashlib.sha256()
         for text in sorted(vectors):
             entry = vectors[text]
-            if isinstance(entry, dict):
-                if not {"i", "v"} <= entry.keys():
-                    raise InvalidParams(f'sparse oracle entry for {text!r} needs "i" and "v"')
-                raw = np.zeros(dim, dtype=np.float64)
-                raw[np.asarray(entry["i"], dtype=np.intp)] = np.asarray(entry["v"], dtype=np.float64)
-            else:
-                raw = np.asarray(entry, dtype=np.float64)
+            try:
+                if isinstance(entry, dict):
+                    raw = self._densify(text, entry)
+                else:
+                    raw = np.asarray(entry, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise InvalidParams(f"oracle entry for {text!r} holds a value that is not a number") from exc
             if raw.shape != (dim,):
                 raise InvalidParams(f"oracle entry for {text!r} has shape {raw.shape}")
             norm = np.linalg.norm(raw)
@@ -484,12 +487,28 @@ class OracleEncoder(Encoder):
             digest.update(text.encode("utf-8") + b"\x00" + self._rows[text].tobytes())
         self._table_hash = digest.hexdigest()[:16]
 
+    def _densify(self, text: str, entry: dict) -> np.ndarray:
+        """The dense row of a sparse entry: lists of indices and values, each index an int in [0, dim) once."""
+        if not {"i", "v"} <= entry.keys():
+            raise InvalidParams(f'sparse oracle entry for {text!r} needs "i" and "v"')
+        indices, values = entry["i"], entry["v"]
+        # checked in Python: on a few items each, numpy calls would cost more than the checks
+        if not isinstance(indices, list) or not isinstance(values, list) or len(indices) != len(values):
+            raise InvalidParams(f"sparse oracle entry for {text!r} needs a list of values, one per index")
+        if any(type(i) is not int or not 0 <= i < self._dim for i in indices):
+            raise InvalidParams(f"sparse oracle entry for {text!r} needs int indices in [0, {self._dim})")
+        if len(set(indices)) != len(indices):
+            raise InvalidParams(f"sparse oracle entry for {text!r} repeats an index")
+        raw = np.zeros(self._dim, dtype=np.float64)
+        raw[np.asarray(indices, dtype=np.intp)] = np.asarray(values, dtype=np.float64)
+        return raw
+
     @classmethod
     def from_table(cls, spec: dict) -> "OracleEncoder":
         """Build from a {"dim": D, "vectors": {...}} table with dense or sparse entries."""
         if not isinstance(spec, dict) or not {"dim", "vectors"} <= spec.keys():
             raise InvalidParams('an oracle table is an object with "dim" and "vectors"')
-        return cls(int(spec["dim"]), spec["vectors"])
+        return cls(spec["dim"], spec["vectors"])
 
     @classmethod
     def from_file(cls, path: str | Path) -> "OracleEncoder":
@@ -570,11 +589,13 @@ class RemoteEncoder(Encoder):
         else:
             with ThreadPoolExecutor(max_workers=REMOTE_IN_FLIGHT) as pool:
                 raw_chunks = list(pool.map(self._request_chunk, chunks))
+        # every chunk at the dimension learned so far, or at the first chunk's; a failed batch learns none
+        dim = raw_chunks[0].shape[1] if self._dim is None else self._dim
+        for chunk in raw_chunks:
+            if chunk.shape[1] != dim:
+                raise EncoderFailure(f"remote replied dim {chunk.shape[1]}, expected {dim}")
+        self._dim = dim
         raw = np.concatenate(raw_chunks, axis=0)
-        if self._dim is None:
-            self._dim = raw.shape[1]
-        if raw.shape[1] != self._dim:
-            raise EncoderFailure(f"remote replied dim {raw.shape[1]}, expected {self._dim}")
         norms = np.linalg.norm(raw, axis=1, keepdims=True)
         if np.any(norms == 0.0):
             raise ZeroVector("remote service returned a zero embedding")

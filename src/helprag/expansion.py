@@ -36,7 +36,7 @@ from .encoding import (
     unit_rows,
 )
 from .errors import EmptyGraph, InvalidParams
-from .kg import KnowledgeGraph, TripleToPassageIndex, Triplet, adjacent_triplets
+from .kg import KnowledgeGraph, TripleToPassageIndex, Triplet, adjacent_triplets, distinct
 
 
 @dataclass(eq=False, slots=True)
@@ -99,12 +99,10 @@ def select_seeds(graph: KnowledgeGraph, query_vector: np.ndarray, n: int) -> lis
     rows = graph.embeddings.triplet_units()
     scores = rows @ query_vector
 
-    seeds = []
-    for i in smallest_k(-scores, n, index.texts.__getitem__):
-        emb = rows[i]
-        distance = float(np.linalg.norm(emb - query_vector))
-        seeds.append(HyperNode((i,), index.texts[i], index, emb, distance))
-    return seeds
+    return [
+        HyperNode((i,), index.text(i), index, rows[i], float(np.linalg.norm(rows[i] - query_vector)))
+        for i in smallest_k(-scores, n, index.text)
+    ]
 
 
 _KEY_LIMIT = 2**63 - 1
@@ -139,8 +137,11 @@ def expand_candidates(graph: KnowledgeGraph, beam: Sequence[HyperNode]) -> "Cand
     the same text are all kept. A member grown on another graph's index
     raises InvalidParams (:meth:`HyperNode.ids_in`).
 
-    Returns :class:`Candidates`: the fresh ones in ascending id-tuple order,
-    then the carried members in beam order. Fresh candidates are held as id
+    The beam grows in one pass over the index arrays: one
+    :func:`adjacent_triplets` call gathers every member's neighbours, and
+    one padded matrix holds every grown and carried id row. Returns
+    :class:`Candidates`: the fresh ones in ascending id-tuple order, then
+    the carried members in beam order. Fresh candidates are held as id
     rows and one buffer of their texts, with no embedding; :func:`prune`
     embeds them and builds nodes only for those its screen keeps. A carried
     member that holds no embedding is returned as a fresh candidate.
@@ -148,46 +149,37 @@ def expand_candidates(graph: KnowledgeGraph, beam: Sequence[HyperNode]) -> "Cand
     if not beam:
         raise InvalidParams("beam must be non-empty")
     index = graph.index
-    ends = index.ends
-    # by row width: each member's beam position, its ids but the one added, its row count and
-    # the added ids. A carried member is one row, its own ids, with its last id as the added one
-    groups: dict[int, tuple[list[int], list[tuple[int, ...]], list[int], list[int]]] = {}
-    carried_at = np.zeros(len(beam), dtype=bool)
-    for position, node in enumerate(beam):
-        ids = node.ids_in(index)
-        entities = {end for tid in ids for end in ends[tid]}
-        fresh = adjacent_triplets(graph, entities).difference(ids)
-        if fresh:
-            positions, parents, counts, added = groups.setdefault(len(ids) + 1, ([], [], [], []))
-            parents.append(ids)
-            counts.append(len(fresh))
-            added.extend(fresh)
-        else:
-            positions, parents, counts, added = groups.setdefault(len(ids), ([], [], [], []))
-            parents.append(ids[:-1])
-            counts.append(1)
-            added.append(ids[-1])
-            # one without an embedding is a fresh candidate, for prune to embed
-            carried_at[position] = node.embedding is not None
-        positions.append(position)
+    n_triplets = index.triplet_rows.shape[0]
+    ids = [node.ids_in(index) for node in beam]
+    widths = np.fromiter(map(len, ids), dtype=np.int64, count=len(beam))
+    flat = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=int(widths.sum()))
+    owner = np.repeat(np.arange(len(beam)), widths)
+    # the triplets touching each held triplet's head and tail: ends 2k and 2k + 1 are flat[k]'s
+    at, touching = adjacent_triplets(graph, index.triplet_rows[flat][:, ::2].ravel())
+    # each member's distinct neighbours, keyed member * n_triplets + id. A triplet is listed
+    # under its own head, so each id a member holds is among them; the rest are fresh
+    neighbours = distinct(owner[at // 2] * n_triplets + touching)
+    fresh = np.ones(neighbours.shape[0], dtype=bool)
+    fresh[np.searchsorted(neighbours, owner * n_triplets + flat)] = False
+    member, added = np.divmod(neighbours[fresh], n_triplets)
+    counts = np.bincount(member, minlength=len(beam))
+    carried_at = (counts == 0) & np.array([node.embedding is not None for node in beam])
 
-    # every row, padded at the end with -1 to the widest, and the member it came from
-    width = max(groups)
-    blocks, members = [], []
-    for w, (positions, parents, counts, added) in groups.items():
-        block = np.full((len(added), width), -1, dtype=np.int64)
-        parents = np.array(parents, dtype=np.int64).reshape(len(parents), w - 1)
-        block[:, : w - 1] = np.repeat(parents, counts, axis=0)
-        block[:, w - 1] = added
-        block[:, :w].sort(axis=1)
-        blocks.append(block)
-        members.append(np.repeat(positions, counts))
-    rows, members = np.concatenate(blocks), np.concatenate(members)
+    # each member's ids, padded to the hop's widest row with n_triplets, above every id
+    width = int((widths + (counts > 0)).max())
+    padded = np.full((len(beam), width), n_triplets)
+    padded[np.arange(width) < widths[:, None]] = flat
+    # a row per fresh neighbour, its member's ids plus the neighbour, then a member's own ids
+    # for each member with none; sorting moves the pads to the end, where they become -1
+    members = np.concatenate([member, np.flatnonzero(counts == 0)])
+    rows = padded[members]
+    rows[np.arange(member.shape[0]), widths[member]] = added
+    rows.sort(axis=1)
+    rows[rows == n_triplets] = -1
 
     # ascending rows, each set first at the earliest member that yields it; a pad becomes
     # digit 0, so a row sorts before the longer rows it begins
-    radix = index.triplet_rows.shape[0] + 1
-    keys = _lex_keys([*(rows + 1).T, members], [radix] * width + [len(beam)])
+    keys = _lex_keys([*(rows + 1).T, members], [n_triplets + 1] * width + [len(beam)])
     order = np.argsort(keys)
     row_keys = keys[order] // len(beam)
     first = np.ones(order.shape[0], dtype=bool)

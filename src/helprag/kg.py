@@ -2,12 +2,11 @@
 
 Canonical entity and relation names live in one sorted string table, so a
 name's id rises with its string order. A triplet is a row of three name
-ids; the catalog is the sorted set of unique rows, which is the
-(head, relation, tail) order of :class:`Triplet`. Passages, provenance and
-adjacency are integer arrays over those ids. :class:`Triplet` and
-:class:`Passage` objects are built only when a caller reads one. After
-construction the graph is immutable and safe to share across concurrent
-queries.
+ids; the catalog is the sorted set of unique rows, in :class:`Triplet`'s
+(head, relation, tail) order. Passages, provenance and adjacency are
+read-only CSR arrays over those ids, kept in no second form; queries gather
+from them with :func:`csr_gather`. :class:`Triplet` and :class:`Passage`
+objects are built only when read; concurrent queries may share the graph.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import bisect
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -114,11 +113,9 @@ class TripleToPassageIndex:
             found = self._triplets.setdefault(tid, Triplet(names[head], names[relation], names[tail]))
         return found
 
-    @cached_property
-    def texts(self) -> "Memo[int, str]":
-        """Each triplet's "head relation tail" text by id, as :meth:`Triplet.as_text` renders it."""
-        names, rows = self.names, self.triplet_rows
-        return Memo(lambda tid: " ".join([names[i] for i in rows[tid].tolist()]))
+    def text(self, tid: int) -> str:
+        """Triplet ``tid``'s text, as :meth:`Triplet.as_text` renders it."""
+        return " ".join(map(self.names.__getitem__, self.triplet_rows[tid].tolist()))
 
     @cached_property
     def text_bytes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,39 +129,9 @@ class TripleToPassageIndex:
         spans = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
         return np.frombuffer(b"".join(encoded), dtype=np.uint8), np.cumsum(spans) - spans, spans
 
-    @cached_property
-    def ends(self) -> "Memo[int, tuple[int, int]]":
-        """Each triplet's head and tail name ids by id."""
-        rows = self.triplet_rows
-        return Memo(lambda tid: tuple(rows[tid, ::2].tolist()))
-
-    @cached_property
-    def adjacency(self) -> "Memo[int, frozenset[int]]":
-        """The ids of the triplets whose head or tail is a name, by name id; none for a relation."""
-        return Memo(lambda name_id: frozenset(self._neighbour_ids(name_id).tolist()))
-
-    def _neighbour_ids(self, name_id: int) -> np.ndarray:
-        lo, hi = self.adjacency_offsets[name_id : name_id + 2].tolist()
-        return self.adjacency_triplets[lo:hi]
-
     def passage_triplet_ids(self, p: int) -> list[int]:
         lo, hi = self.passage_offsets[p : p + 2].tolist()
         return self.passage_triplets[lo:hi].tolist()
-
-
-class Memo(dict):
-    """A dict whose ``[]`` computes a missing key's value with ``make`` and keeps it.
-
-    The lookup of a kept value runs in C, with no Python call; ``get`` and
-    ``in`` see only the values kept so far.
-    """
-
-    def __init__(self, make: Callable):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        return self.setdefault(key, self.make(key))
 
 
 class Catalog(Sequence[Triplet]):
@@ -233,7 +200,7 @@ def _csr_offsets(groups: np.ndarray, size: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(np.bincount(groups, minlength=size))])
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
+def distinct(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values; ``np.unique``'s hash path is far slower on large int arrays."""
     keys = np.sort(keys)
     first = np.ones(keys.shape[0], dtype=bool)
@@ -266,10 +233,10 @@ def build_index(
 
     owner = np.repeat(np.arange(n_passages), np.diff(offsets))
     # one link per distinct (passage, triplet), ordered by triplet, then passage
-    links = _distinct(inverse * n_passages + owner)
+    links = distinct(inverse * n_passages + owner)
     link_triplet, link_passage = np.divmod(links, n_passages)
     # one entry under the head and one under the tail, a single one when they are equal
-    ends = _distinct(np.concatenate([head * n_triplets + tids, tail * n_triplets + tids]))
+    ends = distinct(np.concatenate([head * n_triplets + tids, tail * n_triplets + tids]))
     end_name, end_triplet = np.divmod(ends, n_triplets)
 
     arrays = (
@@ -287,6 +254,23 @@ def build_index(
     return TripleToPassageIndex(names, passage_ids, *arrays)
 
 
-def adjacent_triplets(graph: KnowledgeGraph, entities: Iterable[int]) -> frozenset[int]:
-    """Ids of the triplets touching any of the given entity name ids (head or tail)."""
-    return frozenset().union(*map(graph.index.adjacency.__getitem__, entities))
+def csr_gather(offsets: np.ndarray, values: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(at, gathered)``: the entries of an int array of keys in a CSR map, key by key.
+
+    Key k holds ``values[offsets[k]:offsets[k+1]]``; ``gathered`` joins the
+    slices of ``keys[0], keys[1], ...``, a repeated key's each time, and
+    ``at[j]`` is the position in ``keys`` of the key of entry j.
+    """
+    lo = offsets[keys]
+    sizes = offsets[keys + 1] - lo
+    at = np.repeat(np.arange(sizes.shape[0]), sizes)
+    # entry j is values[lo[i] + j - first[i]], first[i] being the position of key i's first entry
+    return at, values[np.arange(at.shape[0]) + (lo - np.cumsum(sizes) + sizes)[at]]
+
+
+def adjacent_triplets(graph: KnowledgeGraph, name_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(at, triplet_ids)``: the triplets each name id heads or tails, by :func:`csr_gather`.
+
+    A name's triplets come in ascending id order; a relation's name id has none.
+    """
+    return csr_gather(graph.index.adjacency_offsets, graph.index.adjacency_triplets, name_ids)

@@ -19,7 +19,7 @@ import numpy as np
 from .encoding import Encoder, encode, smallest_k
 from .errors import EncoderMismatch, InvalidParams
 from .expansion import ExpansionConfig, HyperNode, run_expansion
-from .kg import KnowledgeGraph, Triplet
+from .kg import KnowledgeGraph, Triplet, csr_gather
 
 PATH_CHANNEL = "path"
 DENSE_CHANNEL = "dense"
@@ -78,21 +78,16 @@ def score_passages(graph: KnowledgeGraph, final_beam: list[HyperNode]) -> list[S
         ids = node.ids_in(index)
         tids += ids
         soft += [math.exp(-node.query_distance)] * len(ids)
-    if not tids:
-        return []
-    # every provenance entry of every beam triplet, in beam order, gathered from the CSR arrays
-    entry_tids = np.array(tids)
-    lo = index.provenance_offsets[entry_tids]
-    sizes = index.provenance_offsets[entry_tids + 1] - lo
-    first = np.cumsum(sizes) - sizes
-    passages = index.provenance_passages[np.arange(first[-1] + sizes[-1]) + np.repeat(lo - first, sizes)]
+    # every provenance entry of every beam triplet, in beam order
+    entry_tids = np.array(tids, dtype=np.int64)
+    at, passages = csr_gather(index.provenance_offsets, index.provenance_passages, entry_tids)
     # the weight 1/|unique triplets|, correctly rounded
-    terms = np.repeat(soft, sizes) * (1.0 / index.passage_counts[passages])
+    terms = np.array(soft)[at] * (1.0 / index.passage_counts[passages])
     # keyed by passage index and triplet id, whose orders are passage-id and Triplet order
     scores: dict[int, float] = {}
     support: dict[int, set[int]] = {}
     # entries run in beam order, so each passage's sum is repeated addition in beam order
-    for p, term, tid in zip(passages.tolist(), terms.tolist(), np.repeat(entry_tids, sizes).tolist()):
+    for p, term, tid in zip(passages.tolist(), terms.tolist(), entry_tids[at].tolist()):
         scores[p] = scores.get(p, 0.0) + term
         support.setdefault(p, set()).add(tid)
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))

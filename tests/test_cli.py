@@ -88,6 +88,26 @@ class TestIndex:
         assert "'b r c'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            {"dim": 4, "vectors": {"first.": {"i": [4], "v": [1.0]}}},
+            {"dim": None, "vectors": {"first.": [1.0, 0, 0, 0]}},
+            {"dim": 4, "vectors": "ab"},
+        ],
+        ids=["index-at-dim", "null-dim", "string-vectors"],
+    )
+    def test_malformed_oracle_table_exit_2(self, table, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id":"p1","text":"first.","triples":[["a","r","b"]]}\n')
+        vectors = tmp_path / "vectors.json"
+        vectors.write_text(json.dumps(table))
+        out = tmp_path / "idx"
+        code = main(["index", "--corpus", str(corpus), "--out", str(out), "--encoder", f"oracle:{vectors}"])
+        assert code == 2
+        assert "oracle" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_remote_encoder_without_env_exit_2(self, corpus_file, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("HELP_EMBED_URL", raising=False)
         code = main(

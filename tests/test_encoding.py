@@ -226,7 +226,22 @@ class TestOracleEncoder:
 
     @pytest.mark.parametrize(
         "table",
-        [{"vectors": {}}, {"dim": 2}, [], {"dim": 2, "vectors": {"t": {"i": [0]}}}],
+        [
+            {"vectors": {}},
+            {"dim": 2},
+            [],
+            {"dim": 2, "vectors": {"t": {"i": [0]}}},
+            pytest.param({"dim": 2, "vectors": {"t": {"i": [2], "v": [1.0]}}}, id="index-at-dim"),
+            pytest.param({"dim": 2, "vectors": {"t": {"i": [-1], "v": [1.0]}}}, id="negative-index"),
+            pytest.param({"dim": 2, "vectors": {"t": {"i": [0, 1], "v": [1.0]}}}, id="fewer-values"),
+            pytest.param({"dim": 2, "vectors": {"t": {"i": [0, 0], "v": [1.0, 2.0]}}}, id="repeated-index"),
+            pytest.param({"dim": 2, "vectors": {"t": {"i": [0.0], "v": [1.0]}}}, id="float-index"),
+            pytest.param({"dim": None, "vectors": {"t": [1.0, 0.0]}}, id="null-dim"),
+            pytest.param({"dim": 2.5, "vectors": {"t": [1.0, 0.0]}}, id="fractional-dim"),
+            pytest.param({"dim": True, "vectors": {"t": [1.0]}}, id="bool-dim"),
+            pytest.param({"dim": 2, "vectors": "ab"}, id="string-vectors"),
+            pytest.param({"dim": 2, "vectors": {"t": [{}, 1.0]}}, id="object-value"),
+        ],
     )
     def test_malformed_table_rejected(self, table):
         with pytest.raises(InvalidParams):

@@ -4,27 +4,37 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import csr_weights, graph_differences, passage, random_corpus
 from helprag.errors import DuplicatePassageId, EmptyField
 from helprag.ingestion import build_and_embed
-from helprag.kg import Triplet, adjacent_triplets, canonicalize_triplet
+from helprag.kg import Triplet, adjacent_triplets, canonicalize_triplet, csr_gather
 from oracles import scan_adjacent
 
 
-def name_ids(graph, names) -> set[int]:
-    """The name ids of those of the given names that the graph holds."""
+def name_ids(graph, names) -> np.ndarray:
+    """The ascending name ids of those of the given names that the graph holds."""
     table = {name: i for i, name in enumerate(graph.index.names)}
-    return {table[name] for name in names if name in table}
+    return np.array(sorted(table[name] for name in names if name in table), dtype=np.int64)
 
 
 def adjacent(graph, entities) -> set[Triplet]:
-    """``adjacent_triplets`` over the ids of entity names, mapped back to triplets."""
-    return set(map(graph.index.triplet, adjacent_triplets(graph, name_ids(graph, entities))))
+    """``adjacent_triplets`` over the ids of entity names, mapped back to triplets.
+
+    Also checks that each gathered triplet has the name it was gathered for as its head or tail.
+    """
+    keys = name_ids(graph, entities)
+    at, tids = adjacent_triplets(graph, keys)
+    triplets = [graph.index.triplet(tid) for tid in tids.tolist()]
+    names = [graph.index.names[k] for k in keys[at].tolist()]
+    assert all(name in (t.head, t.tail) for name, t in zip(names, triplets))
+    return set(triplets)
 
 
 class TestCanonicalize:
@@ -111,13 +121,14 @@ class TestAdjacency:
 
     def test_empty_entity_set(self, hash_encoder):
         graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
-        assert adjacent_triplets(graph, set()) == frozenset()
+        at, tids = adjacent_triplets(graph, np.array([], dtype=np.int64))
+        assert at.tolist() == tids.tolist() == []
 
     def test_absent_entity(self, hash_encoder):
         graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
-        assert name_ids(graph, {"z"}) == set()
+        assert name_ids(graph, {"z"}).tolist() == []
         # a relation name has an id, but no triplet has it as head or tail
-        assert adjacent_triplets(graph, name_ids(graph, {"r"})) == frozenset()
+        assert adjacent_triplets(graph, name_ids(graph, {"r"}))[1].tolist() == []
 
     def test_matches_linear_scan_on_random_graphs(self, hash_encoder):
         rng = random.Random(20240811)
@@ -164,5 +175,22 @@ class TestProperties:
         rng = random.Random(7)
         graph = build_and_embed(random_corpus(rng, n_passages=40), hash_encoder)
         for tid, t in enumerate(graph.index.catalog):
-            assert tid in adjacent_triplets(graph, name_ids(graph, {t.head}))
-            assert tid in adjacent_triplets(graph, name_ids(graph, {t.tail}))
+            assert tid in adjacent_triplets(graph, name_ids(graph, {t.head}))[1].tolist()
+            assert tid in adjacent_triplets(graph, name_ids(graph, {t.tail}))[1].tolist()
+
+
+# eight keys, each holding up to four values; keys may be empty, repeated or absent from a gather
+CSR_GROUPS = st.lists(st.lists(st.integers(0, 99), max_size=4), min_size=8, max_size=8)
+CSR_KEYS = st.lists(st.integers(0, 7), max_size=12)
+
+
+@given(CSR_GROUPS, CSR_KEYS)
+@example([[1, 2], [], [3], [], [4, 5, 6], [], [], [7]], [])
+@example([[1, 2], [], [3], [], [4, 5, 6], [], [], [7]], [1, 3, 5])
+@example([[1, 2], [], [3], [], [4, 5, 6], [], [], [7]], [4, 0, 4, 1, 4])
+def test_csr_gather_equals_slicing_key_by_key(groups, keys):
+    offsets = np.array([0, *accumulate(map(len, groups))], dtype=np.int32)
+    values = np.array([v for group in groups for v in group], dtype=np.int32)
+    at, gathered = csr_gather(offsets, values, np.array(keys, dtype=np.int64))
+    assert at.tolist() == [i for i, k in enumerate(keys) for _ in range(offsets[k + 1] - offsets[k])]
+    assert gathered.tolist() == [v for k in keys for v in values[offsets[k] : offsets[k + 1]].tolist()]

@@ -44,6 +44,12 @@ def embeddings_handler(body, headers):
     return 200, {"data": data}
 
 
+def mixed_widths_handler(body, headers):
+    """Replies at dim 8 to a full chunk of 64 texts and at dim 6 to a shorter one."""
+    dim = 8 if len(body["input"]) == 64 else 6
+    return 200, {"data": [{"index": i, "embedding": embedding_for(t, dim)} for i, t in enumerate(body["input"])]}
+
+
 class TestRemoteEncoder:
     def test_happy_path_and_wire_shape(self):
         with StubService(embeddings_handler) as stub:
@@ -157,6 +163,15 @@ class TestRemoteEncoder:
             encode(enc, ["first"])
             with pytest.raises(EncoderFailure):
                 encode(enc, ["second"])
+
+    def test_chunks_of_different_widths_rejected(self):
+        with StubService(mixed_widths_handler) as stub:
+            enc = RemoteEncoder(config_for(stub))
+            with pytest.raises(EncoderFailure, match="dim 6, expected 8"):
+                encode(enc, [f"text {i}" for i in range(70)])
+        assert len(stub.requests) == 2
+        with pytest.raises(EncoderFailure, match="unknown"):
+            enc.dim  # a failed batch teaches no dimension
 
     def test_query_dim_differs_from_bundle(self, tmp_path, monkeypatch, capsys):
         # the encoder id names only the model, so the dim drift shows once the query is encoded
@@ -377,6 +392,24 @@ class TestServiceFaultExitCodes:
         assert code == 3
         assert len(stub.requests) == 1
         assert stub.url in capsys.readouterr().err
+        assert not (tmp_path / "idx").exists()
+
+    def test_chunks_of_different_widths_exit_3(self, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "".join(
+                f'{{"id":"p{i:02d}","text":"passage {i}.","triples":[["e{i}","r","e{i + 1}"]]}}\n'
+                for i in range(70)
+            )
+        )
+
+        with StubService(mixed_widths_handler) as stub:
+            monkeypatch.setenv("HELP_EMBED_URL", stub.url)
+            code = main(
+                ["index", "--corpus", str(corpus), "--out", str(tmp_path / "idx"), "--encoder", "remote"]
+            )
+        assert code == 3
+        assert "dim 6, expected 8" in capsys.readouterr().err
         assert not (tmp_path / "idx").exists()
 
     @pytest.mark.parametrize("value", [b"NaN", b"Infinity", b"-Infinity"])

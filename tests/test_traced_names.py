@@ -4,9 +4,10 @@
 wrappers. A rename in the program makes its ``install`` raise, and a wrapped
 name that a query no longer calls leaves a layer metric at zero; these tests
 see both without starting a benchmark run. The tracer also counts carried
-nodes by ``id()``, reads four ``HyperNode`` fields and times the one
-``encode_batch`` call each prune makes, so a change there fails here too
-instead of zeroing a layer metric. The last test guards the memory the final
+nodes by ``id()``, reads four ``HyperNode`` fields, times the one
+``encode_batch`` call each prune makes and counts ``adjacent_triplets``
+calls, one per hop, so a change there fails here too instead of zeroing or
+silently redefining a layer metric. The last test guards the memory the final
 beam keeps alive, which a benchmark would show only as peak RSS.
 """
 
@@ -48,6 +49,26 @@ def test_every_wrapped_name_records_a_span(hash_encoder, monkeypatch):
     assert [getattr(module, attr) for module, attr, _ in spans.WRAPPED] == originals
     recorded = {span.name for span in tracer.spans}
     assert sorted(name for _, _, name in spans.WRAPPED if name not in recorded) == []
+
+
+def test_expand_candidates_gathers_adjacency_once_per_hop(hash_encoder, monkeypatch):
+    # perfbench counts these calls as kg.adjacent_calls: one per hop, whatever the beam's size
+    graph = build_and_embed(random_corpus(random.Random(8), n_passages=30, entity_pool=12), hash_encoder)
+    vq = encode(hash_encoder, ["probe"])[0]
+    beam = select_seeds(graph, vq, 3)
+    calls = []
+    original = helprag.expansion.adjacent_triplets
+
+    def counting(graph, name_ids):
+        calls.append(len(name_ids))
+        return original(graph, name_ids)
+
+    monkeypatch.setattr(helprag.expansion, "adjacent_triplets", counting)
+    for _ in range(2):
+        calls.clear()
+        candidates = expand_candidates(graph, beam)
+        assert len(calls) == 1 and len(beam) > 1
+        beam = prune(candidates, hash_encoder, vq, 8)
 
 
 # the HyperNode fields that perfbench/spans.py and perfbench/bench.py read
