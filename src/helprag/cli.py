@@ -33,11 +33,14 @@ def _add_encoder_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_retrieval_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--hops", type=int, default=2, help="expansion hops (default 2)")
-    parser.add_argument("--seeds", type=int, default=3, help="initial seed triple count (default 3)")
-    parser.add_argument("--beam", type=int, default=50, help="beam width per hop (default 50)")
-    parser.add_argument("--quota", type=int, default=4, help="path-channel context quota (default 4)")
-    parser.add_argument("--topk", type=int, default=5, help="total context size (default 5)")
+    for flag, default, text in (
+        ("--hops", ExpansionConfig.hops, "expansion hops"),
+        ("--seeds", ExpansionConfig.seed_size, "initial seed triple count"),
+        ("--beam", ExpansionConfig.beam_size, "beam width per hop"),
+        ("--quota", HybridConfig.quota, "path-channel context quota"),
+        ("--topk", HybridConfig.context_size, "total context size"),
+    ):
+        parser.add_argument(flag, type=int, default=default, help=f"{text} (default %(default)s)")
 
 
 def _expansion_from(args: argparse.Namespace) -> ExpansionConfig:

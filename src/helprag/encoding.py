@@ -109,14 +109,6 @@ class TextBatch(Sequence[str]):
         data, offsets = self.data.tobytes(), self.offsets.tolist()
         return (data[lo:hi].decode("utf-8") for lo, hi in zip(offsets, offsets[1:]))
 
-    def __contains__(self, text: object) -> bool:
-        # compares bytes, and only those of texts of the same length, so "" in batch decodes nothing
-        if not isinstance(text, str):
-            return False
-        encoded = text.encode("utf-8")
-        starts = self.offsets[:-1][self.lengths == len(encoded)].tolist()
-        return any(self.data[lo : lo + len(encoded)].tobytes() == encoded for lo in starts)
-
 
 def serialize_rows(index: "TripleToPassageIndex", rows: np.ndarray) -> TextBatch:
     """:func:`serialize_hypernode` of each row of catalog ids, as one batch.
@@ -283,29 +275,29 @@ class Encoder(ABC):
         """Stable identifier recorded in index manifests."""
 
     @abstractmethod
-    def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
+    def encode_batch(self, texts: TextBatch) -> np.ndarray:
         """Return a float32 (len(texts), dim) matrix of finite, near-unit rows."""
 
 
 def encode_rows(encoder: Encoder, texts: Sequence[str]) -> np.ndarray:
     """Encode texts to the backend's float32 rows in one batch, order-preserving.
 
-    Hands the backend ``texts`` as they are: a list of ``str``, or a
-    :class:`TextBatch`, which the hash encoder reads without decoding. Checks
-    that every text is non-empty, that the batch has one row of the
-    encoder's dimension per text, and that no row is zero.
+    The one place texts cross into a backend: they are held as one
+    :class:`TextBatch` (a batch is used as it is), so the hash encoder reads
+    them without decoding. Checks that every text is non-empty and that the
+    backend returned one row of the encoder's dimension per text. A zero row
+    is left to :func:`unit_rows`, which each caller's path runs once.
     """
-    if "" in texts:
+    batch = TextBatch.of(texts)
+    if not batch.lengths.all():
         raise ValueError("texts must be non-empty strings")
-    if not texts:
+    if not len(batch):
         return np.empty((0, encoder.dim), dtype=np.float32)
-    rows = encoder.encode_batch(texts)
-    if rows.shape != (len(texts), encoder.dim):
+    rows = encoder.encode_batch(batch)
+    if rows.shape != (len(batch), encoder.dim):
         raise EncoderFailure(
-            f"backend returned shape {rows.shape}, expected {(len(texts), encoder.dim)}"
+            f"backend returned shape {rows.shape}, expected {(len(batch), encoder.dim)}"
         )
-    if not rows.any(axis=1).all():
-        raise ZeroVector("cannot normalize a zero row")
     return rows
 
 
@@ -407,9 +399,8 @@ class HashEncoder(Encoder):
     correctly rounded square root, and each quotient is rounded once, from
     float64 to float32.
 
-    It hashes the UTF-8 buffer of a :class:`TextBatch` directly, so a batch
-    that expansion rendered is never decoded; a sequence of ``str`` is
-    encoded into one batch first.
+    It hashes the UTF-8 buffer of the :class:`TextBatch` it is handed, so a
+    batch that expansion rendered is never decoded.
     """
 
     def __init__(self, dim: int = 256):
@@ -425,13 +416,12 @@ class HashEncoder(Encoder):
     def encoder_id(self) -> str:
         return f"hash-fnv1a-3gram-{self._dim}"
 
-    def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
+    def encode_batch(self, batch: TextBatch) -> np.ndarray:
         """Hash every text's grams and accumulate the signed bucket counts per row.
 
         Works in chunks of :data:`HASH_CHUNK_TEXTS` texts of the batch's
         buffer, one ``bincount`` of the signed grams each.
         """
-        batch = TextBatch.of(texts)
         dim = self._dim
         out = np.empty((len(batch), dim), dtype=np.float32)
         for lo in range(0, len(batch), HASH_CHUNK_TEXTS):
@@ -523,7 +513,7 @@ class OracleEncoder(Encoder):
     def encoder_id(self) -> str:
         return f"oracle-{self._table_hash}"
 
-    def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
+    def encode_batch(self, texts: TextBatch) -> np.ndarray:
         out = np.empty((len(texts), self._dim), dtype=np.float32)
         for i, text in enumerate(texts):
             row = self._rows.get(text)
@@ -580,10 +570,8 @@ class RemoteEncoder(Encoder):
             raise EncoderFailure(f"non-finite value in embeddings reply from {self.config.url}")
         return raw
 
-    def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
-        chunks = [
-            list(texts[i : i + REMOTE_BATCH_SIZE]) for i in range(0, len(texts), REMOTE_BATCH_SIZE)
-        ]
+    def encode_batch(self, texts: TextBatch) -> np.ndarray:
+        chunks = [texts[i : i + REMOTE_BATCH_SIZE] for i in range(0, len(texts), REMOTE_BATCH_SIZE)]
         if len(chunks) == 1:
             raw_chunks = [self._request_chunk(chunks[0])]
         else:
@@ -594,12 +582,12 @@ class RemoteEncoder(Encoder):
         for chunk in raw_chunks:
             if chunk.shape[1] != dim:
                 raise EncoderFailure(f"remote replied dim {chunk.shape[1]}, expected {dim}")
+        try:
+            units = unit_rows(np.concatenate(raw_chunks, axis=0))
+        except ZeroVector as exc:  # a zero row, or one whose squares underflow, is the service's fault
+            raise EncoderFailure(f"zero embedding in reply from {self.config.url}") from exc
         self._dim = dim
-        raw = np.concatenate(raw_chunks, axis=0)
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
-            raise ZeroVector("remote service returned a zero embedding")
-        return (raw / norms).astype(np.float32)
+        return units.astype(np.float32)
 
 
 def encoder_from_spec(spec: str) -> Encoder:

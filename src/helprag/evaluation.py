@@ -19,7 +19,7 @@ import statistics
 import string
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -320,12 +320,7 @@ class BenchReport:
     schema: str = BENCH_REPORT_SCHEMA
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "config": self.config,
-            "rows": self.rows,
-            "aggregates": self.aggregates,
-        }
+        return asdict(self)
 
     def write(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -404,12 +399,8 @@ def run_benchmark(
     config = {
         "bundle": str(bundle_dir),
         "encoder_id": encoder.encoder_id,
-        "expansion": {
-            "hops": expansion.hops,
-            "seed_size": expansion.seed_size,
-            "beam_size": expansion.beam_size,
-        },
-        "hybrid": {"quota": hybrid.quota, "context_size": hybrid.context_size},
+        "expansion": asdict(expansion),
+        "hybrid": asdict(hybrid),
         "generation": generation is not None,
     }
     return BenchReport(config=config, rows=rows, aggregates=aggregates)

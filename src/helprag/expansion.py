@@ -96,7 +96,7 @@ def select_seeds(graph: KnowledgeGraph, query_vector: np.ndarray, n: int) -> lis
     if not index.catalog:
         raise EmptyGraph("cannot select seeds from a graph with no triplets")
 
-    rows = graph.embeddings.triplet_units()
+    rows = graph.embeddings.triplet_units
     scores = rows @ query_vector
 
     return [

@@ -19,6 +19,7 @@ import operator
 import os
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -36,6 +37,7 @@ from .errors import (
     ServiceReplyError,
     ServiceUnreachable,
     VersionMismatch,
+    ZeroVector,
 )
 from .kg import KnowledgeGraph, PassageTable, TripleToPassageIndex, build_index, canonical_field
 from .services import ChatCompletionClient, ServiceConfig
@@ -77,32 +79,31 @@ class CorpusRecord:
     triples: tuple[tuple[str, str, str], ...] | None = None
 
 
+@dataclass(frozen=True, eq=False)
 class EmbeddingStore:
     """Float32 passage and triplet embedding rows plus cached unit views.
 
     Rows are the quantized output of the encoder backend; the float64 unit
-    matrices used for scoring are derived lazily and identically whether the
-    rows came from a fresh encode or from a bundle on disk. Rows loaded from
-    a bundle are read-only.
+    matrices used for scoring are derived on first access and identically
+    whether the rows came from a fresh encode or from a bundle on disk, whose
+    rows are read-only. :func:`unit_rows` rejects a zero row there.
     """
 
-    def __init__(self, passage_rows: np.ndarray, triplet_rows: np.ndarray, encoder_id: str):
-        self.passage_rows = passage_rows
-        self.triplet_rows = triplet_rows
-        self.encoder_id = encoder_id
-        self.dim = int(passage_rows.shape[1])
-        self._passage_units: np.ndarray | None = None
-        self._triplet_units: np.ndarray | None = None
+    passage_rows: np.ndarray
+    triplet_rows: np.ndarray
+    encoder_id: str
 
+    @property
+    def dim(self) -> int:
+        return int(self.passage_rows.shape[1])
+
+    @cached_property
     def passage_units(self) -> np.ndarray:
-        if self._passage_units is None:
-            self._passage_units = unit_rows(self.passage_rows)
-        return self._passage_units
+        return unit_rows(self.passage_rows)
 
+    @cached_property
     def triplet_units(self) -> np.ndarray:
-        if self._triplet_units is None:
-            self._triplet_units = unit_rows(self.triplet_rows)
-        return self._triplet_units
+        return unit_rows(self.triplet_rows)
 
 
 def load_corpus(path: str | Path) -> list[CorpusRecord]:
@@ -222,7 +223,11 @@ def extract_triples(
         if triples is None:
             log.warning("no triples extracted for record %s; keeping it empty", record.id)
             triples = []
-        out.append(replace(record, triples=tuple(triples)))
+        kept = tuple(t for t in triples if all(map(canonical_field, t)))
+        if len(kept) < len(triples):
+            dropped = len(triples) - len(kept)
+            log.warning("record %s: dropped %d extracted triple(s) with a blank field", record.id, dropped)
+        out.append(replace(record, triples=kept))
     return out
 
 
@@ -231,17 +236,18 @@ def build_and_embed(records: list[CorpusRecord], encoder: Encoder) -> KnowledgeG
 
     Every passage text and every unique triplet serialization is encoded
     exactly once; triplet rows follow catalog order, passage rows follow
-    sorted passage-id order. Both batches pass :func:`encode_rows`' checks.
-    Raises DuplicatePassageId when two records share an id, EmptyField when
-    a triple field canonicalizes to nothing, EncoderFailure when the encoder
-    returns the wrong number or width of rows, and ZeroVector for a zero row.
+    sorted passage-id order. Each batch passes :func:`encode_rows`' checks
+    and :func:`_nonzero_rows`'. Raises DuplicatePassageId when two records
+    share an id, EmptyField when a triple field canonicalizes to nothing,
+    EncoderFailure when the encoder returns the wrong number or width of
+    rows, and ZeroVector for a zero row.
     """
     for record in records:
         if record.triples is None:
             raise InvalidParams(f"record {record.id!r} has no triples; run extraction first")
     texts, index = _index_records(records)
     if texts:
-        passage_rows = encode_rows(encoder, texts)
+        passage_rows = _nonzero_rows(encoder, texts)
     else:
         try:
             dim = encoder.dim
@@ -250,14 +256,19 @@ def build_and_embed(records: list[CorpusRecord], encoder: Encoder) -> KnowledgeG
                 f"empty corpus: encoder {encoder.encoder_id} has no text to learn its dimension from"
             ) from exc
         passage_rows = np.empty((0, dim), dtype=np.float32)
-    if index.triplet_rows.shape[0]:
-        # each singleton's serialization, rendered as expansion renders its candidates
-        singletons = np.arange(index.triplet_rows.shape[0])[:, None]
-        triplet_rows = encode_rows(encoder, serialize_rows(index, singletons))
-    else:
-        triplet_rows = np.empty((0, passage_rows.shape[1]), dtype=np.float32)
+    # each singleton's serialization, rendered as expansion renders its candidates
+    singletons = np.arange(index.triplet_rows.shape[0])[:, None]
+    triplet_rows = _nonzero_rows(encoder, serialize_rows(index, singletons))
     store = EmbeddingStore(passage_rows, triplet_rows, encoder.encoder_id)
     return KnowledgeGraph(PassageTable(index, texts), index, store)
+
+
+def _nonzero_rows(encoder: Encoder, texts: Sequence[str]) -> np.ndarray:
+    """:func:`encode_rows`, and ZeroVector at once for a zero row, which would fail every query."""
+    rows = encode_rows(encoder, texts)
+    if not rows.any(axis=1).all():
+        raise ZeroVector("cannot normalize a zero row")
+    return rows
 
 
 def _index_records(records: list[CorpusRecord]) -> tuple[tuple[str, ...], TripleToPassageIndex]:

@@ -181,18 +181,13 @@ class KnowledgeGraph:
 
     Built by the ingestion layer, from a fresh encode or from a bundle, so
     every graph carries its passage and triplet embeddings; triplet rows
-    follow catalog order and passage rows follow :attr:`passage_ids`.
+    follow catalog order and passage rows follow ``index.passage_ids``.
     Graphs compare by identity.
     """
 
     passages: PassageTable
     index: TripleToPassageIndex
     embeddings: "EmbeddingStore"
-
-    @cached_property
-    def passage_ids(self) -> tuple[str, ...]:
-        """Passage ids in sorted order, the order of the passage rows."""
-        return tuple(self.passages)
 
 
 def _csr_offsets(groups: np.ndarray, size: int) -> np.ndarray:

@@ -104,8 +104,8 @@ def dense_rank(graph: KnowledgeGraph, query_vector: np.ndarray, limit: int) -> l
     Scores the passage vectors precomputed at index time. Ties break by
     passage id ascending.
     """
-    units = graph.embeddings.passage_units()
-    ids = graph.passage_ids
+    units = graph.embeddings.passage_units
+    ids = graph.index.passage_ids
     scores = units @ query_vector
     # rank by true cosine; reported scores clamp at 0 so all channels stay non-negative
     return [
@@ -175,10 +175,7 @@ def retrieve_result(
     dense_ranked = dense_rank(graph, query_vector, limit=hybrid.context_size + hybrid.quota)
     t3 = time.perf_counter()
 
-    if final_beam:
-        context = hybrid_merge(path_ranked, dense_ranked, hybrid)
-    else:
-        context = dense_ranked[: hybrid.context_size]
+    context = hybrid_merge(path_ranked, dense_ranked, hybrid)
 
     return RetrievalResult(
         query=query,

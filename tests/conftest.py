@@ -105,11 +105,15 @@ def directional_oracle(query: str, placements: dict[str, float]):
 
 
 class RecordingEncoder(Encoder):
-    """Delegates to another encoder and records every batch it is asked for."""
+    """Delegates to another encoder and records every batch it is handed, as the object it was."""
 
     def __init__(self, inner: Encoder):
         self.inner = inner
-        self.calls: list[list[str]] = []
+        self.batches: list = []
+
+    @property
+    def calls(self) -> list[list[str]]:
+        return [list(batch) for batch in self.batches]
 
     @property
     def texts(self) -> list[str]:
@@ -124,7 +128,7 @@ class RecordingEncoder(Encoder):
         return self.inner.encoder_id
 
     def encode_batch(self, texts):
-        self.calls.append(list(texts))
+        self.batches.append(texts)
         return self.inner.encode_batch(texts)
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import RecordingEncoder
 from helprag import encoding
 from helprag.encoding import (
     HASH_CHUNK_TEXTS,
@@ -331,9 +332,9 @@ def test_hash_batch_matches_per_text_reference(texts, dim, chunk):
             expected = reference_rows(texts, dim)
         except ZeroVector as exc:
             with pytest.raises(ZeroVector, match=re.escape(str(exc))):
-                HashEncoder(dim).encode_batch(texts)
+                HashEncoder(dim).encode_batch(TextBatch.of(texts))
         else:
-            assert HashEncoder(dim).encode_batch(texts).tobytes() == expected.tobytes()
+            assert HashEncoder(dim).encode_batch(TextBatch.of(texts)).tobytes() == expected.tobytes()
 
 
 def long_texts(count: int) -> list[str]:
@@ -344,13 +345,13 @@ def test_hash_batch_larger_than_one_chunk():
     texts = long_texts(HASH_CHUNK_TEXTS + 5)
     # 0-, 1- and 2-byte texts on both sides of the chunk edge
     texts[HASH_CHUNK_TEXTS - 3 : HASH_CHUNK_TEXTS + 3] = ["", "a", "ab", "é", "", "b"]
-    assert HashEncoder().encode_batch(texts).tobytes() == reference_rows(texts, 256).tobytes()
+    assert HashEncoder().encode_batch(TextBatch.of(texts)).tobytes() == reference_rows(texts, 256).tobytes()
 
 
 @pytest.mark.parametrize("dim", [7, 256, 1024])
 def test_hash_batch_of_long_texts_across_chunks(dim):
     texts = long_texts(2 * HASH_CHUNK_TEXTS + 3)
-    assert HashEncoder(dim).encode_batch(texts).tobytes() == reference_rows(texts, dim).tobytes()
+    assert HashEncoder(dim).encode_batch(TextBatch.of(texts)).tobytes() == reference_rows(texts, dim).tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3, 7, 256, 1000, 1024])
@@ -371,7 +372,7 @@ def test_hash_zero_vector_names_the_first_such_text():
         with pytest.raises(ZeroVector):
             oracles.hash_encode_text(text, 256)
     with pytest.raises(ZeroVector, match=repr(CANCEL_AT_256[0])):
-        HashEncoder().encode_batch(["a long enough text", *CANCEL_AT_256, "x"])
+        HashEncoder().encode_batch(TextBatch.of(["a long enough text", *CANCEL_AT_256, "x"]))
 
 
 class TestTextBatch:
@@ -400,6 +401,16 @@ class TestTextBatch:
                 mock.patch.object(TextBatch, "__iter__", side_effect=AssertionError("decoded")):
             with pytest.raises(ValueError, match="non-empty"):
                 encoding.encode_rows(hash_encoder, batch)
+
+    def test_encode_rows_hands_the_backend_one_batch(self, hash_encoder):
+        texts = ["a r b", "é r 日本"]
+        batch = TextBatch.of(texts)
+        for given in (texts, tuple(texts), batch):
+            recorder = RecordingEncoder(hash_encoder)
+            rows = encoding.encode_rows(recorder, given)
+            assert [type(b) for b in recorder.batches] == [TextBatch] and recorder.calls == [texts]
+            assert rows.tobytes() == hash_encoder.encode_batch(batch).tobytes()
+        assert recorder.batches[0] is batch
 
     def test_every_backend_reads_a_batch(self, hash_encoder):
         texts = ["a r b", "é r 日本"]

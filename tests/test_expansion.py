@@ -431,7 +431,7 @@ class TestTiesAtTheKth:
         kept = prune(candidates, enc, vq, k)
         assert [c.serialized for c in kept] == sort_rank(texts, -np.linalg.norm(rows - vq, axis=1))[:k]
 
-        ids = graph.passage_ids
+        ids = graph.index.passage_ids
         passage_rows = encode(enc, [graph.passages[pid].text for pid in ids])
         dense = dense_rank(graph, vq, k)
         assert [p.id for p in dense] == sort_rank(ids, passage_rows @ vq)[:k]
@@ -531,6 +531,26 @@ class TestScreenedPrune:
         fresh = [hypernode(graph, [t]) for t in catalog if t.as_text() not in held]
         candidates = sorted(seeds + fresh, key=lambda c: c.serialized)
         assert kept_bits(prune(candidates, enc, vq, k)) == unscreened_prune(candidates, enc, vq, k)
+
+    @pytest.mark.parametrize("k", [1, 8, 10_000])
+    def test_zero_row_in_a_hop_batch_raises(self, hash_encoder, k):
+        # encode_rows leaves zero rows to prune: the screen reads NaN for one and keeps
+        # every row, so unit_rows sees it below, at and above the candidate count
+        graph = build_and_embed(random_corpus(random.Random(8), n_passages=30, entity_pool=12), hash_encoder)
+        vq = encode(hash_encoder, ["probe"])[0]
+        candidates = expand_candidates(graph, select_seeds(graph, vq, 3))
+        assert 8 < len(candidates.texts) and len(candidates) < 10_000
+        with pytest.raises(ZeroVector, match="zero row"):
+            prune(candidates, ZeroesMiddleRow(), vq, k)
+
+
+class ZeroesMiddleRow(HashEncoder):
+    """The hash encoder, with the middle row of each batch zeroed."""
+
+    def encode_batch(self, texts):
+        rows = super().encode_batch(texts)
+        rows[len(rows) // 2] = 0.0
+        return rows
 
 
 class TestRunExpansion:

@@ -215,6 +215,23 @@ class TestBuildChecksEncoderRows:
         assert not (tmp_path / "idx").exists()
 
 
+def test_zero_row_in_a_bundle_loads_and_fails_the_query(tmp_path, capsys):
+    # a loaded bundle's rows are checked by unit_rows on first use, not at load
+    corpus, bundle = tmp_path / "corpus.jsonl", tmp_path / "idx"
+    write_corpus(corpus, TWO_PASSAGE_LINES)
+    assert cli.main(["index", "--corpus", str(corpus), "--out", str(bundle)]) == 0
+    raw = bytearray((bundle / TRIPLET_EMB_FILE).read_bytes())
+    row = 4 * load_index(bundle).embeddings.dim
+    raw[20 + row : 20 + 2 * row] = bytes(row)  # after the 20-byte header, triplet 1's row
+    (bundle / TRIPLET_EMB_FILE).write_bytes(bytes(raw))
+    rehash(bundle)
+    rows = load_index(bundle).embeddings.triplet_rows
+    assert rows.shape[0] == 3 and not rows[1].any() and rows[[0, 2]].any(axis=1).all()
+    capsys.readouterr()
+    assert cli.main(["query", "--index", str(bundle), "--question", "alpha feeds"]) == 2
+    assert "zero row" in capsys.readouterr().err
+
+
 class TestBundleRoundTrip:
     def test_save_load_bit_exact(self, tmp_path, hash_encoder):
         graph = build_and_embed(random_corpus(random.Random(42), n_passages=25), hash_encoder)
@@ -225,7 +242,7 @@ class TestBundleRoundTrip:
 
         loaded = load_index(tmp_path / "idx")
         assert graph_differences(loaded, graph) == []
-        assert np.array_equal(loaded.embeddings.passage_units(), graph.embeddings.passage_units())
+        assert np.array_equal(loaded.embeddings.passage_units, graph.embeddings.passage_units)
 
     def test_resave_byte_identical(self, tmp_path, hash_encoder):
         graph = build_and_embed(random_corpus(random.Random(7), n_passages=25), hash_encoder)

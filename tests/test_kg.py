@@ -169,7 +169,7 @@ class TestProperties:
         rng.shuffle(shuffled)
         regraph = build_and_embed(shuffled, hash_encoder)
         assert graph_differences(graph, regraph) == []
-        assert graph.passage_ids == regraph.passage_ids
+        assert graph.index.passage_ids == regraph.index.passage_ids
 
     def test_adjacency_covers_every_catalog_triplet(self, hash_encoder):
         rng = random.Random(7)

@@ -14,7 +14,7 @@ from helprag.encoding import OracleEncoder, encode
 from helprag.errors import EncoderMismatch, InvalidParams
 from helprag.expansion import ExpansionConfig, HyperNode
 from helprag.ingestion import CorpusRecord, build_and_embed
-from helprag.kg import Passage, canonicalize_triplet
+from helprag.kg import canonicalize_triplet
 from helprag.localization import (
     DENSE_CHANNEL,
     PATH_CHANNEL,
@@ -161,12 +161,11 @@ class TestDenseRank:
         units /= np.linalg.norm(units, axis=1, keepdims=True)
 
         class FakeStore:
-            def passage_units(self):
-                return units
+            passage_units = units
 
         graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
         graph = dataclasses.replace(
-            graph, passages={pid: Passage(pid, pid, ()) for pid in ids}, embeddings=FakeStore()
+            graph, index=dataclasses.replace(graph.index, passage_ids=ids), embeddings=FakeStore()
         )
         vq = rng.standard_normal(16)
         vq /= np.linalg.norm(vq)

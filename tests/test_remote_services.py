@@ -13,6 +13,7 @@ from helprag.encoding import RemoteEncoder, TextBatch, encode
 from helprag.errors import EncoderFailure, EncoderMismatch, InvalidParams, ServiceReplyError
 from helprag.evaluation import gen_synthetic
 from helprag.ingestion import load_index
+from helprag.kg import Triplet
 from helprag.localization import retrieve_result
 from helprag.services import ChatCompletionClient, ServiceConfig, ServiceUnreachable, post_json
 from stub_server import StubService
@@ -371,6 +372,7 @@ EMBEDDINGS_FAULTS = {
     "ragged": rows_reply(lambda data: data[1]["embedding"].append(1.0)),
     "non-numeric": rows_reply(lambda data: data[2]["embedding"].__setitem__(0, "x")),
     "repeated-index": rows_reply(lambda data: data[1].__setitem__("index", 0)),
+    "zero-row": rows_reply(lambda data: data[1].__setitem__("embedding", [0.0] * 8)),
 }
 
 
@@ -445,6 +447,18 @@ class TestServiceFaultExitCodes:
         assert code == 3
         assert len(stub.requests) == 1
         assert stub.url in capsys.readouterr().err
+
+    def test_extracted_triple_with_a_blank_field_is_dropped(self, tmp_path, monkeypatch, caplog):
+        corpus, bundle = tmp_path / "corpus.jsonl", tmp_path / "idx"
+        corpus.write_text('{"id":"p1","text":"alpha feeds beta."}\n')
+        content = '[["alpha","feeds","beta"],["beta","  ","gamma"]]'
+        with StubService(lambda b, h: (200, {"choices": [{"message": {"content": content}}]})) as stub:
+            monkeypatch.setenv("HELP_LLM_URL", stub.url)
+            code = main(["index", "--corpus", str(corpus), "--out", str(bundle), "--extract"])
+        assert code == 0
+        assert len(stub.requests) == 1
+        assert tuple(load_index(bundle).index.catalog) == (Triplet("alpha", "feeds", "beta"),)
+        assert any("p1" in r.getMessage() and "blank field" in r.getMessage() for r in caplog.records)
 
     @pytest.mark.parametrize("status", [401, 403])
     def test_extraction_refused_from_the_start_exit_3(self, status, tmp_path, monkeypatch, capsys):

@@ -5,9 +5,10 @@ wrappers. A rename in the program makes its ``install`` raise, and a wrapped
 name that a query no longer calls leaves a layer metric at zero; these tests
 see both without starting a benchmark run. The tracer also counts carried
 nodes by ``id()``, reads four ``HyperNode`` fields, times the one
-``encode_batch`` call each prune makes and counts ``adjacent_triplets``
-calls, one per hop, so a change there fails here too instead of zeroing or
-silently redefining a layer metric. The last test guards the memory the final
+``encode_batch`` call each prune makes, counts the texts of the
+``TextBatch`` it is handed and counts ``adjacent_triplets`` calls, one per
+hop, so a change there fails here too instead of zeroing or silently
+redefining a layer metric. The last test guards the memory the final
 beam keeps alive, which a benchmark would show only as peak RSS.
 """
 
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from conftest import RecordingEncoder, hypernode, passage, random_corpus
 import helprag.expansion
-from helprag.encoding import encode, encode_rows, screen_pool
+from helprag.encoding import TextBatch, encode, encode_rows, screen_pool
 from helprag.expansion import ExpansionConfig, HyperNode, expand_candidates, prune, select_seeds
 from helprag.ingestion import build_and_embed
 from helprag.localization import retrieve_result
@@ -117,6 +118,30 @@ def test_prune_encodes_the_fresh_candidates_in_one_batch(hash_encoder):
     assert carried > 0
 
 
+def test_encoder_proxy_is_handed_batches_and_counts_their_texts(hash_encoder, monkeypatch):
+    # perfbench's EncoderProxy passes what it is handed through, and its spans record len() of
+    # it as encoding.texts; the query encode and every prune hand it one TextBatch
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    recorder = RecordingEncoder(hash_encoder)
+    graph = lonely_graph(hash_encoder)
+    try:
+        tracer.install()
+        tracer.begin_query(0)
+        config = ExpansionConfig(hops=3, seed_size=3, beam_size=8)
+        tracer.call(spans.ROOT, retrieve_result, graph, spans.EncoderProxy(recorder, tracer), "probe", config)
+    finally:
+        tracer.uninstall()
+    batch_spans = [s for s in tracer.spans if s.name == "encoding.encode_batch"]
+    assert [tracer.spans[s.parent].name for s in batch_spans] == [spans.ROOT, "expansion.prune", "expansion.prune"]
+    assert [type(batch) for batch in recorder.batches] == [TextBatch] * 3
+    assert [s.attrs["texts"] for s in batch_spans] == list(map(len, recorder.batches))
+    assert recorder.calls[0] == ["probe"]
+    layers = spans.query_layers(tracer.spans, 3)[0]
+    assert layers["encoding.texts"] == sum(map(len, recorder.batches[1:]))
+    assert layers["encoding.reencoded"] == 0  # the tracer reads each batch as str
+
+
 def test_final_beam_keeps_no_more_rows_than_the_pool(hash_encoder, monkeypatch):
     graph = lonely_graph(hash_encoder)
     pruned: list[tuple[list[HyperNode], int]] = []
@@ -138,7 +163,7 @@ def test_final_beam_keeps_no_more_rows_than_the_pool(hash_encoder, monkeypatch):
         carried = sum(c.embedding is not None for c in candidates)
         pools.append(len(screen_pool(rows, vq, k)) + carried)
     assert len(pools) == 2 and max(pools) < min(len(c) for c, _ in pruned)
-    seed_rows = graph.embeddings.triplet_units()
+    seed_rows = graph.embeddings.triplet_units
     for node in result.hypernodes:
         base = node.embedding.base
         # a seed carried to the end views the graph's own matrix, which the graph keeps anyway
