@@ -12,21 +12,25 @@ Routing every vector through the float32 quantization step makes the
 in-memory unit vectors bit-identical to the ones reconstructed from a
 persisted index.
 
-Expansion renders a hop's new candidates into one :class:`TextBatch`, a
-UTF-8 buffer with the offsets of its texts, by gathering name bytes
-(:func:`serialize_rows`); no ``str`` is built per candidate. The hash
-encoder hashes every byte position of a chunk of that buffer at once, yet
-each row has the bits of hashing its text alone: bit-built signs,
-floor-divide buckets and integer counts are exact, and so is the squared
-norm below ``2**53`` (see :class:`HashEncoder`). The other backends read
-the batch as strings.
+Expansion renders texts into one :class:`TextBatch`, a UTF-8 buffer with
+the offsets of its texts, by gathering name bytes (:func:`serialize_rows`);
+no ``str`` is built per candidate. The hash encoder hashes every byte
+position of a chunk of that buffer at once, yet each row has the bits of
+hashing its text alone: bit-built signs, floor-divide buckets and integer
+counts are exact, and so is the squared norm below ``2**53`` (see
+:class:`HashEncoder`). Its one counting step, :meth:`HashEncoder.gram_counts`,
+also serves :meth:`HashEncoder.path_counts`, which composes the counts of
+a hop's paths from those of its distinct triplets, each with the joins
+beside it. The other backends read the batch as strings.
 
-Expansion's prune does not build a float64 unit row for every candidate it
-encodes. It ranks the float32 rows by :func:`screen_distances`, whose error
+Expansion's prune does not build a float64 unit row for every candidate.
+It ranks float32 rows by :func:`screen_distances`, whose error
 :func:`screen_error` bounds, and runs :func:`unit_rows` and the exact
 distances only for the :func:`screen_pool`: the rows that can still reach
-the beam. Both float64 steps reduce each row on its own, so a row's bits do
-not depend on which rows share its matrix.
+the beam. For the hash encoder the screened rows are the composed gram
+counts, so only the pool is rendered and encoded. Both float64 steps
+reduce each row on its own, so a row's bits do not depend on which rows
+share its matrix.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ if TYPE_CHECKING:
 # per segment of a triplet in a serialization: the join, head, relation and tail take
 # their whole entry of the index's text bytes, but the tail drops its space
 _TAIL_SPACE = np.array([0, 0, 0, 1])
+# the same for a piece of HashEncoder.path_counts: join, head, relation, tail, join
+_PIECE_TAIL_SPACE = np.array([0, 0, 0, 1, 0])
 # the (head, relation, tail) order of Triplet's dataclass comparison, as a C-level key
 _TRIPLET_FIELDS = attrgetter("head", "relation", "tail")
 
@@ -115,29 +121,39 @@ def serialize_rows(index: "TripleToPassageIndex", rows: np.ndarray) -> TextBatch
 
     Each row holds the ascending catalog ids of one triplet set, padded at
     the end with -1 to the width of the widest. Catalog order is (head,
-    relation, tail) order, so the text is the row's triplets in row order.
-    It is gathered from the index's text bytes: for each id, the join (from
-    the second id on), then head, relation and tail, the first two with the
-    space that follows them.
+    relation, tail) order, so the text is the row's triplets in row order:
+    for each id, the join (from the second id on), then head, relation and
+    tail, the first two with the space that follows them.
     """
-    data, starts, spans = index.text_bytes
+    _, _, spans = index.text_bytes
     n, width = rows.shape
     # four segments per id, in text order, each an entry of the text bytes
     entries = np.empty((n, width, 4), dtype=np.int64)
-    entries[..., 0] = starts.shape[0] - 1  # the join
+    entries[..., 0] = spans.shape[0] - 1  # the join
     entries[..., 1:] = index.triplet_rows[rows]  # a pad reads some triplet; its segments get length 0
-    seg_lengths = spans[entries] - _TAIL_SPACE
-    seg_lengths[:, 0, 0] = 0
-    seg_lengths *= (rows >= 0)[..., None]
-    seg_ends = np.cumsum(seg_lengths)
-    # byte p of a segment is data[seg_start + (p - seg_out_start)]; int32 positions halve
+    lengths = spans[entries] - _TAIL_SPACE
+    lengths[:, 0, 0] = 0
+    lengths *= (rows >= 0)[..., None]
+    return _gather_texts(index, entries.reshape(n, width * 4), lengths.reshape(n, width * 4))
+
+
+def _gather_texts(index: "TripleToPassageIndex", entries: np.ndarray, lengths: np.ndarray) -> TextBatch:
+    """Text i joins, for each j, the first ``lengths[i, j]`` bytes of entry ``entries[i, j]``.
+
+    The entries are those of the index's text bytes (``index.text_bytes``).
+    """
+    data, starts, _ = index.text_bytes
+    lengths = lengths.ravel()
+    ends = np.cumsum(lengths)
+    # byte p of a segment is data[start + (p - out_start)]; int32 positions halve
     # the largest temporaries whenever every position fits
-    size = max(int(seg_ends[-1]) if n else 0, data.shape[0])
+    size = max(int(ends[-1]) if ends.size else 0, data.shape[0])
     dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-    shifts = starts[entries].ravel() - (seg_ends - seg_lengths.ravel())
-    gather = np.repeat(shifts.astype(dtype), seg_lengths.ravel())
+    shifts = starts[entries].ravel() - (ends - lengths)
+    gather = np.repeat(shifts.astype(dtype), lengths)
     gather += np.arange(gather.shape[0], dtype=dtype)
-    return TextBatch(data.take(gather), np.concatenate([[0], seg_ends[width * 4 - 1 :: width * 4]]))
+    per_text = entries.shape[1]
+    return TextBatch(data.take(gather), np.concatenate([[0], ends[per_text - 1 :: per_text]]))
 
 
 # --- unit-vector primitives -------------------------------------------------
@@ -198,8 +214,10 @@ def screen_distances(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
 
     ``A = 2 - 2 (r . q32) / |r|``, where ``q32`` is the query quantized to
     float32 and the dot product and the squared norm are reduced in float32
-    (one ``sgemv`` and one ``einsum``), so no float64 copy of ``rows`` is
-    made. :func:`screen_error` bounds ``|A - d^2|`` against the exact
+    (two ``einsum`` calls), so no float64 copy of ``rows`` is made. The
+    dot product is not a BLAS ``sgemv``: :func:`screen_error` holds for any
+    summation order, and a threaded gemv can stall for whole scheduler
+    ticks. :func:`screen_error` bounds ``|A - d^2|`` against the exact
     ``row_norms(unit_rows(rows), query) ** 2``. A row whose float32 squared
     norm lies outside ``[2**-100, inf)`` reads NaN: there underflow or
     overflow break that bound.
@@ -207,7 +225,9 @@ def screen_distances(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
     rows = rows.astype(np.float32, copy=False)  # the bound is for float32 arithmetic
     square = np.einsum("ij,ij->i", rows, rows)
     with np.errstate(divide="ignore", invalid="ignore"):  # such rows are set to NaN below
-        approx = 2.0 - 2.0 * (rows @ query.astype(np.float32)) / np.sqrt(square.astype(np.float64))
+        approx = 2.0 - 2.0 * np.einsum("ij,j->i", rows, query.astype(np.float32)) / np.sqrt(
+            square.astype(np.float64)
+        )
     approx[~((square >= _SCREEN_MIN_SQUARE) & (square < np.inf))] = np.nan
     return approx
 
@@ -245,6 +265,15 @@ def screen_pool(rows: np.ndarray, query: np.ndarray, k: int) -> np.ndarray:
     So :func:`smallest_k` over the pool's exact distances returns the rows,
     in the order, that it would return over every row. When ``k >=
     len(rows)``, or when any ``A`` is not finite, the pool is every row.
+
+    The rows may also be the hash encoder's integer gram counts
+    (:meth:`HashEncoder.path_counts`), screened for the rows it would
+    encode: each count row divided by its norm and rounded once to
+    float32. Rounding moves each entry of the unit row ``v`` by at most
+    ``u |v_j|`` (``u = 2**-24``), so the encoded row's direction is within
+    ``2u`` of ``v`` and its exact ``d^2`` within ``4u`` of ``v``'s. The
+    argument above then holds with ``eps + 4u``, and the margin covers it:
+    ``2 (eps + 4u) <= 4 eps``, since ``eps >= 16u``.
     """
     n = rows.shape[0]
     if k < n:
@@ -315,6 +344,13 @@ _ONE_BITS = np.uint64(0x3FF0000000000000)
 # texts hashed per bincount. Bounds the per-gram arrays and the float64 count
 # matrix, small enough that a chunk's arrays stay in cache
 HASH_CHUNK_TEXTS = 512
+_HASH_ID_PREFIX = "hash-fnv1a-3gram-"
+
+
+def _chunks(batch: TextBatch) -> Iterator[tuple[int, TextBatch]]:
+    """Each run of :data:`HASH_CHUNK_TEXTS` texts of a batch, with its start, as a batch on the same buffer."""
+    for lo in range(0, len(batch), HASH_CHUNK_TEXTS):
+        yield lo, TextBatch(batch.data, batch.offsets[lo : lo + HASH_CHUNK_TEXTS + 1])
 
 
 def _fnv1a_gram_hashes(data: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -414,27 +450,96 @@ class HashEncoder(Encoder):
 
     @property
     def encoder_id(self) -> str:
-        return f"hash-fnv1a-3gram-{self._dim}"
+        return f"{_HASH_ID_PREFIX}{self._dim}"
+
+    def gram_counts(self, batch: TextBatch) -> np.ndarray:
+        """Signed 3-gram counts of each text: a float64 ``(len(batch), dim)`` matrix of integers.
+
+        The one counting step: :meth:`encode_batch` normalizes its rows and
+        :meth:`path_counts` composes path counts from them. One ``bincount``
+        of the signed grams of the whole batch.
+        """
+        n, dim = len(batch), self._dim
+        if not n:
+            return np.zeros((0, dim))
+        cells, signs = _signed_cells(*_fnv1a_gram_hashes(batch.data, batch.offsets), dim)
+        return np.bincount(cells, weights=signs, minlength=n * dim).reshape(n, dim)
 
     def encode_batch(self, batch: TextBatch) -> np.ndarray:
-        """Hash every text's grams and accumulate the signed bucket counts per row.
-
-        Works in chunks of :data:`HASH_CHUNK_TEXTS` texts of the batch's
-        buffer, one ``bincount`` of the signed grams each.
-        """
-        dim = self._dim
-        out = np.empty((len(batch), dim), dtype=np.float32)
-        for lo in range(0, len(batch), HASH_CHUNK_TEXTS):
-            offsets = batch.offsets[lo : lo + HASH_CHUNK_TEXTS + 1]
-            n = offsets.shape[0] - 1
-            cells, signs = _signed_cells(*_fnv1a_gram_hashes(batch.data, offsets), dim)
-            raw = np.bincount(cells, weights=signs, minlength=n * dim).reshape(n, dim)
+        """Normalize each text's :meth:`gram_counts`, in chunks of :data:`HASH_CHUNK_TEXTS` texts."""
+        out = np.empty((len(batch), self._dim), dtype=np.float32)
+        for lo, chunk in _chunks(batch):
+            raw = self.gram_counts(chunk)
             norms = np.sqrt(np.einsum("ij,ij->i", raw, raw))
             zero = np.flatnonzero(norms == 0.0)
             if zero.size:
-                raise ZeroVector(f"hash embedding of {batch[lo + int(zero[0])]!r} cancelled to zero")
-            np.divide(raw, norms[:, None], out=out[lo : lo + n], casting="unsafe")
+                raise ZeroVector(f"hash embedding of {chunk[int(zero[0])]!r} cancelled to zero")
+            np.divide(raw, norms[:, None], out=out[lo : lo + len(chunk)], casting="unsafe")
         return out
+
+    def path_counts(self, index: "TripleToPassageIndex", rows: np.ndarray) -> np.ndarray:
+        """:meth:`gram_counts` of ``serialize_rows(index, rows)`` as float32, with no path rendered.
+
+        A path's text is its triplets' texts joined by :data:`TRIPLET_JOIN`.
+        Every triplet text has at least 5 bytes, so each 3-byte window of a
+        path lies in one piece: a triplet's text with the join before it
+        when it has a left neighbour and the join after it when it has a
+        right one (``"t1; "``, ``"; t2; "``, ``"; t3"``). A window across a
+        join holds at most 2 bytes of the text on either side, so it is
+        one of the two last windows of the piece before the join or of the
+        two first of the piece after it. So a path's counts are the sum of
+        its pieces' counts. Each distinct piece of the batch is rendered
+        and counted once, and each row sums its pieces' counts, integers
+        that float32 adds exactly for any path text under ``2**24`` bytes.
+        """
+        n, width = rows.shape
+        valid = rows >= 0
+        # a piece is keyed 4 tid + 2 (join before) + (join after); a pad, by the key above
+        # them all, whose slot is the zero row after the pieces' rows
+        keys = rows * 4
+        keys[:, 1:] += 2 * valid[:, 1:]
+        keys[:, :-1] += valid[:, 1:]
+        pad = 4 * index.triplet_rows.shape[0]
+        keys[~valid] = pad
+        used = np.zeros(pad + 1, dtype=bool)
+        used[keys] = True
+        used[pad] = True
+        pieces = np.flatnonzero(used)
+        slot_of = np.empty(pad + 1, dtype=np.intp)
+        slot_of[pieces] = np.arange(pieces.shape[0])
+        slots = slot_of[keys]
+        tids, sides = np.divmod(pieces[:-1], 4)
+        _, _, spans = index.text_bytes
+        entries = np.empty((tids.shape[0], 5), dtype=np.int64)
+        entries[:, [0, 4]] = spans.shape[0] - 1  # the join
+        entries[:, 1:4] = index.triplet_rows[tids]
+        lengths = spans[entries] - _PIECE_TAIL_SPACE
+        lengths[:, 0] *= sides >> 1
+        lengths[:, 4] *= sides & 1
+        table = np.zeros((pieces.shape[0], self._dim), dtype=np.float32)
+        for lo, chunk in _chunks(_gather_texts(index, entries, lengths)):
+            table[lo : lo + len(chunk)] = self.gram_counts(chunk)
+        out = np.empty((n, self._dim), dtype=np.float32)
+        for lo in range(0, n, HASH_CHUNK_TEXTS):
+            part, counts = slots[lo : lo + HASH_CHUNK_TEXTS], out[lo : lo + HASH_CHUNK_TEXTS]
+            np.take(table, part[:, 0], axis=0, out=counts)
+            for column in part.T[1:]:
+                counts += table[column]
+        return out
+
+
+def hash_twin(encoder: Encoder) -> HashEncoder | None:
+    """A :class:`HashEncoder` when ``encoder``'s rows are the hash encoder's, else None.
+
+    Keyed by ``encoder_id``, which binds a bundle to its encoder, so an
+    encoder that delegates to the hash encoder and forwards its id is one
+    too. The id is read first: a remote encoder knows its dimension only
+    after its first reply.
+    """
+    ident = encoder.encoder_id
+    if ident.startswith(_HASH_ID_PREFIX) and ident == f"{_HASH_ID_PREFIX}{encoder.dim}":
+        return HashEncoder(encoder.dim)
+    return None
 
 
 class OracleEncoder(Encoder):

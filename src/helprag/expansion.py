@@ -7,20 +7,23 @@ smallest Euclidean distance to the query after every hop. Because all
 embeddings are unit vectors, cosine ranking and Euclidean-distance ranking
 agree, so seed scoring and pruning use one consistent order.
 
-A hop's new candidates are held as arrays until prune has screened them:
-rows of ascending catalog ids, grown and deduplicated with numpy, and their
-serializations in one UTF-8 buffer that the hash encoder reads as it is.
-:class:`Candidates` builds a :class:`HyperNode` only when one is indexed,
-which prune does for the pool its screen keeps. The order of a hop's
-candidates (fresh ones by ascending id tuple, then carried ones) changes no
-output: prune ranks by a total order, and each encoder row, screen value and
+A hop's new candidates are held as rows of ascending catalog ids, grown and
+deduplicated with numpy, until prune has screened them. :class:`Candidates`
+renders their texts only when they are read and builds a :class:`HyperNode`
+only when one is indexed. For the hash encoder, prune screens the
+candidates by gram counts composed from their triplets, then renders and
+encodes only the pool its screen keeps; for other encoders it encodes every
+fresh text and screens those rows. The order of a hop's candidates (fresh
+ones by ascending id tuple, then carried ones) changes no output: prune
+ranks by a total order, and each encoder row, count row, screen value and
 exact distance depends on its own text or row alone.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -29,6 +32,7 @@ from .encoding import (
     Encoder,
     TextBatch,
     encode_rows,
+    hash_twin,
     row_norms,
     screen_pool,
     serialize_rows,
@@ -142,9 +146,9 @@ def expand_candidates(graph: KnowledgeGraph, beam: Sequence[HyperNode]) -> "Cand
     one padded matrix holds every grown and carried id row. Returns
     :class:`Candidates`: the fresh ones in ascending id-tuple order, then
     the carried members in beam order. Fresh candidates are held as id
-    rows and one buffer of their texts, with no embedding; :func:`prune`
-    embeds them and builds nodes only for those its screen keeps. A carried
-    member that holds no embedding is returned as a fresh candidate.
+    rows, with no text or embedding; :func:`prune` renders, embeds and
+    builds nodes for those its screen keeps. A carried member that holds
+    no embedding is returned as a fresh candidate.
     """
     if not beam:
         raise InvalidParams("beam must be non-empty")
@@ -186,51 +190,63 @@ def expand_candidates(graph: KnowledgeGraph, beam: Sequence[HyperNode]) -> "Cand
     np.not_equal(row_keys[1:], row_keys[:-1], out=first[1:])
     kept = order[first]
     carried = carried_at[members[kept]]
-    fresh_rows = rows[kept[~carried]]
-    texts = serialize_rows(index, fresh_rows)
-
-    def grown(i: int) -> HyperNode:
-        row = fresh_rows[i]
-        return HyperNode(tuple(row[row >= 0].tolist()), texts[i], index)
-
-    return Candidates(texts, grown, [beam[p] for p in np.sort(members[kept[carried]]).tolist()])
+    carried_members = [beam[p] for p in np.sort(members[kept[carried]]).tolist()]
+    return Candidates(index, rows[kept[~carried]], carried_members)
 
 
 class Candidates(Sequence[HyperNode]):
     """One hop's candidates: the fresh ones, then the carried ones.
 
-    The fresh candidates are held by ``texts``, their serializations, and
-    ``fresh``, which builds the node of fresh candidate ``i`` each time it
-    is called; indexing and iterating call it. The carried ones are the
-    nodes themselves, with the embeddings they hold.
+    The fresh candidates are held as ``rows`` of catalog ids on ``index``,
+    padded at the end with -1; their :attr:`texts` are rendered the first
+    time they are read, and a fresh node is built each time one is indexed
+    or iterated. The carried ones are the nodes themselves, with the
+    embeddings they hold.
     """
 
-    def __init__(self, texts: TextBatch, fresh: Callable[[int], HyperNode], carried: list[HyperNode]):
-        self.texts = texts
-        self.fresh = fresh
+    def __init__(self, index: TripleToPassageIndex, rows: np.ndarray, carried: list[HyperNode]):
+        self.index = index
+        self.rows = rows
         self.carried = carried
 
     @classmethod
     def of(cls, nodes: Sequence[HyperNode]) -> "Candidates":
-        """``nodes`` as candidates: those without an embedding are fresh, in the given order."""
+        """``nodes`` as candidates: those without an embedding are fresh, in the given order.
+
+        Every fresh node's ids are read on the first node's index; a node
+        grown on another raises InvalidParams (:meth:`HyperNode.ids_in`).
+        """
         if isinstance(nodes, Candidates):
             return nodes
-        fresh = [c for c in nodes if c.embedding is None]
-        carried = [c for c in nodes if c.embedding is not None]
-        return cls(TextBatch.of([c.serialized for c in fresh]), fresh.__getitem__, carried)
+        index = nodes[0]._index
+        fresh = [c.ids_in(index) for c in nodes if c.embedding is None]
+        rows = np.full((len(fresh), max(map(len, fresh), default=1)), -1)
+        for row, ids in zip(rows, fresh):
+            row[: len(ids)] = ids
+        return cls(index, rows, [c for c in nodes if c.embedding is not None])
+
+    @cached_property
+    def texts(self) -> TextBatch:
+        """The fresh candidates' serializations, in order."""
+        return serialize_rows(self.index, self.rows)
+
+    def fresh(self, at: Sequence[int], texts: Sequence[str]) -> list[HyperNode]:
+        """The fresh nodes at positions ``at``, whose serializations are ``texts``."""
+        rows = self.rows[at]
+        return [HyperNode(tuple(row[row >= 0].tolist()), text, self.index) for row, text in zip(rows, texts)]
 
     def __len__(self) -> int:
-        return len(self.texts) + len(self.carried)
+        return self.rows.shape[0] + len(self.carried)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]  # bounds and negative indices as a list has them
-        n = len(self.texts)
-        return self.fresh(i) if i < n else self.carried[i - n]
+        n = self.rows.shape[0]
+        return self.fresh([i], [self.texts[i]])[0] if i < n else self.carried[i - n]
 
     def __iter__(self) -> Iterator[HyperNode]:
-        return chain(map(self.fresh, range(len(self.texts))), self.carried)
+        return chain(self.fresh(range(self.rows.shape[0]), self.texts), self.carried)
 
 
 def prune(
@@ -239,25 +255,39 @@ def prune(
     """Keep the k candidates nearest the query by Euclidean distance.
 
     Takes :class:`Candidates` or a plain sequence of nodes, which it turns
-    into candidates. Embeds the fresh candidates' texts in one batch, in
-    candidate order; carried candidates keep the embedding they hold. The
-    float32 rows are screened first (:func:`screen_pool`), and nodes, exact
-    float64 unit rows and distances are made only for the fresh candidates
-    that can reach the beam, and for the carried ones. Orders ascending by
-    (distance, serialized form, catalog ids) and returns at most k
-    filled-in nodes.
+    into candidates. Carried candidates keep the embedding they hold. The
+    fresh candidates are screened first (:func:`screen_pool`), and texts,
+    nodes, exact float64 unit rows and distances are made only for those
+    that can reach the beam, and for the carried ones:
+
+    - for the hash encoder, keyed by its ``encoder_id``, the screen reads
+      the candidates' gram counts, composed from their triplets
+      (:meth:`HashEncoder.path_counts`); only the pool is rendered and
+      embedded, in one batch, in candidate order;
+    - for any other encoder, every fresh text is embedded in one batch, in
+      candidate order, and the screen reads those rows.
+
+    Orders ascending by (distance, serialized form, catalog ids) and
+    returns at most k filled-in nodes.
     """
     if not candidates:
         raise InvalidParams("candidate list must be non-empty")
     if k < 1:
         raise InvalidParams("beam width must be >= 1")
     candidates = Candidates.of(candidates)
-    rows = encode_rows(encoder, candidates.texts)
+    counter = hash_twin(encoder)
+    if counter is None:
+        rows = encode_rows(encoder, candidates.texts)
+        pool = screen_pool(rows, query_vector, k)
+        rows, texts = rows[pool], [candidates.texts[i] for i in pool.tolist()]
+    else:
+        pool = screen_pool(counter.path_counts(candidates.index, candidates.rows), query_vector, k)
+        texts = serialize_rows(candidates.index, candidates.rows[pool])
+        rows = encode_rows(encoder, texts)
     # carried nodes join the pool unscreened, with the float64 rows they hold. Only
     # the pool is upcast, so the beam's embeddings view a pool-sized matrix
-    pool = screen_pool(rows, query_vector, k)
-    picked = [candidates.fresh(i) for i in pool.tolist()] + candidates.carried
-    units = np.vstack([unit_rows(rows[pool]), *(c.embedding for c in candidates.carried)])
+    picked = candidates.fresh(pool, texts) + candidates.carried
+    units = np.vstack([unit_rows(rows), *(c.embedding for c in candidates.carried)])
     dists = row_norms(units, query_vector)
     return [
         replace(picked[j], embedding=units[j], query_distance=float(dists[j]))

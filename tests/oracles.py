@@ -29,12 +29,11 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
-def hash_encode_text(text: str, dim: int) -> np.ndarray:
-    """One float32 row of signed 3-gram feature hashing, as HashEncoder documents it.
+def hash_gram_counts(text: str, dim: int) -> list[int]:
+    """The signed 3-gram bucket counts of a text, as HashEncoder documents them.
 
     Every 3-byte window of the UTF-8 text (the whole text when it is shorter)
-    adds -1 when its hash's top bit is set, else +1, to bucket hash % dim;
-    the counts are normalized in float64, then quantized.
+    adds -1 when its hash's top bit is set, else +1, to bucket hash % dim.
     """
     data = text.encode("utf-8")
     grams = [data[i : i + 3] for i in range(len(data) - 2)] or [data]
@@ -42,6 +41,15 @@ def hash_encode_text(text: str, dim: int) -> np.ndarray:
     for gram in grams:
         h = fnv1a_64(gram)
         counts[h % dim] += -1 if h >> 63 else 1
+    return counts
+
+
+def hash_encode_text(text: str, dim: int) -> np.ndarray:
+    """One float32 row of signed 3-gram feature hashing, as HashEncoder documents it.
+
+    The :func:`hash_gram_counts` are normalized in float64, then quantized.
+    """
+    counts = hash_gram_counts(text, dim)
     norm = math.sqrt(sum(c * c for c in counts))
     if norm == 0.0:
         raise ZeroVector(f"hash embedding of {text!r} cancelled to zero")

@@ -251,7 +251,8 @@ def test_latency_and_hop_scaling():
 
         # hop sweep: per-hop latency floor strictly increases with hops
         # (minimum over repeats is robust to scheduler noise; the added work
-        # per extra hop is deterministic candidate encoding). A late second
+        # per extra hop is deterministic: growing and screening the hop's
+        # candidates, then encoding the pool the screen keeps). A late second
         # BLAS thread stalls whole scheduler ticks, so conftest runs one
         assert BLAS_THREADS_PINNED, "numpy loaded before conftest could set OPENBLAS_NUM_THREADS"
         from helprag.evaluation import QARecord
@@ -265,7 +266,7 @@ def test_latency_and_hop_scaling():
             )
             floors.append(min(r["latency_s"] for r in report.rows))
             texts_per_query.append(len(recorder.texts) / len(qa))
-        # the work behind the floors, counted: each extra hop encodes more candidate paths
+        # the work behind the floors, counted: each extra hop encodes the paths of one more pool
         assert all(a < b for a, b in zip(texts_per_query, texts_per_query[1:])), texts_per_query
         assert all(a < b for a, b in zip(floors, floors[1:])), floors
 

@@ -19,11 +19,13 @@ from helprag.encoding import (
     HASH_CHUNK_TEXTS,
     HashEncoder,
     OracleEncoder,
+    RemoteEncoder,
     TextBatch,
     _fnv1a_gram_hashes,
     _signed_cells,
     encode,
     encoder_from_spec,
+    hash_twin,
     row_norms,
     screen_distances,
     screen_error,
@@ -38,6 +40,7 @@ from helprag.errors import (
     ZeroVector,
 )
 from helprag.kg import Triplet
+from helprag.services import ServiceConfig
 
 TRIPLET_FIELD = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Nd"), whitelist_characters=" "),
@@ -212,6 +215,35 @@ class TestHashEncoder:
     def test_dim_below_two_rejected(self):
         with pytest.raises(InvalidParams):
             HashEncoder(dim=1)
+
+    @pytest.mark.parametrize("dim", [2, 7, 256])
+    def test_gram_counts_are_the_reference_counts(self, dim):
+        texts = ["", "a", "ab", "abc", "é r 日本", "a r b; b r c", *CANCEL_AT_256]
+        expected = [oracles.hash_gram_counts(text, dim) for text in texts]
+        assert HashEncoder(dim).gram_counts(TextBatch.of(texts)).tolist() == expected
+        assert HashEncoder(dim).gram_counts(TextBatch.of([])).shape == (0, dim)
+
+
+class TestHashTwin:
+    """prune's count screen is keyed by the hash encoder's id at the encoder's dimension."""
+
+    @pytest.mark.parametrize("dim", [2, 7, 256])
+    def test_the_hash_encoder_and_a_delegate_forwarding_its_id(self, dim):
+        for encoder in (HashEncoder(dim), RecordingEncoder(HashEncoder(dim))):
+            twin = hash_twin(encoder)
+            assert type(twin) is HashEncoder and twin.encoder_id == encoder.encoder_id
+
+    def test_other_ids_have_none(self):
+        class Mislabelled(RecordingEncoder):
+            @property
+            def dim(self) -> int:
+                return 128
+
+        oracle = OracleEncoder(2, {"a": [1.0, 0.0]})
+        # a remote encoder knows its dimension only after a reply; its id is read first
+        remote = RemoteEncoder(ServiceConfig("http://127.0.0.1:9/v1/embeddings", "hash-fnv1a-3gram-256"))
+        for encoder in (oracle, remote, Mislabelled(HashEncoder(256))):
+            assert hash_twin(encoder) is None
 
 
 class TestOracleEncoder:

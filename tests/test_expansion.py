@@ -22,7 +22,15 @@ from conftest import (
 )
 import helprag.expansion
 from helprag import encoding
-from helprag.encoding import HashEncoder, Encoder, encode, row_norms, serialize_hypernode, smallest_k
+from helprag.encoding import (
+    HashEncoder,
+    Encoder,
+    encode,
+    row_norms,
+    serialize_hypernode,
+    serialize_rows,
+    smallest_k,
+)
 from helprag.errors import EmptyGraph, InvalidParams, ZeroVector
 from helprag.expansion import (
     ExpansionConfig,
@@ -36,7 +44,7 @@ from helprag.expansion import (
 from helprag.ingestion import CorpusRecord, build_and_embed, load_index, save_index
 from helprag.kg import Triplet, canonicalize_triplet
 from helprag.localization import dense_rank, retrieve_result, score_passages
-from oracles import brute_force_expansion, enumerate_candidates, hash_encode_text, sort_rank
+from oracles import brute_force_expansion, enumerate_candidates, hash_encode_text, hash_gram_counts, sort_rank
 
 
 def beam_sets(beam: list[HyperNode]) -> list[frozenset]:
@@ -173,6 +181,10 @@ class TestIdCandidates:
         # a member from the graph itself does not excuse one from the twin
         with pytest.raises(InvalidParams, match="another graph"):
             expand_candidates(graph, [select_seeds(graph, vq, 1)[0], stranger])
+        # prune reads a plain sequence's fresh nodes as id rows on its first node's index
+        fresh = [hypernode(graph, {canonicalize_triplet("b", "r", "c")}), hypernode(twin, stranger.triplets)]
+        with pytest.raises(InvalidParams, match="another graph"):
+            prune(fresh, hash_encoder, vq, 1)
 
     def test_triplets_built_only_for_pools_beam_and_support(self, hash_encoder, tmp_path, monkeypatch):
         save_index(tmp_path, build_and_embed(ten_k_triplet_records(random.Random(0x10C)), hash_encoder))
@@ -343,6 +355,59 @@ class TestArrayCandidates:
                 assert (keys[i] == keys[j]) == (rows[i] == rows[j])
 
 
+def single_byte_corpus(rng: random.Random) -> list[CorpusRecord]:
+    """A random graph over 1-byte names, so every triplet text has the minimum 5 bytes."""
+    names, relations = "abcdef", "rs"
+    return [
+        CorpusRecord(
+            f"s{p:03d}",
+            f"passage {p}",
+            tuple((rng.choice(names), rng.choice(relations), rng.choice(names)) for _ in range(rng.randint(1, 4))),
+        )
+        for p in range(rng.randint(1, 12))
+    ]
+
+
+class TestComposedCounts:
+    """Path gram counts composed from a hop's pieces equal the counts of each rendered path."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["single-byte", "odd", "colliding"]),
+        st.sampled_from([7, 256, 1024]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_the_counts_of_the_rendered_text(self, hash_encoder, seed, corpus, dim):
+        rng = random.Random(seed)
+        records = {
+            "single-byte": lambda: single_byte_corpus(rng),
+            "odd": lambda: odd_corpus(rng),
+            "colliding": colliding_corpus,
+        }[corpus]()
+        graph = build_and_embed(records, hash_encoder)
+        index, n_triplets = graph.index, len(graph.index.catalog)
+        # ascending distinct ids, 1-4 to a row, padded with -1 to the batch's widest
+        ids = [
+            sorted(rng.sample(range(n_triplets), rng.randint(1, min(4, n_triplets))))
+            for _ in range(rng.randint(1, 30))
+        ]
+        rows = np.full((len(ids), max(map(len, ids))), -1)
+        for row, held in zip(rows, ids):
+            row[: len(held)] = held
+        encoder = HashEncoder(dim)
+        composed = encoder.path_counts(index, rows)
+        texts = [serialize_hypernode(index.triplet(i) for i in held) for held in ids]
+        expected = np.array([hash_gram_counts(text, dim) for text in texts], dtype=np.float32)
+        assert composed.dtype == np.float32
+        assert composed.tobytes() == expected.tobytes()
+        rendered = encoder.gram_counts(serialize_rows(index, rows))
+        assert rendered.astype(np.float32).tobytes() == expected.tobytes()
+
+    def test_no_rows_compose_to_no_counts(self, hash_encoder):
+        graph = build_and_embed(colliding_corpus(), hash_encoder)
+        assert hash_encoder.path_counts(graph.index, np.full((0, 1), -1)).shape == (0, 256)
+
+
 class TestPrune:
     """Prune's order; nodes come from a hash-embedded graph, distances from an oracle."""
 
@@ -450,6 +515,21 @@ class TestTiesAtTheKth:
         assert all(np.array_equal(a.embedding, b.embedding) for a, b in zip(kept, reencoded))
 
 
+def spaced_groups_corpus(sizes: list[int]) -> list[CorpusRecord]:
+    """Group g holds sizes[g] triplets that all render "g{g} w x y z": its words split into fields anew.
+
+    The triplets of a group share their text, so the hash encoder gives them
+    bit-equal rows: every repeated distance is an exact tie.
+    """
+    records = []
+    for g, size in enumerate(sizes):
+        words = [f"g{g}", "w", "x", "y", "z"]
+        cuts = [(a, b) for a in range(1, 4) for b in range(a + 1, 5)][:size]
+        triples = tuple((" ".join(words[:a]), " ".join(words[a:b]), " ".join(words[b:])) for a, b in cuts)
+        records.append(CorpusRecord(f"p{g}", f"passage {g}", triples))
+    return records
+
+
 class ScaledEncoder(Encoder):
     """Another encoder's rows times a constant, so they are far from unit length."""
 
@@ -532,16 +612,71 @@ class TestScreenedPrune:
         candidates = sorted(seeds + fresh, key=lambda c: c.serialized)
         assert kept_bits(prune(candidates, enc, vq, k)) == unscreened_prune(candidates, enc, vq, k)
 
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["random", "colliding", "odd"]))
+    @settings(max_examples=40, deadline=None)
+    def test_count_screen_equal_to_unscreened_on_random_graphs(self, hash_encoder, seed, corpus):
+        # the hash encoder's id takes prune's count screen; its pool is rendered and encoded
+        rng = random.Random(seed)
+        records = {
+            "random": lambda: random_corpus(rng, n_passages=rng.randint(1, 30), entity_pool=rng.randint(4, 20)),
+            "colliding": lambda: random_corpus(rng, n_passages=rng.randint(1, 10)) + colliding_corpus(),
+            "odd": lambda: odd_corpus(rng),
+        }[corpus]()
+        graph = build_and_embed(records, hash_encoder)
+        if not graph.index.catalog:
+            return
+        vq = encode(hash_encoder, [rng.choice(["q links a", "日本 r é", f"probe {seed}"])])[0]
+        beam = mixed_beam(rng, graph, hash_encoder, vq) if corpus == "odd" else select_seeds(graph, vq, 3)
+        for _ in range(3):
+            candidates = expand_candidates(graph, beam)
+            k = rng.choice([1, 2, 3, 5, 8, len(candidates), len(candidates) + 1])
+            beam = prune(candidates, hash_encoder, vq, k)
+            assert kept_bits(beam) == unscreened_prune(candidates, hash_encoder, vq, k)
+
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=6),
+        st.integers(0, 3),
+        st.integers(1, 13),
+        st.integers(0, 5),
+    )
+    @example([3, 2, 3], 1, 2, 0)
+    @settings(max_examples=60, deadline=None)
+    def test_count_screen_equal_to_unscreened_with_ties_and_carried_nodes(self, hash_encoder, sizes, carried, k, near):
+        graph = build_and_embed(spaced_groups_corpus(sizes), hash_encoder)
+        vq = encode(hash_encoder, [f"g{near} w x y z"])[0]
+        catalog = graph.index.catalog
+        carried = min(carried, len(catalog))
+        seeds = select_seeds(graph, vq, len(catalog))[:carried]
+        held = {s.ids for s in seeds}
+        fresh = [hypernode(graph, [t]) for t in catalog]
+        candidates = sorted(seeds + [c for c in fresh if c.ids not in held], key=lambda c: c.serialized)
+        assert kept_bits(prune(candidates, hash_encoder, vq, k)) == unscreened_prune(candidates, hash_encoder, vq, k)
+
     @pytest.mark.parametrize("k", [1, 8, 10_000])
     def test_zero_row_in_a_hop_batch_raises(self, hash_encoder, k):
-        # encode_rows leaves zero rows to prune: the screen reads NaN for one and keeps
-        # every row, so unit_rows sees it below, at and above the candidate count
+        # ZeroesMiddleRow keeps the hash id, so prune screens by composed counts, which
+        # are not zero, and encodes the pool; unit_rows sees the zeroed row of that batch
+        # below, at and above the candidate count
         graph = build_and_embed(random_corpus(random.Random(8), n_passages=30, entity_pool=12), hash_encoder)
         vq = encode(hash_encoder, ["probe"])[0]
         candidates = expand_candidates(graph, select_seeds(graph, vq, 3))
         assert 8 < len(candidates.texts) and len(candidates) < 10_000
         with pytest.raises(ZeroVector, match="zero row"):
             prune(candidates, ZeroesMiddleRow(), vq, k)
+
+    def test_zero_counts_keep_every_row_and_the_hash_encoder_raises(self):
+        # at dim 2 the path "lm r pm; pm rt hgo" cancels to zero, though neither triplet does:
+        # its count row reads NaN in the screen, so the pool is every row and encoding it raises
+        encoder = HashEncoder(2)
+        triples = [("lm", "r", "pm"), ("pm", "rt", "hgo"), ("pm", "t", "b"), ("pm", "t", "x")]
+        graph = build_and_embed([passage("p1", *triples, text="passage one")], encoder)
+        vq = encode(encoder, ["lm r pm"])[0]
+        seed = hypernode(graph, [canonicalize_triplet(*triples[0])], graph.embeddings.triplet_units[0], 0.0)
+        candidates = expand_candidates(graph, [seed])
+        counts = encoder.path_counts(graph.index, candidates.rows)
+        assert len(candidates) == 3 and (~counts.any(axis=1)).sum() == 1
+        with pytest.raises(ZeroVector, match="cancelled to zero"):
+            prune(candidates, encoder, vq, 1)
 
 
 class ZeroesMiddleRow(HashEncoder):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from conftest import RecordingEncoder, hypernode, passage, random_corpus
 import helprag.expansion
-from helprag.encoding import TextBatch, encode, encode_rows, screen_pool
+from helprag.encoding import TextBatch, encode, screen_pool
 from helprag.expansion import ExpansionConfig, HyperNode, expand_candidates, prune, select_seeds
 from helprag.ingestion import build_and_embed
 from helprag.localization import retrieve_result
@@ -104,18 +104,35 @@ def lonely_graph(encoder):
     return build_and_embed(records + [passage("lonely", ("x", "r", "y"))], encoder)
 
 
+class RenamedEncoder(RecordingEncoder):
+    """A recording encoder under an id of its own, which prune treats as any encoder but the hash one."""
+
+    @property
+    def encoder_id(self) -> str:
+        return f"renamed-{self.inner.encoder_id}"
+
+
 def test_prune_encodes_the_fresh_candidates_in_one_batch(hash_encoder):
+    # one batch per prune, in candidate order: for the hash encoder's id, the fresh texts of
+    # the pool its count screen keeps; for any other id, every fresh text
     graph = lonely_graph(hash_encoder)
-    vq = encode(hash_encoder, ["x r y"])[0]  # the lonely triplet is the first seed
-    beam = select_seeds(graph, vq, 3)
-    carried = 0
-    for _ in range(3):
-        candidates = expand_candidates(graph, beam)
-        recorder = RecordingEncoder(hash_encoder)
-        beam = prune(candidates, recorder, vq, 8)
-        assert recorder.calls == [[c.serialized for c in candidates if c.embedding is None]]
-        carried += sum(c.embedding is not None for c in candidates)
-    assert carried > 0
+    vq = encode(hash_encoder, ["x r y r1"])[0]  # the lonely triplet is the first seed
+    for recording in (RecordingEncoder, RenamedEncoder):
+        beam = select_seeds(graph, vq, 3)
+        carried = screened_out = 0
+        for _ in range(3):
+            candidates = expand_candidates(graph, beam)
+            recorder = recording(hash_encoder)
+            beam = prune(candidates, recorder, vq, 8)
+            expected = [c.serialized for c in candidates if c.embedding is None]
+            if recording is RecordingEncoder:
+                pool = screen_pool(hash_encoder.path_counts(candidates.index, candidates.rows), vq, 8)
+                screened_out += len(expected) - len(pool)
+                expected = [expected[i] for i in pool.tolist()]
+            assert recorder.calls == [expected]
+            carried += sum(c.embedding is not None for c in candidates)
+        assert carried > 0
+        assert screened_out > 0 or recording is RenamedEncoder
 
 
 def test_encoder_proxy_is_handed_batches_and_counts_their_texts(hash_encoder, monkeypatch):
@@ -155,13 +172,12 @@ def test_final_beam_keeps_no_more_rows_than_the_pool(hash_encoder, monkeypatch):
     result = retrieve_result(graph, hash_encoder, "probe", ExpansionConfig(hops=3, seed_size=3, beam_size=8))
     monkeypatch.undo()
 
-    # a pool is the fresh candidates that pass the screen, plus the carried ones
+    # a pool is the fresh candidates that pass prune's count screen, plus the carried ones
     vq = encode(hash_encoder, ["probe"])[0]
     pools = []
     for candidates, k in pruned:
-        rows = encode_rows(hash_encoder, [c.serialized for c in candidates if c.embedding is None])
-        carried = sum(c.embedding is not None for c in candidates)
-        pools.append(len(screen_pool(rows, vq, k)) + carried)
+        counts = hash_encoder.path_counts(candidates.index, candidates.rows)
+        pools.append(len(screen_pool(counts, vq, k)) + len(candidates.carried))
     assert len(pools) == 2 and max(pools) < min(len(c) for c, _ in pruned)
     seed_rows = graph.embeddings.triplet_units
     for node in result.hypernodes:
