@@ -53,11 +53,9 @@ from .services import ServiceConfig, ServiceReplyError, ServiceUnreachable, post
 if TYPE_CHECKING:
     from .kg import TripleToPassageIndex
 
-# per segment of a triplet in a serialization: the join, head, relation and tail take
-# their whole entry of the index's text bytes, but the tail drops its space
-_TAIL_SPACE = np.array([0, 0, 0, 1])
-# the same for a piece of HashEncoder.path_counts: join, head, relation, tail, join
-_PIECE_TAIL_SPACE = np.array([0, 0, 0, 1, 0])
+# per segment of a triplet's piece (join, head, relation, tail, join): each takes its
+# whole entry of the index's text bytes, but the tail drops its space
+_TAIL_SPACE = np.array([0, 0, 0, 1, 0])
 # the (head, relation, tail) order of Triplet's dataclass comparison, as a C-level key
 _TRIPLET_FIELDS = attrgetter("head", "relation", "tail")
 
@@ -119,22 +117,32 @@ class TextBatch(Sequence[str]):
 def serialize_rows(index: "TripleToPassageIndex", rows: np.ndarray) -> TextBatch:
     """:func:`serialize_hypernode` of each row of catalog ids, as one batch.
 
-    Each row holds the ascending catalog ids of one triplet set, padded at
-    the end with -1 to the width of the widest. Catalog order is (head,
-    relation, tail) order, so the text is the row's triplets in row order:
-    for each id, the join (from the second id on), then head, relation and
-    tail, the first two with the space that follows them.
+    Each row holds the ascending catalog ids of one triplet set, all rows
+    of one width. Catalog order is (head, relation, tail) order, so the
+    text is the row's triplets in row order, each with the join before it
+    from the second on (:func:`_pieces`).
+    """
+    n, width = rows.shape
+    entries, lengths = _pieces(index, rows.ravel(), np.tile(np.arange(width) > 0, n), 0)
+    return _gather_texts(index, entries.reshape(n, width * 5), lengths.reshape(n, width * 5))
+
+
+def _pieces(index: "TripleToPassageIndex", tids: np.ndarray, before, after) -> tuple[np.ndarray, np.ndarray]:
+    """Each triplet's text with the join before it and/or after it, as segments for :func:`_gather_texts`.
+
+    Five segments per triplet, each an entry of the index's text bytes: the
+    join, head, relation, tail and join. Head and relation keep the space
+    that follows them and the tail drops its; the first join has length 0
+    where ``before`` is 0, the last where ``after`` is.
     """
     _, _, spans = index.text_bytes
-    n, width = rows.shape
-    # four segments per id, in text order, each an entry of the text bytes
-    entries = np.empty((n, width, 4), dtype=np.int64)
-    entries[..., 0] = spans.shape[0] - 1  # the join
-    entries[..., 1:] = index.triplet_rows[rows]  # a pad reads some triplet; its segments get length 0
+    entries = np.empty((tids.shape[0], 5), dtype=np.int64)
+    entries[:, [0, 4]] = spans.shape[0] - 1  # the join
+    entries[:, 1:4] = index.triplet_rows[tids]
     lengths = spans[entries] - _TAIL_SPACE
-    lengths[:, 0, 0] = 0
-    lengths *= (rows >= 0)[..., None]
-    return _gather_texts(index, entries.reshape(n, width * 4), lengths.reshape(n, width * 4))
+    lengths[:, 0] *= before
+    lengths[:, 4] *= after
+    return entries, lengths
 
 
 def _gather_texts(index: "TripleToPassageIndex", entries: np.ndarray, lengths: np.ndarray) -> TextBatch:
@@ -492,35 +500,22 @@ class HashEncoder(Encoder):
         and counted once, and each row sums its pieces' counts, integers
         that float32 adds exactly for any path text under ``2**24`` bytes.
         """
-        n, width = rows.shape
-        valid = rows >= 0
-        # a piece is keyed 4 tid + 2 (join before) + (join after); a pad, by the key above
-        # them all, whose slot is the zero row after the pieces' rows
+        # a piece is keyed 4 tid + 2 (join before) + (join after)
         keys = rows * 4
-        keys[:, 1:] += 2 * valid[:, 1:]
-        keys[:, :-1] += valid[:, 1:]
-        pad = 4 * index.triplet_rows.shape[0]
-        keys[~valid] = pad
-        used = np.zeros(pad + 1, dtype=bool)
+        keys[:, 1:] += 2
+        keys[:, :-1] += 1
+        used = np.zeros(4 * index.triplet_rows.shape[0], dtype=bool)
         used[keys] = True
-        used[pad] = True
         pieces = np.flatnonzero(used)
-        slot_of = np.empty(pad + 1, dtype=np.intp)
+        slot_of = np.empty(used.shape[0], dtype=np.intp)
         slot_of[pieces] = np.arange(pieces.shape[0])
         slots = slot_of[keys]
-        tids, sides = np.divmod(pieces[:-1], 4)
-        _, _, spans = index.text_bytes
-        entries = np.empty((tids.shape[0], 5), dtype=np.int64)
-        entries[:, [0, 4]] = spans.shape[0] - 1  # the join
-        entries[:, 1:4] = index.triplet_rows[tids]
-        lengths = spans[entries] - _PIECE_TAIL_SPACE
-        lengths[:, 0] *= sides >> 1
-        lengths[:, 4] *= sides & 1
-        table = np.zeros((pieces.shape[0], self._dim), dtype=np.float32)
+        entries, lengths = _pieces(index, pieces >> 2, pieces >> 1 & 1, pieces & 1)
+        table = np.empty((pieces.shape[0], self._dim), dtype=np.float32)
         for lo, chunk in _chunks(_gather_texts(index, entries, lengths)):
             table[lo : lo + len(chunk)] = self.gram_counts(chunk)
-        out = np.empty((n, self._dim), dtype=np.float32)
-        for lo in range(0, n, HASH_CHUNK_TEXTS):
+        out = np.empty((len(rows), self._dim), dtype=np.float32)
+        for lo in range(0, len(rows), HASH_CHUNK_TEXTS):
             part, counts = slots[lo : lo + HASH_CHUNK_TEXTS], out[lo : lo + HASH_CHUNK_TEXTS]
             np.take(table, part[:, 0], axis=0, out=counts)
             for column in part.T[1:]:

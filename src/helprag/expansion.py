@@ -7,16 +7,16 @@ smallest Euclidean distance to the query after every hop. Because all
 embeddings are unit vectors, cosine ranking and Euclidean-distance ranking
 agree, so seed scoring and pruning use one consistent order.
 
-A hop's new candidates are held as rows of ascending catalog ids, grown and
-deduplicated with numpy, until prune has screened them. :class:`Candidates`
-renders their texts only when they are read and builds a :class:`HyperNode`
-only when one is indexed. For the hash encoder, prune screens the
-candidates by gram counts composed from their triplets, then renders and
-encodes only the pool its screen keeps; for other encoders it encodes every
-fresh text and screens those rows. The order of a hop's candidates (fresh
-ones by ascending id tuple, then carried ones) changes no output: prune
-ranks by a total order, and each encoder row, count row, screen value and
-exact distance depends on its own text or row alone.
+A hop's new candidates are one matrix of ascending catalog ids, a row per
+path, grown and deduplicated with numpy. :class:`Candidates` renders their
+texts only when they are read and builds a :class:`HyperNode` only for the
+pool prune's screen keeps, or on iteration. For the hash encoder, prune
+screens the candidates by gram counts composed from their triplets, then
+renders and encodes only the pool its screen keeps; for other encoders it
+encodes every fresh text and screens those rows. The order of a hop's
+candidates (fresh ones by ascending id tuple, then carried ones) changes no
+output: prune ranks by a total order, and each encoder row, count row,
+screen value and exact distance depends on its own text or row alone.
 """
 
 from __future__ import annotations
@@ -112,16 +112,16 @@ def select_seeds(graph: KnowledgeGraph, query_vector: np.ndarray, n: int) -> lis
 _KEY_LIMIT = 2**63 - 1
 
 
-def _lex_keys(columns: list[np.ndarray], radices: list[int]) -> np.ndarray:
-    """int64 keys that order rows as the tuples ``(columns[0][i], columns[1][i], ...)`` do.
+def _lex_keys(rows: np.ndarray, radix: int) -> np.ndarray:
+    """int64 keys that order the rows of an int64 matrix as tuples do.
 
-    Column j holds int64 values in ``[0, radices[j])``, and the key appends
-    them as mixed-radix digits. When the next digit would overflow int64,
-    the keys so far are first replaced by their dense ranks, which keep
-    their order and are below the row count.
+    Every value is in ``[0, radix)``, and a row's key appends its values as
+    digits in that radix. When the next digit would overflow int64, the
+    keys so far are first replaced by their dense ranks, which keep their
+    order and are below the row count.
     """
-    keys, bound = columns[0], radices[0]  # every key is below the bound
-    for column, radix in zip(columns[1:], radices[1:]):
+    keys, bound = rows[:, 0], radix  # every key is below the bound
+    for column in rows.T[1:]:
         if bound * radix > _KEY_LIMIT:
             distinct, keys = np.unique(keys, return_inverse=True)
             bound = distinct.shape[0]
@@ -134,27 +134,30 @@ def expand_candidates(graph: KnowledgeGraph, beam: Sequence[HyperNode]) -> "Cand
     """Grow every beam member by one adjacent triplet.
 
     A member whose entities have no unvisited neighbors is carried forward
-    unchanged, so strong short paths survive to the final hop. Candidates
-    are deduplicated by triplet set across the hop, carried members
-    included: a set that several members yield takes the form, carried or
-    fresh, that the earliest of them gives it. Distinct sets that render
-    the same text are all kept. A member grown on another graph's index
-    raises InvalidParams (:meth:`HyperNode.ids_in`).
+    unchanged, so strong short paths survive to the final hop. Grown sets
+    are deduplicated; distinct sets that render the same text are all kept.
 
-    The beam grows in one pass over the index arrays: one
-    :func:`adjacent_triplets` call gathers every member's neighbours, and
-    one padded matrix holds every grown and carried id row. Returns
-    :class:`Candidates`: the fresh ones in ascending id-tuple order, then
-    the carried members in beam order. Fresh candidates are held as id
-    rows, with no text or embedding; :func:`prune` renders, embeds and
-    builds nodes for those its screen keeps. A carried member that holds
-    no embedding is returned as a fresh candidate.
+    The beam must be one that :func:`select_seeds` or :func:`prune` returns:
+    distinct triplet sets, each holding its embedding. A path with no
+    unvisited neighbor never gains one, so every member that grows is one
+    of the widest, and no grown set equals a carried one. Any other beam,
+    or a member grown on another graph's index (:meth:`HyperNode.ids_in`),
+    raises InvalidParams.
+
+    One :func:`adjacent_triplets` call gathers every member's neighbours.
+    Returns :class:`Candidates`: the grown sets as id rows in ascending
+    order, then the carried members in beam order. :func:`prune` renders,
+    embeds and builds nodes for the grown ones its screen keeps.
     """
     if not beam:
         raise InvalidParams("beam must be non-empty")
     index = graph.index
     n_triplets = index.triplet_rows.shape[0]
     ids = [node.ids_in(index) for node in beam]
+    if any(node.embedding is None for node in beam):
+        raise InvalidParams("every beam member must hold its embedding")
+    if len(set(ids)) < len(ids):
+        raise InvalidParams("beam holds a triplet set twice")
     widths = np.fromiter(map(len, ids), dtype=np.int64, count=len(beam))
     flat = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=int(widths.sum()))
     owner = np.repeat(np.arange(len(beam)), widths)
@@ -166,41 +169,31 @@ def expand_candidates(graph: KnowledgeGraph, beam: Sequence[HyperNode]) -> "Cand
     fresh = np.ones(neighbours.shape[0], dtype=bool)
     fresh[np.searchsorted(neighbours, owner * n_triplets + flat)] = False
     member, added = np.divmod(neighbours[fresh], n_triplets)
-    counts = np.bincount(member, minlength=len(beam))
-    carried_at = (counts == 0) & np.array([node.embedding is not None for node in beam])
+    grows = np.bincount(member, minlength=len(beam)) > 0
+    width = int(widths.max())
+    if (widths[grows] < width).any():
+        raise InvalidParams("a beam member that grows must be one of the widest")
 
-    # each member's ids, padded to the hop's widest row with n_triplets, above every id
-    width = int((widths + (counts > 0)).max())
-    padded = np.full((len(beam), width), n_triplets)
-    padded[np.arange(width) < widths[:, None]] = flat
-    # a row per fresh neighbour, its member's ids plus the neighbour, then a member's own ids
-    # for each member with none; sorting moves the pads to the end, where they become -1
-    members = np.concatenate([member, np.flatnonzero(counts == 0)])
-    rows = padded[members]
-    rows[np.arange(member.shape[0]), widths[member]] = added
-    rows.sort(axis=1)
-    rows[rows == n_triplets] = -1
-
-    # ascending rows, each set first at the earliest member that yields it; a pad becomes
-    # digit 0, so a row sorts before the longer rows it begins
-    keys = _lex_keys([*(rows + 1).T, members], [n_triplets + 1] * width + [len(beam)])
+    # a row per fresh neighbour: its member's ids plus the neighbour, sorted. A member
+    # that grows holds width ids, the last of them at flat[cumsum(widths) - 1]
+    starts = np.cumsum(widths) - width
+    rows = np.sort(np.column_stack([flat[starts[member][:, None] + np.arange(width)], added]), axis=1)
+    keys = _lex_keys(rows, n_triplets)
     order = np.argsort(keys)
-    row_keys = keys[order] // len(beam)
+    keys = keys[order]
     first = np.ones(order.shape[0], dtype=bool)
-    np.not_equal(row_keys[1:], row_keys[:-1], out=first[1:])
-    kept = order[first]
-    carried = carried_at[members[kept]]
-    carried_members = [beam[p] for p in np.sort(members[kept[carried]]).tolist()]
-    return Candidates(index, rows[kept[~carried]], carried_members)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    carried = [beam[p] for p in np.flatnonzero(~grows).tolist()]
+    return Candidates(index, rows[order[first]], carried)
 
 
-class Candidates(Sequence[HyperNode]):
+class Candidates:
     """One hop's candidates: the fresh ones, then the carried ones.
 
-    The fresh candidates are held as ``rows`` of catalog ids on ``index``,
-    padded at the end with -1; their :attr:`texts` are rendered the first
-    time they are read, and a fresh node is built each time one is indexed
-    or iterated. The carried ones are the nodes themselves, with the
+    The fresh candidates are held as ``rows``, one per triplet set, of its
+    ascending catalog ids on ``index``; their :attr:`texts` are rendered
+    the first time they are read, and a fresh node is built each time one
+    is iterated. The carried ones are the nodes themselves, with the
     embeddings they hold.
     """
 
@@ -209,22 +202,6 @@ class Candidates(Sequence[HyperNode]):
         self.rows = rows
         self.carried = carried
 
-    @classmethod
-    def of(cls, nodes: Sequence[HyperNode]) -> "Candidates":
-        """``nodes`` as candidates: those without an embedding are fresh, in the given order.
-
-        Every fresh node's ids are read on the first node's index; a node
-        grown on another raises InvalidParams (:meth:`HyperNode.ids_in`).
-        """
-        if isinstance(nodes, Candidates):
-            return nodes
-        index = nodes[0]._index
-        fresh = [c.ids_in(index) for c in nodes if c.embedding is None]
-        rows = np.full((len(fresh), max(map(len, fresh), default=1)), -1)
-        for row, ids in zip(rows, fresh):
-            row[: len(ids)] = ids
-        return cls(index, rows, [c for c in nodes if c.embedding is not None])
-
     @cached_property
     def texts(self) -> TextBatch:
         """The fresh candidates' serializations, in order."""
@@ -232,33 +209,22 @@ class Candidates(Sequence[HyperNode]):
 
     def fresh(self, at: Sequence[int], texts: Sequence[str]) -> list[HyperNode]:
         """The fresh nodes at positions ``at``, whose serializations are ``texts``."""
-        rows = self.rows[at]
-        return [HyperNode(tuple(row[row >= 0].tolist()), text, self.index) for row, text in zip(rows, texts)]
+        return [HyperNode(tuple(row), text, self.index) for row, text in zip(self.rows[at].tolist(), texts)]
 
     def __len__(self) -> int:
         return self.rows.shape[0] + len(self.carried)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        i = range(len(self))[i]  # bounds and negative indices as a list has them
-        n = self.rows.shape[0]
-        return self.fresh([i], [self.texts[i]])[0] if i < n else self.carried[i - n]
 
     def __iter__(self) -> Iterator[HyperNode]:
         return chain(self.fresh(range(self.rows.shape[0]), self.texts), self.carried)
 
 
-def prune(
-    candidates: Sequence[HyperNode], encoder: Encoder, query_vector: np.ndarray, k: int
-) -> list[HyperNode]:
+def prune(candidates: Candidates, encoder: Encoder, query_vector: np.ndarray, k: int) -> list[HyperNode]:
     """Keep the k candidates nearest the query by Euclidean distance.
 
-    Takes :class:`Candidates` or a plain sequence of nodes, which it turns
-    into candidates. Carried candidates keep the embedding they hold. The
-    fresh candidates are screened first (:func:`screen_pool`), and texts,
-    nodes, exact float64 unit rows and distances are made only for those
-    that can reach the beam, and for the carried ones:
+    Carried candidates keep the embedding they hold. The fresh candidates
+    are screened first (:func:`screen_pool`), and texts, nodes, exact
+    float64 unit rows and distances are made only for those that can reach
+    the beam, and for the carried ones:
 
     - for the hash encoder, keyed by its ``encoder_id``, the screen reads
       the candidates' gram counts, composed from their triplets
@@ -274,7 +240,6 @@ def prune(
         raise InvalidParams("candidate list must be non-empty")
     if k < 1:
         raise InvalidParams("beam width must be >= 1")
-    candidates = Candidates.of(candidates)
     counter = hash_twin(encoder)
     if counter is None:
         rows = encode_rows(encoder, candidates.texts)

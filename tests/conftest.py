@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from helprag.encoding import Encoder, HashEncoder, OracleEncoder, serialize_hypernode
-from helprag.expansion import HyperNode
+from helprag.expansion import Candidates, HyperNode
 from helprag.ingestion import CorpusRecord
 from helprag.kg import KnowledgeGraph, Triplet, canonicalize_triplet
 
@@ -166,7 +166,12 @@ def hypernode(
     embedding: np.ndarray | None = None,
     query_distance: float | None = None,
 ) -> HyperNode:
-    """The node of a set of the graph's triplets, as the engine would grow it.
+    """The node of a set of the graph's triplets, as the engine would grow it."""
+    return HyperNode(triplet_ids(graph, triplets), serialize_hypernode(triplets), graph.index, embedding, query_distance)
+
+
+def triplet_ids(graph: KnowledgeGraph, triplets) -> tuple[int, ...]:
+    """The ascending ids of a set of the graph's triplets.
 
     Each triplet's id is its position in ``graph.index.catalog``, the sorted
     contract view that ``tests/oracles.py`` reads.
@@ -177,7 +182,14 @@ def hypernode(
         i = bisect.bisect_left(catalog, triplet)
         assert i < len(catalog) and catalog[i] == triplet, f"{triplet} is not in the graph"
         ids.append(i)
-    return HyperNode(tuple(sorted(ids)), serialize_hypernode(triplets), graph.index, embedding, query_distance)
+    return tuple(sorted(ids))
+
+
+def candidates_of(graph: KnowledgeGraph, fresh, carried=()) -> Candidates:
+    """A hop's :class:`Candidates`: the triplet sets ``fresh``, all of one size, then the ``carried`` nodes."""
+    ids = [triplet_ids(graph, triplets) for triplets in fresh]
+    rows = np.array(ids, dtype=np.int64).reshape(len(ids), max(map(len, ids), default=1))
+    return Candidates(graph.index, rows, list(carried))
 
 
 def csr_weights(graph: KnowledgeGraph) -> dict[Triplet, dict[str, Fraction]]:

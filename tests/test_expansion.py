@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     RecordingEncoder,
+    candidates_of,
     colliding_corpus,
     directional_oracle,
     hypernode,
@@ -98,8 +99,9 @@ class TestSelectSeeds:
 class TestExpandCandidates:
     def test_chain_grows_by_one(self, hash_encoder):
         graph = build_and_embed([passage("p1", ("a", "r1", "b"), ("b", "r2", "c"))], hash_encoder)
-        seed = hypernode(graph, {canonicalize_triplet("a", "r1", "b")})
-        candidates = expand_candidates(graph, [seed])
+        seeds = select_seeds(graph, encode(hash_encoder, ["a r1 b"])[0], 1)
+        assert beam_sets(seeds) == [frozenset({canonicalize_triplet("a", "r1", "b")})]
+        candidates = list(expand_candidates(graph, seeds))
         assert beam_sets(candidates) == [
             frozenset({canonicalize_triplet("a", "r1", "b"), canonicalize_triplet("b", "r2", "c")})
         ]
@@ -109,34 +111,69 @@ class TestExpandCandidates:
         graph = build_and_embed(
             [passage("p1", ("a", "r", "b")), passage("p2", ("x", "r", "y"))], hash_encoder
         )
-        lonely = hypernode(graph, {canonicalize_triplet("x", "r", "y")})
-        candidates = expand_candidates(graph, [lonely])
-        assert beam_sets(candidates) == [lonely.triplets]
+        seeds = select_seeds(graph, encode(hash_encoder, ["x r y"])[0], 1)
+        assert beam_sets(seeds) == [frozenset({canonicalize_triplet("x", "r", "y")})]
+        assert list(expand_candidates(graph, seeds)) == seeds  # the node itself
 
     def test_same_set_reached_twice_deduplicated(self, hash_encoder):
         t1 = canonicalize_triplet("a", "r", "b")
         t2 = canonicalize_triplet("b", "r", "c")
         graph = build_and_embed([passage("p1", ("a", "r", "b"), ("b", "r", "c"))], hash_encoder)
-        candidates = expand_candidates(
-            graph,
-            [hypernode(graph, {t1}), hypernode(graph, {t2})],
-        )
-        assert beam_sets(candidates) == [frozenset({t1, t2})]
+        seeds = select_seeds(graph, encode(hash_encoder, ["a r b"])[0], 2)
+        assert set(beam_sets(seeds)) == {frozenset({t1}), frozenset({t2})}
+        assert beam_sets(expand_candidates(graph, seeds)) == [frozenset({t1, t2})]
 
     def test_sets_rendering_one_text_are_both_kept(self, hash_encoder):
         graph = build_and_embed(colliding_corpus(), hash_encoder)
-        seed = hypernode(graph, {canonicalize_triplet("q", "links", "a")})
-        candidates = expand_candidates(graph, [seed])
+        seeds = select_seeds(graph, encode(hash_encoder, ["q links a"])[0], 1)
+        assert beam_sets(seeds) == [frozenset({canonicalize_triplet("q", "links", "a")})]
+        candidates = expand_candidates(graph, seeds)
         assert {c.serialized for c in candidates} == {"a b c d; q links a"}
         assert set(beam_sets(candidates)) == {
-            seed.triplets | {canonicalize_triplet("a", "b c", "d")},
-            seed.triplets | {canonicalize_triplet("a", "b", "c d")},
+            seeds[0].triplets | {canonicalize_triplet("a", "b c", "d")},
+            seeds[0].triplets | {canonicalize_triplet("a", "b", "c d")},
         }
 
     def test_empty_beam_rejected(self, hash_encoder):
         graph = build_and_embed([passage("p1", ("a", "r", "b"))], hash_encoder)
         with pytest.raises(InvalidParams):
             expand_candidates(graph, [])
+
+    # only beams that select_seeds and prune return are taken; each other beam raises
+
+    def test_repeated_set_rejected(self, hash_encoder):
+        graph = build_and_embed([passage("p1", ("a", "r", "b"), ("b", "r", "c"))], hash_encoder)
+        seeds = select_seeds(graph, encode(hash_encoder, ["a r b"])[0], 2)
+        with pytest.raises(InvalidParams, match="twice"):
+            expand_candidates(graph, seeds + seeds[:1])
+        # an equal set in a node of its own is the same set
+        again = hypernode(graph, seeds[1].triplets, seeds[1].embedding, seeds[1].query_distance)
+        with pytest.raises(InvalidParams, match="twice"):
+            expand_candidates(graph, seeds + [again])
+
+    def test_member_without_embedding_rejected(self, hash_encoder):
+        graph = build_and_embed([passage("p1", ("a", "r", "b"), ("b", "r", "c"))], hash_encoder)
+        seeds = select_seeds(graph, encode(hash_encoder, ["a r b"])[0], 1)
+        bare = hypernode(graph, {canonicalize_triplet("b", "r", "c")})
+        for beam in ([bare], seeds + [bare]):
+            with pytest.raises(InvalidParams, match="embedding"):
+                expand_candidates(graph, beam)
+
+    def test_growing_member_narrower_than_a_carried_one_rejected(self, hash_encoder):
+        # odd_corpus's closed pair, grown by the loop, is carried; one of its own
+        # triplets, a seed, would grow into the same set
+        graph = build_and_embed(odd_corpus(random.Random(1)), hash_encoder)
+        catalog = graph.index.catalog
+        pair = frozenset(t for t in catalog if t.head in ("u", "v"))
+        vq = encode(hash_encoder, [serialize_hypernode(pair)])[0]
+        seeds = select_seeds(graph, vq, len(catalog))
+        grown = prune(expand_candidates(graph, seeds), hash_encoder, vq, 1)
+        assert beam_sets(grown) == [pair]
+        assert list(expand_candidates(graph, grown)) == grown
+        single = next(s for s in seeds if s.triplets == {min(pair)})
+        for beam in (grown + [single], [single] + grown):
+            with pytest.raises(InvalidParams, match="widest"):
+                expand_candidates(graph, beam)
 
 
 class TestIdCandidates:
@@ -157,12 +194,13 @@ class TestIdCandidates:
         beam = select_seeds(graph, vq, rng.randint(1, 5))
         for _ in range(3):
             candidates = expand_candidates(graph, beam)
-            assert len({c.ids for c in candidates}) == len(candidates)
+            nodes = list(candidates)
+            assert len({c.ids for c in nodes}) == len(nodes) == len(candidates)
             # the fresh candidates in ascending id-tuple order, then the carried ones
-            fresh = sum(c.embedding is None for c in candidates)
-            assert all(c.embedding is None for c in candidates[:fresh])
-            assert [c.ids for c in candidates[:fresh]] == sorted(c.ids for c in candidates[:fresh])
-            for c in candidates:
+            fresh = sum(c.embedding is None for c in nodes)
+            assert all(c.embedding is None for c in nodes[:fresh])
+            assert [c.ids for c in nodes[:fresh]] == sorted(c.ids for c in nodes[:fresh])
+            for c in nodes:
                 assert c.serialized == serialize_hypernode(c.triplets)
                 assert [index.triplet(i) for i in c.ids] == sorted(c.triplets)
             beam = prune(candidates, hash_encoder, vq, rng.randint(1, 10))
@@ -181,10 +219,6 @@ class TestIdCandidates:
         # a member from the graph itself does not excuse one from the twin
         with pytest.raises(InvalidParams, match="another graph"):
             expand_candidates(graph, [select_seeds(graph, vq, 1)[0], stranger])
-        # prune reads a plain sequence's fresh nodes as id rows on its first node's index
-        fresh = [hypernode(graph, {canonicalize_triplet("b", "r", "c")}), hypernode(twin, stranger.triplets)]
-        with pytest.raises(InvalidParams, match="another graph"):
-            prune(fresh, hash_encoder, vq, 1)
 
     def test_triplets_built_only_for_pools_beam_and_support(self, hash_encoder, tmp_path, monkeypatch):
         save_index(tmp_path, build_and_embed(ten_k_triplet_records(random.Random(0x10C)), hash_encoder))
@@ -225,7 +259,7 @@ def odd_corpus(rng: random.Random) -> list[CorpusRecord]:
     """A random graph over plain and odd names, a closed pair and a lonely triplet.
 
     The pair's two triplets touch only each other, so a path holding both is
-    carried, and a path holding one grows into the same set.
+    carried, and so is a path holding the lonely triplet.
     """
     names = [f"e{i}" for i in range(rng.randint(2, 8))] + ODD_NAMES
     relations = ["r", "ü;", "日"]
@@ -243,24 +277,16 @@ def odd_corpus(rng: random.Random) -> list[CorpusRecord]:
     return records + [passage("closed", ("u", "r", "v"), ("v", "r", "w")), passage("lonely", ("x", "r", "y"))]
 
 
-def mixed_beam(rng: random.Random, graph, encoder, vq) -> list[HyperNode]:
-    """Beam members of mixed lengths: seeds, carried pairs and nodes of random triplet sets."""
-    catalog = list(graph.index.catalog)
-    seeds = select_seeds(graph, vq, len(catalog))
-    pair = frozenset(t for t in catalog if t.head in ("u", "v"))
-    beam = []
-    for _ in range(rng.randint(1, 8)):
-        kind = rng.randrange(4)
-        if kind == 0:
-            beam.append(rng.choice(seeds))
-        elif kind == 1:
-            held = frozenset(rng.sample(catalog, rng.randint(1, min(3, len(catalog)))))
-            beam.append(hypernode(graph, held))
-        elif kind == 2:  # the closed pair, carried with the embedding prune would give it
-            embedding = encode(encoder, [serialize_hypernode(pair)])[0]
-            beam.append(hypernode(graph, pair, embedding, 0.5))
-        else:  # one of the pair, which grows into the carried set
-            beam.append(hypernode(graph, [min(pair)]))
+def loop_beam(rng: random.Random, graph, encoder, vq) -> list[HyperNode]:
+    """A beam the loop makes: every triplet as a seed, then 0-2 hops of expand and prune, k from 1 to 10.
+
+    With every triplet a seed, the next hop carries odd_corpus's lonely
+    triplet and grows its closed pair, which the hop after carries if prune
+    keeps it.
+    """
+    beam = select_seeds(graph, vq, len(graph.index.catalog))
+    for _ in range(rng.randint(0, 2)):
+        beam = prune(expand_candidates(graph, beam), encoder, vq, rng.randint(1, 10))
     return beam
 
 
@@ -268,21 +294,45 @@ def check_candidates(graph, beam, candidates) -> None:
     """Candidates equal the node-by-node enumeration, in the order and form the contract gives."""
     index = graph.index
     expected = enumerate_candidates(graph, beam)
-    found = {c.triplets: next((b for b in beam if b is c), None) for c in candidates}
-    assert len(found) == len(candidates)
-    assert found.keys() == expected.keys()
-    assert all(found[key] is expected[key] for key in expected)
-    fresh = len(candidates.texts)
-    assert all(found[c.triplets] is None and c.embedding is None for c in candidates[:fresh])
-    # fresh ids ascending and unique, then the carried members in beam order
-    ids = [c.ids for c in candidates[:fresh]]
+    nodes = list(candidates)
+    assert len(nodes) == len(candidates) == len(expected)
+    assert {c.triplets for c in nodes} == expected.keys()
+    fresh, carried = nodes[: len(candidates.texts)], nodes[len(candidates.texts) :]
+    assert all(expected[c.triplets] is None and c.embedding is None for c in fresh)
+    # the carried ones are the members themselves, in beam order
+    assert carried == candidates.carried == [b for b in beam if expected.get(b.triplets) is b]
+    # fresh ids ascending and unique
+    ids = [c.ids for c in fresh]
     assert all(a < b for a, b in zip(ids, ids[1:]))
-    positions = [next(i for i, b in enumerate(beam) if b is c) for c in candidates[fresh:]]
-    assert positions == sorted(positions)
-    assert list(candidates.texts) == [c.serialized for c in candidates[:fresh]]
-    for c in candidates[:fresh]:
+    assert list(candidates.texts) == [c.serialized for c in fresh]
+    for c in fresh:
         assert c.serialized == serialize_hypernode(c.triplets)
         assert [index.triplet(i) for i in c.ids] == sorted(c.triplets)
+
+
+def hops_equal_the_enumeration(encoder, seed: int, corpus: str) -> int:
+    """Three hops of the loop after select_seeds, k from 1 to 10, each checked by check_candidates.
+
+    Returns how many members the hops carried.
+    """
+    rng = random.Random(seed)
+    records = {
+        "random": lambda: random_corpus(rng, n_passages=rng.randint(1, 25), entity_pool=rng.randint(4, 20)),
+        "colliding": colliding_corpus,
+        "odd": lambda: odd_corpus(rng),
+    }[corpus]()
+    graph = build_and_embed(records, encoder)
+    if not graph.index.catalog:
+        return 0
+    vq = encode(encoder, [rng.choice(["q links a", "日本 r é", "x r y", f"probe {seed}"])])[0]
+    beam = select_seeds(graph, vq, rng.randint(1, 5))
+    carried = 0
+    for _ in range(3):
+        candidates = expand_candidates(graph, beam)
+        check_candidates(graph, beam, candidates)
+        carried += len(candidates.carried)
+        beam = prune(candidates, encoder, vq, rng.randint(1, 10))
+    return carried
 
 
 class TestArrayCandidates:
@@ -291,37 +341,27 @@ class TestArrayCandidates:
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "colliding", "odd"]))
     @settings(max_examples=40, deadline=None)
     def test_hops_equal_the_node_by_node_enumeration(self, hash_encoder, seed, corpus):
-        rng = random.Random(seed)
-        records = {
-            "random": lambda: random_corpus(rng, n_passages=rng.randint(1, 25), entity_pool=rng.randint(4, 20)),
-            "colliding": colliding_corpus,
-            "odd": lambda: odd_corpus(rng),
-        }[corpus]()
-        graph = build_and_embed(records, hash_encoder)
-        if not graph.index.catalog:
-            return
-        vq = encode(hash_encoder, [rng.choice(["q links a", "日本 r é", f"probe {seed}"])])[0]
-        if corpus == "odd":
-            beam = mixed_beam(rng, graph, hash_encoder, vq)
-        else:
-            beam = select_seeds(graph, vq, rng.randint(1, 5))
-        for _ in range(3):
+        # no hop of the loop raises, and every hop equals the enumeration
+        hops_equal_the_enumeration(hash_encoder, seed, corpus)
+
+    @pytest.mark.parametrize("corpus", ["random", "colliding", "odd"])
+    def test_the_enumerated_hops_carry_members(self, hash_encoder, corpus):
+        assert sum(hops_equal_the_enumeration(hash_encoder, seed, corpus) for seed in range(20)) > 0
+
+    def test_odd_corpus_carries_its_closed_pair_and_lonely_triplet(self, hash_encoder):
+        graph = build_and_embed(odd_corpus(random.Random(1)), hash_encoder)
+        catalog = graph.index.catalog
+        pair = frozenset(t for t in catalog if t.head in ("u", "v"))
+        lonely = frozenset(t for t in catalog if t.head == "x")
+        vq = encode(hash_encoder, [serialize_hypernode(pair)])[0]
+        beam = select_seeds(graph, vq, len(catalog))
+        carried = []
+        for _ in range(2):
             candidates = expand_candidates(graph, beam)
             check_candidates(graph, beam, candidates)
-            beam = prune(candidates, hash_encoder, vq, rng.randint(1, 10))
-
-    @pytest.mark.parametrize("first_pair", [True, False])
-    def test_carried_set_keeps_the_earliest_members_form(self, hash_encoder, first_pair):
-        graph = build_and_embed(odd_corpus(random.Random(1)), hash_encoder)
-        pair = frozenset(t for t in graph.index.catalog if t.head in ("u", "v"))
-        carried = hypernode(graph, pair, encode(hash_encoder, [serialize_hypernode(pair)])[0], 0.5)
-        single = hypernode(graph, [min(pair)])
-        beam = [carried, single] if first_pair else [single, carried]
-        candidates = expand_candidates(graph, beam)
-        # the pair is carried when it comes first, and grown from the single otherwise
-        assert [c is carried for c in candidates] == [first_pair]
-        assert [c.triplets for c in candidates] == [pair]
-        check_candidates(graph, beam, candidates)
+            carried.append(beam_sets(candidates.carried))
+            beam = prune(candidates, hash_encoder, vq, 10)
+        assert lonely in carried[0] and pair in carried[1]
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([7, 256, 1024]), st.integers(1, 5))
     @settings(max_examples=25, deadline=None)
@@ -329,7 +369,7 @@ class TestArrayCandidates:
         rng = random.Random(seed)
         graph = build_and_embed(odd_corpus(rng), hash_encoder)
         vq = encode(hash_encoder, ["日本 r é"])[0]
-        texts = expand_candidates(graph, mixed_beam(rng, graph, hash_encoder, vq)).texts
+        texts = expand_candidates(graph, loop_beam(rng, graph, hash_encoder, vq)).texts
         # a chunk of 1-5 texts makes most batches span several chunks
         with mock.patch.object(encoding, "HASH_CHUNK_TEXTS", chunk):
             try:
@@ -348,7 +388,7 @@ class TestArrayCandidates:
     def test_lex_keys_order_rows_as_tuples(self, digits, scale):
         # values spread over a radix large enough that the keys overflow and re-rank
         rows = [tuple(d * (scale // 4) for d in row) for row in digits]
-        keys = _lex_keys([np.array(column) for column in zip(*rows)], [scale] * 3)
+        keys = _lex_keys(np.array(rows, dtype=np.int64), scale)
         for i in range(len(rows)):
             for j in range(len(rows)):
                 assert (keys[i] < keys[j]) == (rows[i] < rows[j])
@@ -386,14 +426,10 @@ class TestComposedCounts:
         }[corpus]()
         graph = build_and_embed(records, hash_encoder)
         index, n_triplets = graph.index, len(graph.index.catalog)
-        # ascending distinct ids, 1-4 to a row, padded with -1 to the batch's widest
-        ids = [
-            sorted(rng.sample(range(n_triplets), rng.randint(1, min(4, n_triplets))))
-            for _ in range(rng.randint(1, 30))
-        ]
-        rows = np.full((len(ids), max(map(len, ids))), -1)
-        for row, held in zip(rows, ids):
-            row[: len(held)] = held
+        # ascending distinct ids, one width (1-4) for the whole batch
+        width = rng.randint(1, min(4, n_triplets))
+        ids = [sorted(rng.sample(range(n_triplets), width)) for _ in range(rng.randint(1, 30))]
+        rows = np.array(ids).reshape(len(ids), width)
         encoder = HashEncoder(dim)
         composed = encoder.path_counts(index, rows)
         texts = [serialize_hypernode(index.triplet(i) for i in held) for held in ids]
@@ -405,7 +441,7 @@ class TestComposedCounts:
 
     def test_no_rows_compose_to_no_counts(self, hash_encoder):
         graph = build_and_embed(colliding_corpus(), hash_encoder)
-        assert hash_encoder.path_counts(graph.index, np.full((0, 1), -1)).shape == (0, 256)
+        assert hash_encoder.path_counts(graph.index, np.zeros((0, 1), dtype=np.int64)).shape == (0, 256)
 
 
 class TestPrune:
@@ -419,32 +455,28 @@ class TestPrune:
         }
         enc = directional_oracle("q", texts)
         graph = build_and_embed([passage(f"p{i}", (f"n{i}", "r", f"m{i}")) for i in (1, 2, 3)], hash_encoder)
-        nodes = [hypernode(graph, {canonicalize_triplet(f"n{i}", "r", f"m{i}")}) for i in (1, 2, 3)]
-        return enc, nodes
+        return enc, candidates_of(graph, [{canonicalize_triplet(f"n{i}", "r", f"m{i}")} for i in (1, 2, 3)])
 
     def test_keeps_k_smallest_distances(self, hash_encoder):
-        enc, nodes = self._candidates(hash_encoder)
+        enc, candidates = self._candidates(hash_encoder)
         vq = encode(enc, ["q"])[0]
-        kept = prune(nodes, enc, vq, k=2)
+        kept = prune(candidates, enc, vq, k=2)
         assert [n.serialized for n in kept] == ["n1 r m1", "n3 r m3"]
         assert kept[0].query_distance < kept[1].query_distance
         assert kept[0].embedding is not None
 
     def test_k_exceeding_candidates_returns_all_sorted(self, hash_encoder):
-        enc, nodes = self._candidates(hash_encoder)
+        enc, candidates = self._candidates(hash_encoder)
         vq = encode(enc, ["q"])[0]
-        kept = prune(nodes, enc, vq, k=10)
+        kept = prune(candidates, enc, vq, k=10)
         assert [n.serialized for n in kept] == ["n1 r m1", "n3 r m3", "n2 r m2"]
 
     def test_equal_distance_breaks_by_serialization(self, hash_encoder):
         enc = directional_oracle("q", {"a r b": 0.5, "c r d": 0.5})
         vq = encode(enc, ["q"])[0]
         graph = build_and_embed([passage("p1", ("c", "r", "d")), passage("p2", ("a", "r", "b"))], hash_encoder)
-        nodes = [
-            hypernode(graph, {canonicalize_triplet("c", "r", "d")}),
-            hypernode(graph, {canonicalize_triplet("a", "r", "b")}),
-        ]
-        kept = prune(nodes, enc, vq, k=2)
+        sets = [{canonicalize_triplet("c", "r", "d")}, {canonicalize_triplet("a", "r", "b")}]
+        kept = prune(candidates_of(graph, sets), enc, vq, k=2)
         assert [n.serialized for n in kept] == ["a r b", "c r d"]
 
     def test_equal_text_breaks_by_sorted_triplets(self, hash_encoder):
@@ -453,9 +485,9 @@ class TestPrune:
         graph = build_and_embed(colliding_corpus(), hash_encoder)
         spaced_relation = canonicalize_triplet("a", "b c", "d")
         spaced_tail = canonicalize_triplet("a", "b", "c d")
-        nodes = [hypernode(graph, {spaced_relation}), hypernode(graph, {spaced_tail})]
-        for order in (nodes, nodes[::-1]):
-            kept = prune(order, enc, vq, k=1)
+        sets = [{spaced_relation}, {spaced_tail}]
+        for order in (sets, sets[::-1]):
+            kept = prune(candidates_of(graph, order), enc, vq, k=1)
             assert beam_sets(kept) == [frozenset({spaced_tail})]  # relation "b" < "b c"
 
 
@@ -492,8 +524,7 @@ class TestTiesAtTheKth:
         seeds = select_seeds(graph, vq, k)
         assert [s.serialized for s in seeds] == sort_rank(texts, rows @ vq)[:k]
 
-        candidates = [hypernode(graph, [t]) for t in catalog]
-        kept = prune(candidates, enc, vq, k)
+        kept = prune(candidates_of(graph, [[t] for t in catalog]), enc, vq, k)
         assert [c.serialized for c in kept] == sort_rank(texts, -np.linalg.norm(rows - vq, axis=1))[:k]
 
         ids = graph.index.passage_ids
@@ -504,11 +535,11 @@ class TestTiesAtTheKth:
     def test_carried_candidates_are_not_reencoded(self):
         graph, enc, vq = tied_graph([0.9, 0.6, 0.6, 0.3])
         carried = select_seeds(graph, vq, 1)
-        fresh = [hypernode(graph, [t]) for t in graph.index.catalog[1:]]
+        fresh = [[t] for t in graph.index.catalog[1:]]
         recorder = RecordingEncoder(enc)
-        kept = prune(carried + fresh, recorder, vq, 3)
-        assert recorder.texts == [c.serialized for c in fresh]
-        reencoded = prune([hypernode(graph, carried[0].triplets)] + fresh, enc, vq, 3)
+        kept = prune(candidates_of(graph, fresh, carried), recorder, vq, 3)
+        assert recorder.texts == [serialize_hypernode(s) for s in fresh]
+        reencoded = prune(candidates_of(graph, [carried[0].triplets] + fresh), enc, vq, 3)
         assert [(n.serialized, n.query_distance) for n in kept] == [
             (n.serialized, n.query_distance) for n in reencoded
         ]
@@ -551,14 +582,12 @@ class ScaledEncoder(Encoder):
 
 def unscreened_prune(candidates, encoder, query_vector, k) -> list[tuple]:
     """prune without the screen: exact rows and distances for every candidate."""
-    fresh = iter(encode(encoder, [c.serialized for c in candidates if c.embedding is None]))
-    rows = np.stack([next(fresh) if c.embedding is None else c.embedding for c in candidates])
+    nodes = list(candidates)
+    fresh = iter(encode(encoder, [c.serialized for c in nodes if c.embedding is None]))
+    rows = np.stack([next(fresh) if c.embedding is None else c.embedding for c in nodes])
     dists = row_norms(rows, query_vector)
-    kept = smallest_k(dists, k, lambda i: (candidates[i].serialized, sorted(candidates[i].triplets)))
-    return [
-        (candidates[i].serialized, sorted(candidates[i].triplets), float(dists[i]).hex(), rows[i].tobytes())
-        for i in kept
-    ]
+    kept = smallest_k(dists, k, lambda i: (nodes[i].serialized, sorted(nodes[i].triplets)))
+    return [(nodes[i].serialized, sorted(nodes[i].triplets), float(dists[i]).hex(), rows[i].tobytes()) for i in kept]
 
 
 def kept_bits(beam: list[HyperNode]) -> list[tuple]:
@@ -608,8 +637,7 @@ class TestScreenedPrune:
         # carried nodes hold the float64 rows seed selection gave them
         seeds = select_seeds(graph, vq, len(catalog))[:carried]
         held = {s.serialized for s in seeds}
-        fresh = [hypernode(graph, [t]) for t in catalog if t.as_text() not in held]
-        candidates = sorted(seeds + fresh, key=lambda c: c.serialized)
+        candidates = candidates_of(graph, [[t] for t in catalog if t.as_text() not in held], seeds)
         assert kept_bits(prune(candidates, enc, vq, k)) == unscreened_prune(candidates, enc, vq, k)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["random", "colliding", "odd"]))
@@ -626,7 +654,7 @@ class TestScreenedPrune:
         if not graph.index.catalog:
             return
         vq = encode(hash_encoder, [rng.choice(["q links a", "日本 r é", f"probe {seed}"])])[0]
-        beam = mixed_beam(rng, graph, hash_encoder, vq) if corpus == "odd" else select_seeds(graph, vq, 3)
+        beam = loop_beam(rng, graph, hash_encoder, vq) if corpus == "odd" else select_seeds(graph, vq, 3)
         for _ in range(3):
             candidates = expand_candidates(graph, beam)
             k = rng.choice([1, 2, 3, 5, 8, len(candidates), len(candidates) + 1])
@@ -648,8 +676,7 @@ class TestScreenedPrune:
         carried = min(carried, len(catalog))
         seeds = select_seeds(graph, vq, len(catalog))[:carried]
         held = {s.ids for s in seeds}
-        fresh = [hypernode(graph, [t]) for t in catalog]
-        candidates = sorted(seeds + [c for c in fresh if c.ids not in held], key=lambda c: c.serialized)
+        candidates = candidates_of(graph, [[t] for i, t in enumerate(catalog) if (i,) not in held], seeds)
         assert kept_bits(prune(candidates, hash_encoder, vq, k)) == unscreened_prune(candidates, hash_encoder, vq, k)
 
     @pytest.mark.parametrize("k", [1, 8, 10_000])
