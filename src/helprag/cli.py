@@ -52,22 +52,10 @@ def _hybrid_from(args: argparse.Namespace) -> HybridConfig:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    corpus_path = Path(args.corpus)
-    if not corpus_path.exists():
-        print(f"error: corpus file not found: {corpus_path}", file=sys.stderr)
-        return 2
     encoder = encoder_from_spec(args.encoder)
-    records = load_corpus(corpus_path)
+    records = load_corpus(args.corpus)
     if args.extract:
-        service = ServiceConfig.from_env("HELP_LLM")
-        records = extract_triples(records, service)
-    elif any(r.triples is None for r in records):
-        missing = sum(r.triples is None for r in records)
-        print(
-            f"error: {missing} record(s) carry no triples; pass --extract or precompute them",
-            file=sys.stderr,
-        )
-        return 2
+        records = extract_triples(records, ServiceConfig.from_env("HELP_LLM"))
     graph = build_and_embed(records, encoder)
     manifest = save_index(args.out, graph)
     print(

@@ -11,10 +11,6 @@ class EmptyField(HelpRagError):
     """A triplet field is empty after canonicalization."""
 
 
-class DuplicatePassageId(HelpRagError):
-    """Two passages in one corpus share an id."""
-
-
 class EmptyHyperNode(HelpRagError):
     """Serialization requested for an empty triplet set."""
 

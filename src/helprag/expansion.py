@@ -9,20 +9,21 @@ agree, so seed scoring and pruning use one consistent order.
 
 A hop's new candidates are one matrix of ascending catalog ids, a row per
 path, grown and deduplicated with numpy. :class:`Candidates` renders their
-texts only when they are read and builds a :class:`HyperNode` only for the
-pool prune's screen keeps, or on iteration. For the hash encoder, prune
-screens the candidates by gram counts composed from their triplets, then
-renders and encodes only the pool its screen keeps; for other encoders it
-encodes every fresh text and screens those rows. The order of a hop's
-candidates (fresh ones by ascending id tuple, then carried ones) changes no
-output: prune ranks by a total order, and each encoder row, count row,
-screen value and exact distance depends on its own text or row alone.
+texts only when they are read, and :func:`prune` builds a :class:`HyperNode`
+only for each path it keeps; only iterating :class:`Candidates` yields nodes
+without an embedding. For the hash encoder, prune screens the candidates by
+gram counts composed from their triplets, then renders and encodes only the
+pool its screen keeps; for other encoders it encodes every fresh text and
+screens those rows. The order of a hop's candidates (fresh ones by ascending
+id tuple, then carried ones) changes no output: prune ranks by a total
+order, and each encoder row, count row, screen value and exact distance
+depends on its own text or row alone.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -50,8 +51,8 @@ class HyperNode:
     ``ids`` are the ascending catalog ids of the node's triplets in the
     index it was grown on, ``_index``; :attr:`triplets` builds the
     :class:`Triplet` objects the first time it is read. ``embedding`` and
-    ``query_distance`` are None on freshly expanded candidates and are
-    filled in by :func:`prune`.
+    ``query_distance`` are None only on the fresh nodes that iterating
+    :class:`Candidates` yields; :func:`prune` builds none of those.
     """
 
     ids: tuple[int, ...]
@@ -146,8 +147,8 @@ def expand_candidates(graph: KnowledgeGraph, beam: Sequence[HyperNode]) -> "Cand
 
     One :func:`adjacent_triplets` call gathers every member's neighbours.
     Returns :class:`Candidates`: the grown sets as id rows in ascending
-    order, then the carried members in beam order. :func:`prune` renders,
-    embeds and builds nodes for the grown ones its screen keeps.
+    order, then the carried members in beam order. :func:`prune` renders
+    and embeds the grown ones its screen keeps.
     """
     if not beam:
         raise InvalidParams("beam must be non-empty")
@@ -192,9 +193,9 @@ class Candidates:
 
     The fresh candidates are held as ``rows``, one per triplet set, of its
     ascending catalog ids on ``index``; their :attr:`texts` are rendered
-    the first time they are read, and a fresh node is built each time one
-    is iterated. The carried ones are the nodes themselves, with the
-    embeddings they hold.
+    the first time they are read, and only iterating builds a fresh node,
+    with no embedding, for each row. The carried ones are the nodes
+    themselves, with the embeddings they hold.
     """
 
     def __init__(self, index: TripleToPassageIndex, rows: np.ndarray, carried: list[HyperNode]):
@@ -207,24 +208,21 @@ class Candidates:
         """The fresh candidates' serializations, in order."""
         return serialize_rows(self.index, self.rows)
 
-    def fresh(self, at: Sequence[int], texts: Sequence[str]) -> list[HyperNode]:
-        """The fresh nodes at positions ``at``, whose serializations are ``texts``."""
-        return [HyperNode(tuple(row), text, self.index) for row, text in zip(self.rows[at].tolist(), texts)]
-
     def __len__(self) -> int:
         return self.rows.shape[0] + len(self.carried)
 
     def __iter__(self) -> Iterator[HyperNode]:
-        return chain(self.fresh(range(self.rows.shape[0]), self.texts), self.carried)
+        fresh = (HyperNode(tuple(row), text, self.index) for row, text in zip(self.rows.tolist(), self.texts))
+        return chain(fresh, self.carried)
 
 
 def prune(candidates: Candidates, encoder: Encoder, query_vector: np.ndarray, k: int) -> list[HyperNode]:
     """Keep the k candidates nearest the query by Euclidean distance.
 
     Carried candidates keep the embedding they hold. The fresh candidates
-    are screened first (:func:`screen_pool`), and texts, nodes, exact
-    float64 unit rows and distances are made only for those that can reach
-    the beam, and for the carried ones:
+    are screened first (:func:`screen_pool`), and texts, exact float64 unit
+    rows and distances are made only for those that can reach the beam, and
+    for the carried ones:
 
     - for the hash encoder, keyed by its ``encoder_id``, the screen reads
       the candidates' gram counts, composed from their triplets
@@ -234,7 +232,7 @@ def prune(candidates: Candidates, encoder: Encoder, query_vector: np.ndarray, k:
       candidate order, and the screen reads those rows.
 
     Orders ascending by (distance, serialized form, catalog ids) and
-    returns at most k filled-in nodes.
+    builds only the at most k nodes it returns, embedding and distance set.
     """
     if not candidates:
         raise InvalidParams("candidate list must be non-empty")
@@ -251,14 +249,15 @@ def prune(candidates: Candidates, encoder: Encoder, query_vector: np.ndarray, k:
         rows = encode_rows(encoder, texts)
     # carried nodes join the pool unscreened, with the float64 rows they hold. Only
     # the pool is upcast, so the beam's embeddings view a pool-sized matrix
-    picked = candidates.fresh(pool, texts) + candidates.carried
+    ids = [*map(tuple, candidates.rows[pool].tolist()), *(c.ids for c in candidates.carried)]
+    texts = [*texts, *(c.serialized for c in candidates.carried)]
     units = np.vstack([unit_rows(rows), *(c.embedding for c in candidates.carried)])
     dists = row_norms(units, query_vector)
     return [
-        replace(picked[j], embedding=units[j], query_distance=float(dists[j]))
+        HyperNode(ids[j], texts[j], candidates.index, units[j], float(dists[j]))
         # distinct triplet sets may render one text; their ids still differ, and catalog ids
         # follow Triplet order, so they order nodes as their sorted triplets do
-        for j in smallest_k(dists, k, lambda j: (picked[j].serialized, picked[j].ids))
+        for j in smallest_k(dists, k, lambda j: (texts[j], ids[j]))
     ]
 
 

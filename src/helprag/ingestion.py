@@ -29,7 +29,6 @@ from .encoding import Encoder, encode_rows, serialize_rows, unit_rows
 from .errors import (
     CorruptFile,
     DuplicateId,
-    DuplicatePassageId,
     EmptyField,
     EncoderFailure,
     InvalidParams,
@@ -237,14 +236,16 @@ def build_and_embed(records: list[CorpusRecord], encoder: Encoder) -> KnowledgeG
     Every passage text and every unique triplet serialization is encoded
     exactly once; triplet rows follow catalog order, passage rows follow
     sorted passage-id order. Each batch passes :func:`encode_rows`' checks
-    and :func:`_nonzero_rows`'. Raises DuplicatePassageId when two records
-    share an id, EmptyField when a triple field canonicalizes to nothing,
-    EncoderFailure when the encoder returns the wrong number or width of
-    rows, and ZeroVector for a zero row.
+    and :func:`_nonzero_rows`'. Raises InvalidParams for a record with no
+    triples, DuplicateId for a repeated id, EmptyField when a triple field
+    canonicalizes to nothing, EncoderFailure when the encoder returns the
+    wrong number or width of rows, and ZeroVector for a zero row.
     """
     for record in records:
         if record.triples is None:
-            raise InvalidParams(f"record {record.id!r} has no triples; run extraction first")
+            raise InvalidParams(
+                f"record {record.id!r} has no triples; give them in the corpus or run `helprag index --extract`"
+            )
     texts, index = _index_records(records)
     if texts:
         passage_rows = _nonzero_rows(encoder, texts)
@@ -279,7 +280,7 @@ def _index_records(records: list[CorpusRecord]) -> tuple[tuple[str, ...], Triple
     by_id: dict[str, CorpusRecord] = {}
     for record in records:
         if record.id in by_id:
-            raise DuplicatePassageId(record.id)
+            raise DuplicateId(f"duplicate passage id {record.id!r}")
         by_id[record.id] = record
     ordered = [by_id[pid] for pid in sorted(by_id)]
     raw = [f for record in ordered for triple in record.triples for f in triple]

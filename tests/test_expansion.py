@@ -250,6 +250,35 @@ class TestIdCandidates:
         assert len(pruned) == 2 and sum(len(c) for c, _ in pruned) > 10 * len(allowed)
         assert 0 < built <= len(allowed)
 
+    def test_prune_builds_only_the_nodes_it_returns(self, hash_encoder, monkeypatch):
+        # a random graph plus (x, r, y), which touches nothing else: the query makes it the
+        # first seed, so it is carried to every hop. Both of prune's encoder branches run
+        records = random_corpus(random.Random(8), n_passages=30, entity_pool=12)
+        graph = build_and_embed(records + [passage("lonely", ("x", "r", "y"))], hash_encoder)
+        vq = encode(hash_encoder, ["x r y r1"])[0]
+        built = 0
+        original_init = HyperNode.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            original_init(self, *args, **kwargs)
+
+        for encoder in (hash_encoder, RenamedEncoder(hash_encoder)):
+            beam = select_seeds(graph, vq, 3)
+            carried_kept = 0
+            for _ in range(2):  # hops 2 and 3
+                candidates = expand_candidates(graph, beam)
+                carried = {node.ids for node in candidates.carried}
+                built = 0
+                with monkeypatch.context() as patch:
+                    patch.setattr(HyperNode, "__init__", counting_init)
+                    beam = prune(candidates, encoder, vq, 8)
+                assert built == len(beam) and len(candidates) > len(beam)
+                assert all(n.embedding is not None and n.query_distance is not None for n in beam)
+                carried_kept += sum(node.ids in carried for node in beam)
+            assert carried_kept > 0
+
 
 # names with multi-byte UTF-8 and with the join's ";" in them
 ODD_NAMES = ["é", "日本", "🙂 x", "a;b", "c; d", "ß"]
@@ -559,6 +588,14 @@ def spaced_groups_corpus(sizes: list[int]) -> list[CorpusRecord]:
         triples = tuple((" ".join(words[:a]), " ".join(words[a:b]), " ".join(words[b:])) for a, b in cuts)
         records.append(CorpusRecord(f"p{g}", f"passage {g}", triples))
     return records
+
+
+class RenamedEncoder(RecordingEncoder):
+    """A recording encoder under an id of its own, which prune treats as any encoder but the hash one."""
+
+    @property
+    def encoder_id(self) -> str:
+        return f"renamed-{self.inner.encoder_id}"
 
 
 class ScaledEncoder(Encoder):

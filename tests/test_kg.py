@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import csr_weights, graph_differences, passage, random_corpus
-from helprag.errors import DuplicatePassageId, EmptyField
+from helprag.errors import DuplicateId, EmptyField
 from helprag.ingestion import build_and_embed
 from helprag.kg import Triplet, adjacent_triplets, canonicalize_triplet, csr_gather
 from oracles import scan_adjacent
@@ -88,7 +88,7 @@ class TestBuildIndex:
         assert adjacent(graph, {"a"}) == adjacent(graph, {"b"}) == set(graph.index.catalog)
 
     def test_duplicate_passage_id_rejected(self, hash_encoder):
-        with pytest.raises(DuplicatePassageId):
+        with pytest.raises(DuplicateId, match="'p1'"):
             build_and_embed(
                 [passage("p1", ("a", "r", "b")), passage("p1", ("c", "r", "d"))], hash_encoder
             )
