@@ -132,6 +132,14 @@ class RecordingEncoder(Encoder):
         return self.inner.encode_batch(texts)
 
 
+class RenamedEncoder(RecordingEncoder):
+    """A recording encoder under an id of its own, which prune treats as any encoder but the hash one."""
+
+    @property
+    def encoder_id(self) -> str:
+        return f"renamed-{self.inner.encoder_id}"
+
+
 def graph_differences(a: KnowledgeGraph, b: KnowledgeGraph) -> list[str]:
     """The parts in which two graphs differ: graphs compare by identity, so tests compare these.
 

@@ -109,6 +109,23 @@ class TestVectorPrimitives:
         with pytest.raises(ZeroVector):
             unit_rows(np.zeros((2, 4)))
 
+    def test_unit_rows_split_across_threads_is_bit_exact(self, monkeypatch):
+        # three workers, forced so that a one-CPU runner splits too, over a matrix of
+        # 17 blocks and a partial one
+        monkeypatch.setattr(encoding, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(encoding, "_BLOCKS_PER_WORKER", 4)
+        rows = np.random.default_rng(3).standard_normal((18 * encoding._UNIT_BLOCK - 5, 40))
+        monkeypatch.setattr(encoding, "ThreadPoolExecutor", mock.Mock(wraps=encoding.ThreadPoolExecutor))
+        for m in (rows.astype(np.float32), rows):
+            m64 = m.astype(np.float64)
+            assert unit_rows(m).tobytes() == (m64 / np.linalg.norm(m64, axis=1)[:, None]).tobytes()
+        assert encoding.ThreadPoolExecutor.call_args_list == [mock.call(max_workers=3)] * 2
+        assert unit_rows(rows[7]).tobytes() == unit_rows(rows[7:8]).tobytes()
+        assert unit_rows(rows[7]).shape == (1, 40)
+        rows[-3] = 0.0  # in the last worker's range
+        with pytest.raises(ZeroVector):
+            unit_rows(rows)
+
     def test_ranking_equivalence(self, hash_encoder):
         # descending cosine and ascending distance must induce the same order
         texts = [f"candidate text number {i} with filler" for i in range(50)]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     RecordingEncoder,
+    RenamedEncoder,
     candidates_of,
     colliding_corpus,
     directional_oracle,
@@ -588,14 +589,6 @@ def spaced_groups_corpus(sizes: list[int]) -> list[CorpusRecord]:
         triples = tuple((" ".join(words[:a]), " ".join(words[a:b]), " ".join(words[b:])) for a, b in cuts)
         records.append(CorpusRecord(f"p{g}", f"passage {g}", triples))
     return records
-
-
-class RenamedEncoder(RecordingEncoder):
-    """A recording encoder under an id of its own, which prune treats as any encoder but the hash one."""
-
-    @property
-    def encoder_id(self) -> str:
-        return f"renamed-{self.inner.encoder_id}"
 
 
 class ScaledEncoder(Encoder):

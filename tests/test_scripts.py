@@ -53,3 +53,11 @@ def test_cli_import_pulls_in_no_third_party_http_client():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_http_stack():
+    # the service clients load only where a command talks to a service
+    modules = "{'helprag.services', 'http.client', 'urllib.request'}"
+    done = run_python("-c", f"import sys, helprag.cli; print(sorted({modules} & sys.modules.keys()))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

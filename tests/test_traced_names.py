@@ -19,7 +19,7 @@ import random
 import sys
 from pathlib import Path
 
-from conftest import RecordingEncoder, hypernode, passage, random_corpus
+from conftest import RecordingEncoder, RenamedEncoder, hypernode, passage, random_corpus
 import helprag.expansion
 from helprag.encoding import TextBatch, encode, screen_pool
 from helprag.expansion import ExpansionConfig, HyperNode, expand_candidates, prune, select_seeds
@@ -102,14 +102,6 @@ def lonely_graph(encoder):
     """A random graph plus (x, r, y), which touches nothing else and so is carried forward."""
     records = random_corpus(random.Random(8), n_passages=30, entity_pool=12)
     return build_and_embed(records + [passage("lonely", ("x", "r", "y"))], encoder)
-
-
-class RenamedEncoder(RecordingEncoder):
-    """A recording encoder under an id of its own, which prune treats as any encoder but the hash one."""
-
-    @property
-    def encoder_id(self) -> str:
-        return f"renamed-{self.inner.encoder_id}"
 
 
 def test_prune_encodes_the_fresh_candidates_in_one_batch(hash_encoder):
