@@ -206,7 +206,9 @@ def unit_rows(matrix: np.ndarray) -> np.ndarray:
             block /= norms[:, None]
 
     n_blocks = -(-rows.shape[0] // _UNIT_BLOCK)
-    workers = min(_usable_cpus(), n_blocks // _BLOCKS_PER_WORKER)
+    workers = n_blocks // _BLOCKS_PER_WORKER  # the affinity call only for a matrix that can split
+    if workers >= 2:
+        workers = min(workers, _usable_cpus())
     if workers < 2:
         normalize(range(n_blocks))
         return out

@@ -57,10 +57,6 @@ MANIFEST_FILE = "manifest.json"
 HASHED_FILES = (STRINGS_FILE, ROWS_FILE, PASSAGE_EMB_FILE, TRIPLET_EMB_FILE)
 # the string tables of STRINGS_FILE, in the order build_index takes them
 _STRING_TABLES = ("names", "passage_ids", "texts")
-# a file at least this large is read by np.fromfile, into a buffer for which numpy asks for
-# huge pages: the 102 MB triplet file of a 100k-triplet bundle then reads ~25 ms faster,
-# but loading a bundle of 10 MB files measured slower that way
-_HUGE_PAGE_READ_BYTES = 32 << 20
 
 EXTRACTION_PROMPT = """\
 Extract factual knowledge triples from the passage below.
@@ -377,9 +373,11 @@ def _strictly_ascending(table: Sequence[str]) -> bool:
 
 
 def _read_file(path: Path) -> np.ndarray:
-    """A file's bytes as a read-only uint8 array, read once and not memory-mapped."""
-    if path.stat().st_size < _HUGE_PAGE_READ_BYTES:
-        return np.frombuffer(path.read_bytes(), dtype=np.uint8)
+    """A file's bytes as a read-only uint8 array, read once and not memory-mapped.
+
+    numpy asks for huge pages for a large buffer, so the 102 MB triplet file
+    of a 100k-triplet bundle reads faster than through ``Path.read_bytes``.
+    """
     buffer = np.fromfile(path, dtype=np.uint8)
     buffer.flags.writeable = False
     return buffer

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import graph_differences, random_corpus
-from helprag import cli, ingestion, kg, services
+from helprag import cli, kg, services
 from helprag.errors import (
     CorruptFile,
     DuplicateId,
@@ -260,41 +260,32 @@ class TestBundleRoundTrip:
         for name in (*HASHED_FILES, MANIFEST_FILE):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_loaded_rows_are_read_only(self, tmp_path, hash_encoder, monkeypatch):
+    def test_loaded_rows_are_read_only(self, tmp_path, hash_encoder):
         graph = build_and_embed(random_corpus(random.Random(11), n_passages=25), hash_encoder)
         save_index(tmp_path / "idx", graph)
-        for huge_page_read_bytes in (0, ingestion._HUGE_PAGE_READ_BYTES):  # both reads of _read_file
-            monkeypatch.setattr(ingestion, "_HUGE_PAGE_READ_BYTES", huge_page_read_bytes)
-            store = load_index(tmp_path / "idx").embeddings
-            assert not store.passage_rows.flags.writeable
-            assert not store.triplet_rows.flags.writeable
+        store = load_index(tmp_path / "idx").embeddings
+        assert not store.passage_rows.flags.writeable
+        assert not store.triplet_rows.flags.writeable
 
     def test_load_parses_the_bytes_it_verified(self, tmp_path, hash_encoder, monkeypatch):
         graph = build_and_embed(random_corpus(random.Random(5), n_passages=6), hash_encoder)
+        save_index(tmp_path / "idx", graph)
+        fromfile = np.fromfile
         rewritten = []
 
-        def then_rewrite(read):
-            def read_then_rewrite(file, *args, **kwargs):
-                data = read(file, *args, **kwargs)
-                path = Path(file)
-                if path.name == STRINGS_FILE:
-                    # the passage texts change on disk right after its bytes were read
-                    path.write_bytes(bytes(data).replace(b"passage number 0", b"passage number X"))
-                    rewritten.append(path)
-                return data
+        def read_then_rewrite(file, *args, **kwargs):
+            data = fromfile(file, *args, **kwargs)
+            path = Path(file)
+            if path.name == STRINGS_FILE:
+                # the passage texts change on disk right after its bytes were read
+                path.write_bytes(data.tobytes().replace(b"passage number 0", b"passage number X"))
+                rewritten.append(path)
+            return data
 
-            return read_then_rewrite
-
-        monkeypatch.setattr(np, "fromfile", then_rewrite(np.fromfile))
-        monkeypatch.setattr(Path, "read_bytes", then_rewrite(Path.read_bytes))
-        # every file read by np.fromfile, then (small files) by Path.read_bytes
-        for huge_page_read_bytes in (0, ingestion._HUGE_PAGE_READ_BYTES):
-            save_index(tmp_path / "idx", graph)
-            monkeypatch.setattr(ingestion, "_HUGE_PAGE_READ_BYTES", huge_page_read_bytes)
-            rewritten.clear()
-            loaded = load_index(tmp_path / "idx")
-            assert rewritten
-            assert loaded.passages == graph.passages
+        monkeypatch.setattr(np, "fromfile", read_then_rewrite)
+        loaded = load_index(tmp_path / "idx")
+        assert rewritten
+        assert loaded.passages == graph.passages
 
     def test_line_separator_characters_in_text_round_trip(self, tmp_path, hash_encoder):
         text = "one\u0085two\u2028three\u2029four"
