@@ -19,6 +19,7 @@ from .evaluation import gen_synthetic, load_qa, run_benchmark
 from .expansion import ExpansionConfig
 from .ingestion import build_and_embed, extract_triples, load_corpus, load_index, save_index
 from .localization import HybridConfig, retrieve_result
+from .services import ServiceConfig
 
 QUERY_SCHEMA = "helprag-query/1"
 
@@ -54,8 +55,6 @@ def cmd_index(args: argparse.Namespace) -> int:
     encoder = encoder_from_spec(args.encoder)
     records = load_corpus(args.corpus)
     if args.extract:
-        from .services import ServiceConfig  # the HTTP stack loads only for a service call
-
         records = extract_triples(records, ServiceConfig.from_env("HELP_LLM"))
     graph = build_and_embed(records, encoder)
     manifest = save_index(args.out, graph)
@@ -153,11 +152,7 @@ _SWEEPABLE = {"hops": "hops", "quota": "quota", "seed": "seeds", "beam": "beam"}
 def cmd_bench(args: argparse.Namespace) -> int:
     encoder = encoder_from_spec(args.encoder)
     qa_records = load_qa(args.qa)
-    generation = None
-    if args.generate:
-        from .services import ServiceConfig  # the HTTP stack loads only for a service call
-
-        generation = ServiceConfig.from_env("HELP_LLM")
+    generation = ServiceConfig.from_env("HELP_LLM") if args.generate else None
 
     groups = _parse_grid(args.grid) if args.grid else {}
     unknown = groups.keys() - _SWEEPABLE.keys()

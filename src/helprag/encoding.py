@@ -43,16 +43,13 @@ from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import EmptyHyperNode, EncoderFailure, InvalidParams, ServiceReplyError, ServiceUnreachable, ZeroVector
-from .kg import TRIPLET_JOIN, Triplet
-
-if TYPE_CHECKING:
-    from .kg import TripleToPassageIndex
-    from .services import ServiceConfig
+from .kg import TRIPLET_JOIN, TripleToPassageIndex, Triplet
+from .services import ServiceConfig, post_json
 
 # per segment of a triplet's piece (join, head, relation, tail, join): each takes its
 # whole entry of the index's text bytes, but the tail drops its space
@@ -694,8 +691,6 @@ class RemoteEncoder(Encoder):
         return f"remote-{self.config.model}"
 
     def _request_chunk(self, chunk: list[str]) -> np.ndarray:
-        from .services import post_json  # the HTTP stack loads only for a service call
-
         try:
             reply = post_json(self.config, {"model": self.config.model, "input": chunk})
         except (ServiceUnreachable, ServiceReplyError) as exc:
@@ -743,7 +738,5 @@ def encoder_from_spec(spec: str) -> Encoder:
             raise InvalidParams("oracle encoder needs a fixture path: oracle:<file>")
         return OracleEncoder.from_file(path)
     if spec == "remote":
-        from .services import ServiceConfig
-
         return RemoteEncoder(ServiceConfig.from_env("HELP_EMBED"))
     raise InvalidParams(f"unknown encoder spec {spec!r} (use hash | oracle:<file> | remote)")

@@ -21,7 +21,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,9 +31,7 @@ from .expansion import ExpansionConfig
 from .ingestion import CorpusRecord, jsonl_objects, load_index
 from .kg import canonicalize_triplet
 from .localization import HybridConfig, retrieve_result
-
-if TYPE_CHECKING:
-    from .services import ServiceConfig
+from .services import ChatCompletionClient, ServiceConfig
 
 BENCH_REPORT_SCHEMA = "helprag-bench-report/1"
 
@@ -352,11 +350,7 @@ def run_benchmark(
     appear only when a generation service is configured.
     """
     graph = load_index(bundle_dir)
-    generator = None
-    if generation:
-        from .services import ChatCompletionClient  # the HTTP stack loads only for a service call
-
-        generator = ChatCompletionClient(generation)
+    generator = ChatCompletionClient(generation) if generation else None
 
     rows = []
     for qa in sorted(qa_records, key=lambda r: r.id):

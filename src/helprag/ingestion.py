@@ -21,7 +21,7 @@ import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,9 +39,7 @@ from .errors import (
     ZeroVector,
 )
 from .kg import KnowledgeGraph, PassageTable, TripleToPassageIndex, build_index, canonical_field
-
-if TYPE_CHECKING:
-    from .services import ServiceConfig
+from .services import ChatCompletionClient, ServiceConfig
 
 log = logging.getLogger(__name__)
 
@@ -192,8 +190,6 @@ def extract_triples(
     status (such as 401 for a wrong key) propagate; such failures later in
     the run degrade to per-record soft failures.
     """
-    from .services import ChatCompletionClient  # the HTTP stack loads only for a service call
-
     client = ChatCompletionClient(service)
     out: list[CorpusRecord] = []
     reached_service = False
@@ -383,14 +379,20 @@ def _read_file(path: Path) -> np.ndarray:
     return buffer
 
 
-def _read_strings(raw: np.ndarray) -> tuple[tuple[str, ...], ...]:
-    """The string tables, each checked: non-empty strings, names and ids sorted and unique."""
+def _json_object(raw: bytes | np.ndarray, name: str) -> dict:
+    """The bundle file ``name``'s bytes parsed as UTF-8 JSON holding an object, else CorruptFile."""
     try:
         doc = json.loads(str(raw, "utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
-        raise CorruptFile(f"{STRINGS_FILE} is not UTF-8 JSON: {exc}") from exc
+        raise CorruptFile(f"{name} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise CorruptFile(f"{STRINGS_FILE} is not a JSON object")
+        raise CorruptFile(f"{name} is not a JSON object")
+    return doc
+
+
+def _read_strings(raw: np.ndarray) -> tuple[tuple[str, ...], ...]:
+    """The string tables, each checked: non-empty strings, names and ids sorted and unique."""
+    doc = _json_object(raw, STRINGS_FILE)
     tables = []
     for key in _STRING_TABLES:
         table = doc.get(key)
@@ -439,12 +441,7 @@ def load_index(bundle_dir: str | Path) -> KnowledgeGraph:
     buffers.
     """
     bundle = Path(bundle_dir)
-    try:
-        manifest = json.loads((bundle / MANIFEST_FILE).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorruptFile(f"manifest is not valid JSON: {exc.msg}") from exc
-    if not isinstance(manifest, dict):
-        raise CorruptFile("manifest is not a JSON object")
+    manifest = _json_object((bundle / MANIFEST_FILE).read_bytes(), MANIFEST_FILE)
     if manifest.get("version") != INDEX_VERSION:
         raise VersionMismatch(
             f"bundle version {manifest.get('version')!r}, this reader supports {INDEX_VERSION}; "

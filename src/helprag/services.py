@@ -5,22 +5,26 @@ taking {"model", "input": [...]} and a chat-completion endpoint taking
 {"model", "messages": [...]}, each with bearer-token auth. Requests go
 through the standard library's urllib.request and retry transient failures
 with exponential backoff; the number of in-flight requests is bounded by
-the caller.
+the caller. The HTTP stack (http.client, urllib.request, ssl) loads on a
+service's first request, not on import, so callers import this module at
+the top and a query that calls no service never loads it.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import os
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import InvalidParams, ServiceReplyError, ServiceUnreachable
+
+if TYPE_CHECKING:
+    import http.client
+    import urllib.request
 
 log = logging.getLogger(__name__)
 
@@ -63,6 +67,9 @@ def _send(
     request: urllib.request.Request, timeout_s: float
 ) -> tuple[int, http.client.HTTPMessage, bytes]:
     """One exchange: (status, reply headers, body), for every status code."""
+    import urllib.error
+    import urllib.request
+
     try:
         with urllib.request.urlopen(request, timeout=timeout_s) as reply:
             return reply.status, reply.headers, reply.read()
@@ -89,6 +96,9 @@ def post_json(config: ServiceConfig, payload: dict) -> dict:
     lengthens the next wait when it exceeds the backoff. Non-JSON replies and
     other non-200 status codes are not retried and raise ServiceReplyError.
     """
+    import http.client  # the HTTP stack loads on the first request
+    import urllib.request
+
     headers = {"Content-Type": "application/json"}
     if config.api_key:
         headers["Authorization"] = f"Bearer {config.api_key}"

@@ -322,14 +322,20 @@ class TestBundleRoundTrip:
         with pytest.raises(VersionMismatch, match="rebuild the bundle with `helprag index`"):
             load_index(tmp_path / "idx")
 
-    @pytest.mark.parametrize("edit", ["manifest", "counts"])
+    @pytest.mark.parametrize("edit", ["manifest", "counts", "not utf-8"])
     def test_manifest_of_wrong_shape_is_corrupt(self, tmp_path, hash_encoder, edit):
         graph = build_and_embed(random_corpus(random.Random(1), n_passages=4), hash_encoder)
         save_index(tmp_path / "idx", graph)
         manifest_path = tmp_path / "idx" / MANIFEST_FILE
         manifest = json.loads(manifest_path.read_text())
-        manifest_path.write_text(json.dumps([] if edit == "manifest" else {**manifest, "counts": [4]}))
-        with pytest.raises(CorruptFile, match="not a JSON object"):
+        written = {
+            "manifest": json.dumps([]).encode(),
+            "counts": json.dumps({**manifest, "counts": [4]}).encode(),
+            "not utf-8": b"\xff\xfe{}",
+        }
+        manifest_path.write_bytes(written[edit])
+        match = "manifest.json is not UTF-8 JSON" if edit == "not utf-8" else "not a JSON object"
+        with pytest.raises(CorruptFile, match=match):
             load_index(tmp_path / "idx")
 
     def test_truncated_embedding_file(self, tmp_path, hash_encoder):

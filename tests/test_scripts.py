@@ -1,12 +1,16 @@
 """The experiment scripts run against the current API, the package exports resolve, and
-the CLI imports no third-party HTTP client."""
+the CLI imports no third-party HTTP client, the HTTP stack loads on a service's first
+request, and every module imports on its own."""
 
 from __future__ import annotations
 
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import helprag
 
@@ -55,9 +59,52 @@ def test_cli_import_pulls_in_no_third_party_http_client():
     assert done.stdout.strip() == "[]"
 
 
+HTTP_STACK = "{'http.client', 'urllib.request', 'ssl'}"
+
+
 def test_cli_import_loads_no_http_stack():
-    # the service clients load only where a command talks to a service
-    modules = "{'helprag.services', 'http.client', 'urllib.request'}"
-    done = run_python("-c", f"import sys, helprag.cli; print(sorted({modules} & sys.modules.keys()))")
+    # the HTTP stack loads only when a command talks to a service
+    done = run_python("-c", f"import sys, helprag.cli; print(sorted({HTTP_STACK} & sys.modules.keys()))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+POST_TO_CLOSED_PORT = f"""
+import socket, sys
+from helprag import services
+from helprag.errors import ServiceUnreachable
+
+print(sorted({HTTP_STACK} & sys.modules.keys()))
+services.BACKOFF_BASE_S = 0
+with socket.socket() as closed:  # bound but not listening: every connect is refused
+    closed.bind(("127.0.0.1", 0))
+    config = services.ServiceConfig(f"http://127.0.0.1:{{closed.getsockname()[1]}}/", "m")
+    try:
+        services.post_json(config, {{}})
+    except ServiceUnreachable:
+        pass
+print(sorted({HTTP_STACK} & sys.modules.keys()))
+"""
+
+
+def test_services_load_the_http_stack_on_first_request():
+    done = run_python("-c", POST_TO_CLOSED_PORT)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "['http.client', 'ssl', 'urllib.request']"]
+
+
+# a bare package stands in for helprag/__init__.py, which would import the stage modules in its own order
+IMPORT_FIRST = """
+import importlib, importlib.util, sys, types
+package = types.ModuleType("helprag")
+package.__path__ = importlib.util.find_spec("helprag").submodule_search_locations
+sys.modules["helprag"] = package
+importlib.import_module(sys.argv[1])
+"""
+
+
+@pytest.mark.parametrize("module", sorted(info.name for info in pkgutil.iter_modules(helprag.__path__)))
+def test_each_module_imports_first(module):
+    # an import cycle fails only when one of its modules is imported before the others
+    done = run_python("-c", IMPORT_FIRST, f"helprag.{module}")
+    assert done.returncode == 0, done.stderr
