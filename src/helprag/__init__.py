@@ -9,18 +9,29 @@ through the provenance weights, and a dense cosine channel backfills the
 remaining context slots.
 
 The names below are the index -> query -> evaluate path; the stage
-functions are importable from their own modules.
+functions are importable from their own modules. The evaluation names load
+``helprag.evaluation`` on first use, so importing the package (or the CLI
+for a query) does not.
 """
 
 from .encoding import Encoder, HashEncoder, OracleEncoder, RemoteEncoder
 from .errors import HelpRagError
-from .evaluation import BenchReport, QARecord, gen_synthetic, load_qa, run_benchmark
 from .expansion import ExpansionConfig, HyperNode
 from .ingestion import CorpusRecord, build_and_embed, extract_triples, load_corpus, load_index, save_index
 from .kg import KnowledgeGraph, Triplet
 from .localization import HybridConfig, RetrievalResult, ScoredPassage, retrieve_result
 
 __version__ = "0.1.0"
+
+_EVALUATION_NAMES = ("BenchReport", "QARecord", "gen_synthetic", "load_qa", "run_benchmark")
+
+
+def __getattr__(name: str):
+    if name in _EVALUATION_NAMES:
+        from . import evaluation
+
+        return getattr(evaluation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BenchReport",

@@ -15,7 +15,6 @@ from typing import Sequence
 
 from .encoding import encoder_from_spec
 from .errors import EncoderFailure, HelpRagError, InvalidParams, ServiceReplyError, ServiceUnreachable
-from .evaluation import gen_synthetic, load_qa, run_benchmark
 from .expansion import ExpansionConfig
 from .ingestion import build_and_embed, extract_triples, load_corpus, load_index, save_index
 from .localization import HybridConfig, retrieve_result
@@ -150,6 +149,8 @@ _SWEEPABLE = {"hops": "hops", "quota": "quota", "seed": "seeds", "beam": "beam"}
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .evaluation import load_qa, run_benchmark  # off the query path
+
     encoder = encoder_from_spec(args.encoder)
     qa_records = load_qa(args.qa)
     generation = ServiceConfig.from_env("HELP_LLM") if args.generate else None
@@ -188,6 +189,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
+    from .evaluation import gen_synthetic  # off the query path
+
     fixture = gen_synthetic(args.chains, args.hops, args.distractors, args.seed)
     fixture.write(args.out)
     print(

@@ -179,28 +179,46 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def unit_rows(matrix: np.ndarray) -> np.ndarray:
-    """Upcast rows to float64 and normalize each to exact unit length.
+def unit_rows_into(rows: np.ndarray, units: np.ndarray, norms: np.ndarray) -> None:
+    """Normalize ``rows`` into the float64 ``units``, writing each row's norm to ``norms``.
 
-    One pass per block of rows: cast the block into the float64 output,
-    take its :func:`row_norms`, and divide it in place. A matrix with
-    :data:`_BLOCKS_PER_WORKER` blocks for each of two or more
-    :func:`_usable_cpus` is cut into contiguous block ranges, one thread
-    each; each row is still reduced on its own, so its bits do not depend
-    on the split.
+    One pass per block of :data:`_UNIT_BLOCK` rows: cast the block into
+    ``units``, take its :func:`row_norms`, check them, and divide in place.
+    Each row is reduced on its own, so its bits do not depend on the rows
+    beside it. Raises ZeroVector, whose ``row`` counts from the first of
+    ``rows``, for the first row that is zero or not finite.
+    """
+    for lo in range(0, rows.shape[0], _UNIT_BLOCK):
+        block = units[lo : lo + _UNIT_BLOCK]
+        block[...] = rows[lo : lo + _UNIT_BLOCK]
+        block_norms = norms[lo : lo + _UNIT_BLOCK]
+        block_norms[...] = row_norms(block)
+        usable = (block_norms > 0.0) & (block_norms < np.inf)  # False for NaN too
+        if not usable.all():
+            bad = int(np.argmin(usable))
+            kind = "zero" if block_norms[bad] == 0.0 else "non-finite"
+            raise ZeroVector(f"cannot normalize a {kind} row", lo + bad)
+        block /= block_norms[:, None]
+
+
+def unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """Upcast rows to float64 and normalize each to exact unit length (:func:`unit_rows_into`).
+
+    A matrix with :data:`_BLOCKS_PER_WORKER` blocks for each of two or
+    more :func:`_usable_cpus` is cut into contiguous block ranges, one
+    thread each; each row's bits do not depend on the split.
     """
     rows = np.asarray(matrix)
     rows = rows.reshape(1, -1) if rows.ndim < 2 else rows
     out = np.empty(rows.shape, dtype=np.float64)
+    norms = np.empty(rows.shape[0])
 
     def normalize(blocks: range) -> None:
-        for lo in range(blocks.start * _UNIT_BLOCK, blocks.stop * _UNIT_BLOCK, _UNIT_BLOCK):
-            block = out[lo : lo + _UNIT_BLOCK]
-            block[...] = rows[lo : lo + _UNIT_BLOCK]
-            norms = row_norms(block)
-            if not norms.all():
-                raise ZeroVector("cannot normalize a zero row")
-            block /= norms[:, None]
+        lo, hi = blocks.start * _UNIT_BLOCK, blocks.stop * _UNIT_BLOCK
+        try:
+            unit_rows_into(rows[lo:hi], out[lo:hi], norms[lo:hi])
+        except ZeroVector as exc:
+            raise ZeroVector(str(exc), lo + exc.row) from None
 
     n_blocks = -(-rows.shape[0] // _UNIT_BLOCK)
     workers = n_blocks // _BLOCKS_PER_WORKER  # the affinity call only for a matrix that can split

@@ -20,7 +20,14 @@ class EmptyGraph(HelpRagError):
 
 
 class ZeroVector(HelpRagError):
-    """Raw embedding has zero norm and cannot be normalized."""
+    """Raw embedding has zero norm, or a non-finite one, and cannot be normalized.
+
+    ``row`` is the offending row's position in the rows being normalized, when known.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class EncoderFailure(HelpRagError):

@@ -6,8 +6,14 @@ string table, an int32 file of each passage's name-id rows, two embedding
 files in a fixed binary layout, and a manifest whose content hash makes
 load-time corruption detectable. The triplet catalog is not stored: it is
 derived from the rows, and the bundle version pins that derivation.
+
+A graph holds each embedding matrix in one form at a time
+(:class:`EmbeddingStore`): a fresh build keeps the encoder's float32 rows
+until the first query needs float64 unit rows, and a bundle streams
+straight into unit rows. Float32 rows are rebuilt, exactly, only to save.
 Round-trips are bit-exact: loading a saved bundle reproduces the in-memory
-graph and unit vectors of a fresh build.
+graph and unit vectors of a fresh build, and saving it again reproduces
+the bundle's bytes.
 """
 
 from __future__ import annotations
@@ -18,14 +24,15 @@ import logging
 import operator
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .encoding import Encoder, encode_rows, serialize_rows, unit_rows
+from .encoding import Encoder, encode_rows, serialize_rows, unit_rows_into
 from .errors import (
     CorruptFile,
     DuplicateId,
@@ -78,31 +85,125 @@ class CorpusRecord:
     triples: tuple[tuple[str, str, str], ...] | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingStore:
-    """Float32 passage and triplet embedding rows plus cached unit views.
+# rows per float32 block: a fresh graph holds its rows in blocks of this many,
+# and a bundle's rows are read, hashed and rebuilt to save this many at a time.
+# numpy asks for huge pages only for buffers of 4 MiB or more, and a 4 MiB
+# block seldom covers a whole aligned 2 MiB page; at 256 dims a block is 8 MiB
+ROW_BLOCK = 8192
 
-    Rows are the quantized output of the encoder backend; the float64 unit
-    matrices used for scoring are derived on first access and identically
-    whether the rows came from a fresh encode or from a bundle on disk, whose
-    rows are read-only. :func:`unit_rows` rejects a zero row there.
+
+class EmbeddingStore:
+    """A graph's passage and triplet embeddings, each held in one form at a time.
+
+    A fresh build holds the encoder's float32 rows in blocks of
+    :data:`ROW_BLOCK` rows, so a graph that is only saved never holds more.
+    The first read of :attr:`passage_units` or :attr:`triplet_units`
+    converts both matrices once, under a lock, into the float64 unit rows
+    that scoring reads and each row's float64 norm
+    (:func:`unit_rows_into`). It converts newest block first and drops each
+    block as it goes: the newest block lies at the top of the heap, where
+    the allocator can hand it back. A loaded graph holds units and norms
+    from the start (:func:`load_index`).
+
+    Only saving needs float32 rows again: :meth:`row_blocks` rebuilds each
+    block as ``float32(unit * norm)``, the original row bit for bit. For a
+    finite float32 row the division and the multiplication move each value
+    by at most 2**-52 relative, under half a float32 ulp; that holds for
+    subnormals and signed zeros too.
     """
 
-    passage_rows: np.ndarray
-    triplet_rows: np.ndarray
-    encoder_id: str
+    KINDS = ("passage", "triplet")
+
+    def __init__(
+        self,
+        encoder_id: str,
+        dim: int,
+        *,
+        blocks: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
+        units: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
+    ):
+        """Either the float32 row ``blocks`` of each kind, which the store takes over, or the
+        (unit rows, norms) ``units`` of each kind, in :data:`KINDS` order."""
+        self.encoder_id = encoder_id
+        self.dim = dim
+        self._blocks = blocks
+        self._units = units
+        self._lock = threading.Lock()
 
     @property
-    def dim(self) -> int:
-        return int(self.passage_rows.shape[1])
-
-    @cached_property
     def passage_units(self) -> np.ndarray:
-        return unit_rows(self.passage_rows)
+        return self._unit_matrices()[0][0]
 
-    @cached_property
+    @property
     def triplet_units(self) -> np.ndarray:
-        return unit_rows(self.triplet_rows)
+        return self._unit_matrices()[1][0]
+
+    @property
+    def passage_rows(self) -> np.ndarray:
+        """The float32 passage rows as one read-only matrix (a copy)."""
+        return self._rows("passage")
+
+    @property
+    def triplet_rows(self) -> np.ndarray:
+        """The float32 triplet rows as one read-only matrix (a copy)."""
+        return self._rows("triplet")
+
+    def row_blocks(self, kind: str) -> tuple[int, Iterator[np.ndarray]]:
+        """The row count and the float32 row blocks, in order, of ``kind`` in :data:`KINDS`.
+
+        Held blocks are yielded as they are; converted ones are rebuilt one
+        block at a time.
+        """
+        which = self.KINDS.index(kind)
+        with self._lock:  # a conversion in another thread finishes first
+            if self._blocks is not None:
+                blocks = list(self._blocks[which])
+                return sum(map(len, blocks)), iter(blocks)
+            units, norms = self._units[which]
+        return units.shape[0], _rebuilt_rows(units, norms)
+
+    def _rows(self, kind: str) -> np.ndarray:
+        _, blocks = self.row_blocks(kind)
+        rows = np.concatenate([np.empty((0, self.dim), np.float32), *blocks])
+        rows.flags.writeable = False
+        return rows
+
+    def _unit_matrices(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        units = self._units
+        if units is None:
+            with self._lock:
+                if self._units is None:
+                    self._units = self._convert()
+                    self._blocks = None
+                units = self._units
+        return units
+
+    def _convert(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The (unit rows, norms) of each kind, from the held blocks; the triplet blocks came last."""
+        triplets = _units_of(self._blocks[1], self.dim)
+        return _units_of(self._blocks[0], self.dim), triplets
+
+
+def _units_of(blocks: list[np.ndarray], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only unit rows and norms of float32 row blocks, each block removed from ``blocks`` once converted."""
+    hi = sum(map(len, blocks))
+    units, norms = np.empty((hi, dim)), np.empty(hi)
+    while blocks:
+        block = blocks.pop()
+        lo = hi - len(block)
+        unit_rows_into(block, units[lo:hi], norms[lo:hi])
+        hi = lo
+    units.flags.writeable = norms.flags.writeable = False
+    return units, norms
+
+
+def _rebuilt_rows(units: np.ndarray, norms: np.ndarray) -> Iterator[np.ndarray]:
+    """``float32(unit * norm)`` for blocks of :data:`ROW_BLOCK` rows: the rows the units came from."""
+    for lo in range(0, units.shape[0], ROW_BLOCK):
+        block = units[lo : lo + ROW_BLOCK]
+        rows = np.empty(block.shape, dtype=np.float32)
+        np.multiply(block, norms[lo : lo + ROW_BLOCK, None], out=rows, casting="unsafe")
+        yield rows
 
 
 def load_corpus(path: str | Path) -> list[CorpusRecord]:
@@ -247,26 +348,31 @@ def build_and_embed(records: list[CorpusRecord], encoder: Encoder) -> KnowledgeG
                 f"record {record.id!r} has no triples; give them in the corpus or run `helprag index --extract`"
             )
     texts, index = _index_records(records)
-    if texts:
-        passage_rows = _nonzero_rows(encoder, texts)
-    else:
-        try:
-            dim = encoder.dim
-        except EncoderFailure as exc:  # a remote encoder learns its dim from its first reply
-            raise InvalidParams(
-                f"empty corpus: encoder {encoder.encoder_id} has no text to learn its dimension from"
-            ) from exc
-        passage_rows = np.empty((0, dim), dtype=np.float32)
+    passage_blocks = [_usable_rows(encoder, texts[lo : lo + ROW_BLOCK]) for lo in range(0, len(texts), ROW_BLOCK)]
+    try:
+        dim = encoder.dim
+    except EncoderFailure as exc:  # a remote encoder learns its dim from its first reply
+        raise InvalidParams(
+            f"empty corpus: encoder {encoder.encoder_id} has no text to learn its dimension from"
+        ) from exc
     # each singleton's serialization, rendered as expansion renders its candidates
     singletons = np.arange(index.triplet_rows.shape[0])[:, None]
-    triplet_rows = _nonzero_rows(encoder, serialize_rows(index, singletons))
-    store = EmbeddingStore(passage_rows, triplet_rows, encoder.encoder_id)
+    triplet_blocks = [
+        _usable_rows(encoder, serialize_rows(index, singletons[lo : lo + ROW_BLOCK]))
+        for lo in range(0, singletons.shape[0], ROW_BLOCK)
+    ]
+    store = EmbeddingStore(encoder.encoder_id, dim, blocks=(passage_blocks, triplet_blocks))
     return KnowledgeGraph(PassageTable(index, texts), index, store)
 
 
-def _nonzero_rows(encoder: Encoder, texts: Sequence[str]) -> np.ndarray:
-    """:func:`encode_rows`, and ZeroVector at once for a zero row, which would fail every query."""
+def _usable_rows(encoder: Encoder, texts: Sequence[str]) -> np.ndarray:
+    """:func:`encode_rows`, checked at once for what would fail the conversion to unit rows.
+
+    ZeroVector for a zero row, EncoderFailure for a non-finite value.
+    """
     rows = encode_rows(encoder, texts)
+    if not np.isfinite(rows).all():
+        raise EncoderFailure(f"encoder {encoder.encoder_id} returned a non-finite value")
     if not rows.any(axis=1).all():
         raise ZeroVector("cannot normalize a zero row")
     return rows
@@ -299,31 +405,23 @@ def _index_records(records: list[CorpusRecord]) -> tuple[tuple[str, ...], Triple
 # --- bundle persistence -------------------------------------------------------
 
 
-def _write_atomic(path: Path, *chunks: bytes | np.ndarray) -> None:
+def _write_atomic(path: Path, chunks: Iterable[bytes | np.ndarray], digest=None) -> None:
+    """Write ``chunks`` to ``path`` through a temporary file, adding each to ``digest`` if given."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "wb") as fh:
         for chunk in chunks:
+            if digest is not None:
+                digest.update(chunk)
             fh.write(chunk)
     os.replace(tmp, path)
 
 
-def _embedding_chunks(rows: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """Header and rows of an embedding file; the rows are written without a copy."""
-    header = EMBEDDING_MAGIC + struct.pack("<I", rows.shape[1]) + struct.pack("<Q", rows.shape[0])
-    return header, np.ascontiguousarray(rows, dtype="<f4").reshape(-1).view(np.uint8)
-
-
-def _read_embedding_bytes(raw: np.ndarray, name: str) -> np.ndarray:
-    """The rows of an embedding file: a read-only view over the bytes ``raw``, not a copy."""
-    header = raw[:20].tobytes()
-    if header[:8] != EMBEDDING_MAGIC:
-        raise CorruptFile(f"{name}: bad magic")
-    if len(header) < 20:
-        raise CorruptFile(f"{name}: truncated header")
-    dim, count = struct.unpack("<IQ", header[8:])
-    if len(raw) != 20 + 4 * dim * count:
-        raise CorruptFile(f"{name}: payload size does not match header")
-    return raw[20:].view("<f4").reshape(count, dim)
+def _embedding_chunks(store: EmbeddingStore, kind: str) -> Iterator[bytes | np.ndarray]:
+    """Header and row blocks of an embedding file; held blocks are written without a copy."""
+    count, blocks = store.row_blocks(kind)
+    yield EMBEDDING_MAGIC + struct.pack("<IQ", store.dim, count)
+    for block in blocks:
+        yield np.ascontiguousarray(block, dtype="<f4").reshape(-1).view(np.uint8)
 
 
 def _dumps(obj: object) -> str:
@@ -343,14 +441,12 @@ def save_index(bundle_dir: str | Path, graph: KnowledgeGraph) -> dict:
     payloads = {
         STRINGS_FILE: ((_dumps(tables) + "\n").encode("utf-8"),),
         ROWS_FILE: (np.concatenate([index.passage_offsets, rows]).astype("<i4").tobytes(),),
-        PASSAGE_EMB_FILE: _embedding_chunks(store.passage_rows),
-        TRIPLET_EMB_FILE: _embedding_chunks(store.triplet_rows),
+        PASSAGE_EMB_FILE: _embedding_chunks(store, "passage"),
+        TRIPLET_EMB_FILE: _embedding_chunks(store, "triplet"),
     }
     digest = hashlib.sha256()
     for name in HASHED_FILES:
-        for chunk in payloads[name]:
-            digest.update(chunk)
-        _write_atomic(bundle / name, *payloads[name])
+        _write_atomic(bundle / name, payloads[name], digest)
 
     manifest = {
         "version": INDEX_VERSION,
@@ -360,7 +456,7 @@ def save_index(bundle_dir: str | Path, graph: KnowledgeGraph) -> dict:
         "content_hash": digest.hexdigest(),
         "extraction_prompt_sha256": EXTRACTION_PROMPT_SHA256,
     }
-    _write_atomic(bundle / MANIFEST_FILE, (_dumps(manifest) + "\n").encode("utf-8"))
+    _write_atomic(bundle / MANIFEST_FILE, [(_dumps(manifest) + "\n").encode("utf-8")])
     return manifest
 
 
@@ -371,12 +467,53 @@ def _strictly_ascending(table: Sequence[str]) -> bool:
 def _read_file(path: Path) -> np.ndarray:
     """A file's bytes as a read-only uint8 array, read once and not memory-mapped.
 
-    numpy asks for huge pages for a large buffer, so the 102 MB triplet file
-    of a 100k-triplet bundle reads faster than through ``Path.read_bytes``.
+    numpy asks for huge pages for a large buffer, so a large string table or
+    rows file reads faster than through ``Path.read_bytes``.
     """
     buffer = np.fromfile(path, dtype=np.uint8)
     buffer.flags.writeable = False
     return buffer
+
+
+def _read_units(path: Path, name: str, digest) -> tuple[np.ndarray, np.ndarray]:
+    """An embedding file's read-only unit rows and row norms, read once, :data:`ROW_BLOCK` rows at a time.
+
+    Each block is read into one reused buffer, added to ``digest`` on a
+    second thread while this one normalizes it into the units
+    (:func:`unit_rows_into`), so no float32 copy of the file is held.
+    Raises CorruptFile naming the file for a bad header or a size that
+    disagrees with it, and naming the row for a zero or non-finite row or
+    for a file that shrinks or grows while it is read.
+    """
+    with open(path, "rb") as fh, ThreadPoolExecutor(max_workers=1) as hasher:
+        header = fh.read(20)
+        digest.update(header)
+        if header[:8] != EMBEDDING_MAGIC:
+            raise CorruptFile(f"{name}: bad magic")
+        if len(header) < 20:
+            raise CorruptFile(f"{name}: truncated header")
+        dim, count = struct.unpack("<IQ", header[8:])
+        if os.fstat(fh.fileno()).st_size != 20 + 4 * dim * count or (count and not dim):
+            raise CorruptFile(f"{name}: payload size does not match header")
+        units, norms = np.empty((count, dim)), np.empty(count)
+        buffer = np.empty(min(count, ROW_BLOCK) * dim, dtype="<f4")
+        for lo in range(0, count, ROW_BLOCK):
+            rows = buffer[: min(ROW_BLOCK, count - lo) * dim]
+            read = fh.readinto(rows)
+            if read < rows.nbytes:
+                raise CorruptFile(f"{name}: the file shrank while it was read, at row {lo + read // (4 * dim)}")
+            hashed = hasher.submit(digest.update, rows)  # both release the GIL, so they overlap
+            rows = rows.reshape(-1, dim)
+            try:
+                unit_rows_into(rows, units[lo : lo + len(rows)], norms[lo : lo + len(rows)])
+            except ZeroVector as exc:
+                raise CorruptFile(f"{name}: row {lo + exc.row}: {exc}") from exc
+            finally:
+                hashed.result()  # before the next read overwrites the buffer
+        if fh.read(1):
+            raise CorruptFile(f"{name}: the file grew while it was read, past row {count}")
+    units.flags.writeable = norms.flags.writeable = False
+    return units, norms
 
 
 def _json_object(raw: bytes | np.ndarray, name: str) -> dict:
@@ -430,15 +567,19 @@ def _read_rows(raw: np.ndarray, n_passages: int, n_names: int) -> tuple[np.ndarr
 def load_index(bundle_dir: str | Path) -> KnowledgeGraph:
     """Load a bundle, verifying version, content hash, and internal consistency.
 
-    Each file is read once into a read-only uint8 buffer (:func:`_read_file`),
-    no memory map, and the graph is parsed from the buffers that were hashed, never re-read
-    from disk. Its catalog is derived from the stored rows by the same
+    Every file is read once, with no memory map, and the graph is parsed
+    from the bytes that were hashed, never re-read from disk. The string
+    table and the rows are read whole into read-only buffers
+    (:func:`_read_file`). Each embedding file streams through the one
+    SHA-256, in :data:`HASHED_FILES` order, and straight into its float64
+    unit rows and norms (:func:`_read_units`); the loaded graph holds no
+    float32 copy, and a zero or non-finite row fails here, not at the first
+    query. The catalog is derived from the stored rows by the same
     :func:`build_index` a fresh build runs. Every malformed table raises
     CorruptFile: see :func:`_read_strings` and :func:`_read_rows`.
     Consistency also covers the embedding row counts against the manifest,
     the passages and the catalog, and the manifest's dim against both
-    embedding files. Embedding rows are read-only views over the verified
-    buffers.
+    embedding files.
     """
     bundle = Path(bundle_dir)
     manifest = _json_object((bundle / MANIFEST_FILE).read_bytes(), MANIFEST_FILE)
@@ -457,8 +598,11 @@ def load_index(bundle_dir: str | Path) -> KnowledgeGraph:
         path = bundle / name
         if not path.exists():
             raise CorruptFile(f"missing bundle file {name}")
-        payloads[name] = _read_file(path)
-        digest.update(payloads[name])
+        if name in (PASSAGE_EMB_FILE, TRIPLET_EMB_FILE):
+            payloads[name] = _read_units(path, name, digest)
+        else:
+            payloads[name] = _read_file(path)
+            digest.update(payloads[name])
     if digest.hexdigest() != manifest.get("content_hash"):
         raise CorruptFile("content hash mismatch; bundle files were modified or truncated")
 
@@ -466,15 +610,14 @@ def load_index(bundle_dir: str | Path) -> KnowledgeGraph:
     offsets, rows = _read_rows(payloads[ROWS_FILE], len(passage_ids), len(names))
     index = build_index(names, passage_ids, offsets, rows)
 
-    passage_rows = _read_embedding_bytes(payloads[PASSAGE_EMB_FILE], PASSAGE_EMB_FILE)
-    triplet_rows = _read_embedding_bytes(payloads[TRIPLET_EMB_FILE], TRIPLET_EMB_FILE)
-    if passage_rows.shape[0] != counts.get("passages") or passage_rows.shape[0] != len(passage_ids):
+    passages, triplets = payloads[PASSAGE_EMB_FILE], payloads[TRIPLET_EMB_FILE]
+    if passages[0].shape[0] != counts.get("passages") or passages[0].shape[0] != len(passage_ids):
         raise CorruptFile("passage embedding count disagrees with manifest or passages")
-    if triplet_rows.shape[0] != counts.get("triplets") or triplet_rows.shape[0] != index.triplet_rows.shape[0]:
+    if triplets[0].shape[0] != counts.get("triplets") or triplets[0].shape[0] != index.triplet_rows.shape[0]:
         raise CorruptFile("triplet embedding count disagrees with manifest or catalog")
-    dims = (manifest.get("dim"), passage_rows.shape[1], triplet_rows.shape[1])
+    dims = (manifest.get("dim"), passages[0].shape[1], triplets[0].shape[1])
     if len(set(dims)) != 1:
         raise CorruptFile(f"embedding dims disagree (manifest, passage file, triplet file): {dims}")
 
-    store = EmbeddingStore(passage_rows, triplet_rows, manifest.get("encoder_id", ""))
+    store = EmbeddingStore(manifest.get("encoder_id", ""), dims[0], units=(passages, triplets))
     return KnowledgeGraph(PassageTable(index, texts), index, store)

@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import json
+import os
 import random
+import sys
+import threading
+import time
+import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import graph_differences, random_corpus
-from helprag import cli, kg, services
+from conftest import graph_differences, random_corpus, ten_k_triplet_records
+from helprag import cli, ingestion, kg, services
 from helprag.errors import (
     CorruptFile,
     DuplicateId,
@@ -23,7 +33,7 @@ from helprag.errors import (
     VersionMismatch,
     ZeroVector,
 )
-from helprag.encoding import HashEncoder
+from helprag.encoding import HashEncoder, unit_rows_into
 from helprag.ingestion import (
     EXTRACTION_PROMPT_SHA256,
     HASHED_FILES,
@@ -33,6 +43,7 @@ from helprag.ingestion import (
     STRINGS_FILE,
     TRIPLET_EMB_FILE,
     CorpusRecord,
+    EmbeddingStore,
     build_and_embed,
     extract_triples,
     load_corpus,
@@ -215,21 +226,38 @@ class TestBuildChecksEncoderRows:
         assert not (tmp_path / "idx").exists()
 
 
-def test_zero_row_in_a_bundle_loads_and_fails_the_query(tmp_path, capsys):
-    # a loaded bundle's rows are checked by unit_rows on first use, not at load
+def write_triplet_row(bundle: Path, at: int, value: float) -> None:
+    """Set every value of triplet row ``at`` in the bundle's triplet file, under a recomputed hash."""
+    raw = bytearray((bundle / TRIPLET_EMB_FILE).read_bytes())
+    dim = json.loads((bundle / MANIFEST_FILE).read_text())["dim"]
+    start = 20 + 4 * dim * at  # after the 20-byte header
+    raw[start : start + 4 * dim] = np.full(dim, value, dtype="<f4").tobytes()
+    (bundle / TRIPLET_EMB_FILE).write_bytes(bytes(raw))
+    rehash(bundle)
+
+
+def test_zero_row_in_a_bundle_fails_the_load(tmp_path, capsys):
+    # a loaded bundle's rows are checked as they stream into unit rows, so no query runs on them
     corpus, bundle = tmp_path / "corpus.jsonl", tmp_path / "idx"
     write_corpus(corpus, TWO_PASSAGE_LINES)
     assert cli.main(["index", "--corpus", str(corpus), "--out", str(bundle)]) == 0
-    raw = bytearray((bundle / TRIPLET_EMB_FILE).read_bytes())
-    row = 4 * load_index(bundle).embeddings.dim
-    raw[20 + row : 20 + 2 * row] = bytes(row)  # after the 20-byte header, triplet 1's row
-    (bundle / TRIPLET_EMB_FILE).write_bytes(bytes(raw))
-    rehash(bundle)
-    rows = load_index(bundle).embeddings.triplet_rows
-    assert rows.shape[0] == 3 and not rows[1].any() and rows[[0, 2]].any(axis=1).all()
+    write_triplet_row(bundle, 1, 0.0)
+    with pytest.raises(CorruptFile, match=f"{TRIPLET_EMB_FILE}: row 1: .*zero row"):
+        load_index(bundle)
     capsys.readouterr()
     assert cli.main(["query", "--index", str(bundle), "--question", "alpha feeds"]) == 2
     assert "zero row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_row_in_a_bundle_fails_the_load(tmp_path, hash_encoder, capsys, value):
+    bundle = tmp_path / "idx"
+    save_index(bundle, build_and_embed(SMALL_CORPUS, hash_encoder))
+    write_triplet_row(bundle, 2, value)
+    with pytest.raises(CorruptFile, match=f"{TRIPLET_EMB_FILE}: row 2: .*non-finite row"):
+        load_index(bundle)
+    assert cli.main(["query", "--index", str(bundle), "--question", "a r b"]) == 2
+    assert "non-finite row" in capsys.readouterr().err
 
 
 class TestBundleRoundTrip:
@@ -525,3 +553,179 @@ def test_load_builds_no_triplet_or_passage_objects(tmp_path, hash_encoder, monke
     retrieve_result(loaded, hash_encoder, "how is e1 connected to e2?")
     assert 0 < built["Triplet"] < len(loaded.index.catalog)
 
+
+# --- one form of each embedding matrix -----------------------------------------
+
+F32 = np.finfo(np.float32)
+EDGE_VALUES = np.array(
+    [0.0, -0.0, F32.max, -F32.max, F32.smallest_subnormal, -F32.smallest_subnormal, F32.tiny, 1.0],
+    dtype=np.float32,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.integers(1, 1024),
+    seed=st.integers(0, 2**32 - 1),
+    exponent_cap=st.integers(1, 255),
+    edge_share=st.floats(0.0, 1.0),
+)
+def test_rows_rebuilt_from_units_and_norms_are_bit_exact(dim, seed, exponent_cap, edge_share):
+    # float32(unit * norm) == row, for finite rows of random bits: exponents below the
+    # cap (0 makes subnormals), random signs and mantissas, and some values set to the edges
+    rng = np.random.default_rng(seed)
+    shape = (5, dim)
+    bits = (
+        rng.integers(0, 2, shape, dtype=np.uint32) << 31
+        | rng.integers(0, exponent_cap, shape, dtype=np.uint32) << 23
+        | rng.integers(0, 1 << 23, shape, dtype=np.uint32)
+    )
+    rows = bits.view(np.float32)
+    edges = rng.random(shape) < edge_share
+    rows[edges] = rng.choice(EDGE_VALUES, int(edges.sum()))
+    rows[~rows.any(axis=1), 0] = F32.max  # a zero row has no unit row
+    units, norms = np.empty(shape), np.empty(shape[0])
+    unit_rows_into(rows, units, norms)
+    store = EmbeddingStore("id", dim, units=((units, norms), (units[:0], norms[:0])))
+    assert store.passage_rows.tobytes() == rows.tobytes()
+    assert store.triplet_rows.shape == (0, dim)
+
+
+def bundle_bytes(bundle: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(bundle.iterdir())}
+
+
+def test_fresh_queried_and_loaded_graphs_save_the_same_bytes(tmp_path, hash_encoder, monkeypatch):
+    # blocks of 7 rows: several per matrix, the last one partial
+    monkeypatch.setattr(ingestion, "ROW_BLOCK", 7)
+    records = random_corpus(random.Random(13), n_passages=40)
+    save_index(tmp_path / "fresh", build_and_embed(records, hash_encoder))
+    queried = build_and_embed(records, hash_encoder)
+    retrieve_result(queried, hash_encoder, "how is e1 connected to e2?")
+    save_index(tmp_path / "queried", queried)
+    save_index(tmp_path / "loaded", load_index(tmp_path / "fresh"))
+    expected = bundle_bytes(tmp_path / "fresh")
+    assert len(expected) == 5
+    assert bundle_bytes(tmp_path / "queried") == expected
+    assert bundle_bytes(tmp_path / "loaded") == expected
+
+
+def test_threads_querying_a_fresh_graph_convert_it_once(hash_encoder, monkeypatch):
+    records = random_corpus(random.Random(21), n_passages=60)
+    expected = retrieve_result(build_and_embed(records, hash_encoder), hash_encoder, "e3 and e4")
+    graph = build_and_embed(records, hash_encoder)
+    conversions = []
+    convert = EmbeddingStore._convert
+
+    def slow_convert(store):
+        conversions.append(store)
+        time.sleep(0.05)  # the other threads reach the lock meanwhile
+        return convert(store)
+
+    monkeypatch.setattr(EmbeddingStore, "_convert", slow_convert)
+    start = threading.Barrier(4, timeout=30)
+
+    def ask(question):
+        start.wait()
+        return retrieve_result(graph, hash_encoder, question)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often while the workers race for the conversion
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(ask, ["e3 and e4"] * 4, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert conversions == [graph.embeddings]
+    for result in results:
+        assert [n.triplets for n in result.hypernodes] == [n.triplets for n in expected.hypernodes]
+        assert [(p.id, p.score, p.channel) for p in result.passages] == [
+            (p.id, p.score, p.channel) for p in expected.passages
+        ]
+
+
+class EditedWhileRead:
+    """The triplet file, changed on disk by ``edit`` after its header and size were read."""
+
+    def __init__(self, path, edit):
+        self.fh = open(path, "rb")
+        self.path, self.edit = path, edit
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def readinto(self, buffer):
+        if self.edit is not None:
+            self.edit(self.path)
+            self.edit = None
+        return self.fh.readinto(buffer)
+
+
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        (lambda path: os.truncate(path, 20 + 4 * 256 * 50 + 6), "shrank while it was read, at row 50"),
+        (lambda path: path.write_bytes(path.read_bytes() + b"\0" * 4), "grew while it was read, past row"),
+    ],
+    ids=["shrinks", "grows"],
+)
+def test_embedding_file_changed_while_read_is_corrupt(tmp_path, hash_encoder, monkeypatch, edit, message):
+    bundle = tmp_path / "idx"
+    graph = build_and_embed(random_corpus(random.Random(8), n_passages=60), hash_encoder)
+    assert len(graph.index.catalog) > 60  # the file reaches past the reader's read-ahead
+    save_index(bundle, graph)
+
+    def opened(path, mode="r", *args):
+        if Path(path).name == TRIPLET_EMB_FILE:
+            return EditedWhileRead(Path(path), edit)
+        return open(path, mode, *args)
+
+    monkeypatch.setattr(ingestion, "open", opened, raising=False)
+    with pytest.raises(CorruptFile, match=f"{TRIPLET_EMB_FILE}: the file {message}"):
+        load_index(bundle)
+
+
+@contextlib.contextmanager
+def tracing():
+    """tracemalloc on for the block; numpy reports its buffers to it, whatever the allocator."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        yield
+    finally:
+        tracemalloc.stop()
+
+
+SLACK = 2 << 20
+
+
+def test_load_peaks_at_the_units_norms_and_one_block(tmp_path, hash_encoder, monkeypatch):
+    monkeypatch.setattr(ingestion, "ROW_BLOCK", 1024)  # blocks far smaller than the float32 rows
+    save_index(tmp_path / "idx", build_and_embed(ten_k_triplet_records(random.Random(6)), hash_encoder))
+    with tracing():
+        store = load_index(tmp_path / "idx").embeddings
+        peak = tracemalloc.get_traced_memory()[1]
+    units = store.passage_units.nbytes + store.triplet_units.nbytes
+    rows = store.passage_units.shape[0] + store.triplet_units.shape[0]
+    assert 4 * rows * store.dim > 4 * SLACK  # a float32 copy of the rows would not fit the slack
+    assert peak <= units + 8 * rows + 4 * ingestion.ROW_BLOCK * store.dim + SLACK
+
+
+def test_fresh_graph_holds_no_float32_rows_after_first_use(hash_encoder):
+    with tracing():
+        graph = build_and_embed(random_corpus(random.Random(6), n_passages=3000, entity_pool=300), hash_encoder)
+        store = graph.embeddings
+        before = tracemalloc.get_traced_memory()[0]
+        store.passage_units, store.triplet_units
+        after = tracemalloc.get_traced_memory()[0]
+    rows = len(graph.passages) + len(graph.index.catalog)
+    float32_rows = 4 * rows * store.dim
+    assert float32_rows > 4 * SLACK
+    # the float64 units (twice the float32 rows) and norms were added, the float32 blocks freed
+    assert after - before <= 2 * float32_rows + 8 * rows - float32_rows + SLACK

@@ -1,6 +1,6 @@
 """The experiment scripts run against the current API, the package exports resolve, and
-the CLI imports no third-party HTTP client, the HTTP stack loads on a service's first
-request, and every module imports on its own."""
+the CLI imports no third-party HTTP client, no HTTP stack and no evaluation, the HTTP
+stack loads on a service's first request, and every module imports on its own."""
 
 from __future__ import annotations
 
@@ -67,6 +67,13 @@ def test_cli_import_loads_no_http_stack():
     done = run_python("-c", f"import sys, helprag.cli; print(sorted({HTTP_STACK} & sys.modules.keys()))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_evaluation():
+    # bench and gen-synthetic import evaluation when they run; the package serves its names on first use
+    done = run_python("-c", "import sys, helprag.cli; print('helprag.evaluation' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 POST_TO_CLOSED_PORT = f"""
