@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from operator import attrgetter
@@ -166,17 +165,6 @@ def _gather_texts(index: "TripleToPassageIndex", entries: np.ndarray, lengths: n
 
 
 _UNIT_BLOCK = 128
-# a matrix is split across threads only when each gets at least this many blocks: a
-# 10k x 256 matrix (79 blocks) built its units slower on two threads than on one
-_BLOCKS_PER_WORKER = 64
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def unit_rows_into(rows: np.ndarray, units: np.ndarray, norms: np.ndarray) -> None:
@@ -202,34 +190,9 @@ def unit_rows_into(rows: np.ndarray, units: np.ndarray, norms: np.ndarray) -> No
 
 
 def unit_rows(matrix: np.ndarray) -> np.ndarray:
-    """Upcast rows to float64 and normalize each to exact unit length (:func:`unit_rows_into`).
-
-    A matrix with :data:`_BLOCKS_PER_WORKER` blocks for each of two or
-    more :func:`_usable_cpus` is cut into contiguous block ranges, one
-    thread each; each row's bits do not depend on the split.
-    """
-    rows = np.asarray(matrix)
-    rows = rows.reshape(1, -1) if rows.ndim < 2 else rows
-    out = np.empty(rows.shape, dtype=np.float64)
-    norms = np.empty(rows.shape[0])
-
-    def normalize(blocks: range) -> None:
-        lo, hi = blocks.start * _UNIT_BLOCK, blocks.stop * _UNIT_BLOCK
-        try:
-            unit_rows_into(rows[lo:hi], out[lo:hi], norms[lo:hi])
-        except ZeroVector as exc:
-            raise ZeroVector(str(exc), lo + exc.row) from None
-
-    n_blocks = -(-rows.shape[0] // _UNIT_BLOCK)
-    workers = n_blocks // _BLOCKS_PER_WORKER  # the affinity call only for a matrix that can split
-    if workers >= 2:
-        workers = min(workers, _usable_cpus())
-    if workers < 2:
-        normalize(range(n_blocks))
-        return out
-    cuts = [n_blocks * i // workers for i in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(normalize, map(range, cuts, cuts[1:])))
+    """The float64 unit rows of a 2-D ``matrix`` (:func:`unit_rows_into`)."""
+    out = np.empty(matrix.shape, dtype=np.float64)
+    unit_rows_into(matrix, out, np.empty(matrix.shape[0]))
     return out
 
 

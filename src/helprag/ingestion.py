@@ -138,16 +138,6 @@ class EmbeddingStore:
     def triplet_units(self) -> np.ndarray:
         return self._unit_matrices()[1][0]
 
-    @property
-    def passage_rows(self) -> np.ndarray:
-        """The float32 passage rows as one read-only matrix (a copy)."""
-        return self._rows("passage")
-
-    @property
-    def triplet_rows(self) -> np.ndarray:
-        """The float32 triplet rows as one read-only matrix (a copy)."""
-        return self._rows("triplet")
-
     def row_blocks(self, kind: str) -> tuple[int, Iterator[np.ndarray]]:
         """The row count and the float32 row blocks, in order, of ``kind`` in :data:`KINDS`.
 
@@ -161,12 +151,6 @@ class EmbeddingStore:
                 return sum(map(len, blocks)), iter(blocks)
             units, norms = self._units[which]
         return units.shape[0], _rebuilt_rows(units, norms)
-
-    def _rows(self, kind: str) -> np.ndarray:
-        _, blocks = self.row_blocks(kind)
-        rows = np.concatenate([np.empty((0, self.dim), np.float32), *blocks])
-        rows.flags.writeable = False
-        return rows
 
     def _unit_matrices(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         units = self._units
@@ -337,7 +321,7 @@ def build_and_embed(records: list[CorpusRecord], encoder: Encoder) -> KnowledgeG
     Every passage text and every unique triplet serialization is encoded
     exactly once; triplet rows follow catalog order, passage rows follow
     sorted passage-id order. Each batch passes :func:`encode_rows`' checks
-    and :func:`_nonzero_rows`'. Raises InvalidParams for a record with no
+    and :func:`_usable_rows`'. Raises InvalidParams for a record with no
     triples, DuplicateId for a repeated id, EmptyField when a triple field
     canonicalizes to nothing, EncoderFailure when the encoder returns the
     wrong number or width of rows, and ZeroVector for a zero row.

@@ -154,14 +154,23 @@ def graph_differences(a: KnowledgeGraph, b: KnowledgeGraph) -> list[str]:
         values = (getattr(index, f.name) for f in dataclasses.fields(index) if f.init)
         return [rows(v) if isinstance(v, np.ndarray) else v for v in values]
 
+    def embedded(graph, kind):
+        return rows(float32_rows(graph.embeddings, kind))
+
     parts = {
         "passages": (dict(a.passages), dict(b.passages)),
         "index": (tables(a.index), tables(b.index)),
         "encoder_id": (a.embeddings.encoder_id, b.embeddings.encoder_id),
-        "passage rows": (rows(a.embeddings.passage_rows), rows(b.embeddings.passage_rows)),
-        "triplet rows": (rows(a.embeddings.triplet_rows), rows(b.embeddings.triplet_rows)),
+        "passage rows": (embedded(a, "passage"), embedded(b, "passage")),
+        "triplet rows": (embedded(a, "triplet"), embedded(b, "triplet")),
     }
     return [name for name, (x, y) in parts.items() if x != y]
+
+
+def float32_rows(store, kind: str) -> np.ndarray:
+    """The float32 rows that saving writes for ``kind`` (``EmbeddingStore.row_blocks``), as one matrix."""
+    _, blocks = store.row_blocks(kind)
+    return np.concatenate([np.empty((0, store.dim), np.float32), *blocks])
 
 
 def serialized(*triples: tuple[str, str, str]) -> str:

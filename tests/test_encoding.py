@@ -109,22 +109,17 @@ class TestVectorPrimitives:
         with pytest.raises(ZeroVector):
             unit_rows(np.zeros((2, 4)))
 
-    def test_unit_rows_split_across_threads_is_bit_exact(self, monkeypatch):
-        # three workers, forced so that a one-CPU runner splits too, over a matrix of
-        # 17 blocks and a partial one
-        monkeypatch.setattr(encoding, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(encoding, "_BLOCKS_PER_WORKER", 4)
+    def test_unit_rows_is_bit_exact_across_blocks(self):
+        # 17 whole blocks and a partial one, the zero row in a later block
         rows = np.random.default_rng(3).standard_normal((18 * encoding._UNIT_BLOCK - 5, 40))
-        monkeypatch.setattr(encoding, "ThreadPoolExecutor", mock.Mock(wraps=encoding.ThreadPoolExecutor))
         for m in (rows.astype(np.float32), rows):
             m64 = m.astype(np.float64)
             assert unit_rows(m).tobytes() == (m64 / np.linalg.norm(m64, axis=1)[:, None]).tobytes()
-        assert encoding.ThreadPoolExecutor.call_args_list == [mock.call(max_workers=3)] * 2
-        assert unit_rows(rows[7]).tobytes() == unit_rows(rows[7:8]).tobytes()
-        assert unit_rows(rows[7]).shape == (1, 40)
-        rows[-3] = 0.0  # in the last worker's range
-        with pytest.raises(ZeroVector):
+        at = 15 * encoding._UNIT_BLOCK + 3
+        rows[at] = 0.0
+        with pytest.raises(ZeroVector) as raised:
             unit_rows(rows)
+        assert raised.value.row == at
 
     def test_ranking_equivalence(self, hash_encoder):
         # descending cosine and ascending distance must induce the same order
@@ -145,7 +140,7 @@ class TestScreenFacts:
     def test_row_subsets_are_bit_equal_to_the_full_matrix(self, dim):
         rng = np.random.default_rng(dim)
         rows = rng.standard_normal((1200, dim)).astype(np.float32)
-        query = unit_rows(rng.standard_normal(dim).astype(np.float32))[0]
+        query = unit_rows(rng.standard_normal(dim).astype(np.float32)[None])[0]
         units = unit_rows(rows)
         dists = row_norms(units, query)
         subsets = [
@@ -162,7 +157,7 @@ class TestScreenFacts:
     @pytest.mark.parametrize("dim", [2, 4, 256, 900])
     def test_screen_error_bounds_the_screen(self, dim):
         rng = np.random.default_rng(dim)
-        query = unit_rows(rng.standard_normal(dim).astype(np.float32))[0]
+        query = unit_rows(rng.standard_normal(dim).astype(np.float32)[None])[0]
         random_rows = rng.standard_normal((2000, dim))
         # nearly parallel and nearly antipodal rows: d^2 near 0 and near 4
         near = query * rng.choice([-1.0, 1.0], size=(2000, 1)) + rng.standard_normal((2000, dim)) * (
@@ -177,7 +172,7 @@ class TestScreenFacts:
 
     def test_pool_holds_every_row_that_can_reach_the_k_smallest(self):
         rng = np.random.default_rng(12)
-        query = unit_rows(rng.standard_normal(256).astype(np.float32))[0]
+        query = unit_rows(rng.standard_normal(256).astype(np.float32)[None])[0]
         # 300 clusters of 10 rows whose distances agree to ~1e-7, so float32 rounding
         # reorders rows inside a cluster; a pool without the margin misses some here
         centers = rng.standard_normal(256) + rng.standard_normal((300, 1, 256)) * 1e-2
@@ -190,7 +185,7 @@ class TestScreenFacts:
             assert len(pool) < len(rows)
 
     def test_rows_outside_the_trusted_range_read_nan(self):
-        query = unit_rows(np.array([1.0, 0.0, 0.0], dtype=np.float32))[0]
+        query = unit_rows(np.array([1.0, 0.0, 0.0], dtype=np.float32)[None])[0]
         rows = np.array([[1e-30, 0, 0], [3e19, 0, 0], [np.nan, 1, 0], [1, 1, 0]], dtype=np.float32)
         approx = screen_distances(rows, query)
         assert np.isnan(approx[:3]).all() and np.isfinite(approx[3])

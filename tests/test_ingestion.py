@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_differences, random_corpus, ten_k_triplet_records
+from conftest import float32_rows, graph_differences, random_corpus, ten_k_triplet_records
 from helprag import cli, ingestion, kg, services
 from helprag.errors import (
     CorruptFile,
@@ -172,15 +172,14 @@ class TestBuildAndEmbed:
             CorpusRecord("p3", "third", (("d", "r", "e"), ("e", "r", "f"))),
         ]
         graph = build_and_embed(records, hash_encoder)
-        assert graph.embeddings.passage_rows.shape == (3, 256)
-        assert graph.embeddings.triplet_rows.shape == (5, 256)
+        assert float32_rows(graph.embeddings, "passage").shape == (3, 256)
+        assert float32_rows(graph.embeddings, "triplet").shape == (5, 256)
 
     def test_rerun_identical(self, hash_encoder):
         records = [CorpusRecord("p1", "first", (("a", "r", "b"),))]
         g1 = build_and_embed(records, hash_encoder)
         g2 = build_and_embed(records, hash_encoder)
-        assert np.array_equal(g1.embeddings.passage_rows, g2.embeddings.passage_rows)
-        assert np.array_equal(g1.embeddings.triplet_rows, g2.embeddings.triplet_rows)
+        assert graph_differences(g1, g2) == []
 
     def test_graphs_from_other_encoders_differ(self):
         records = random_corpus(random.Random(2), n_passages=8)
@@ -249,6 +248,18 @@ def test_zero_row_in_a_bundle_fails_the_load(tmp_path, capsys):
     assert "zero row" in capsys.readouterr().err
 
 
+def test_bad_row_past_the_first_read_block_is_named_by_its_index(tmp_path, hash_encoder, monkeypatch):
+    # blocks of 4 rows: row 9 is the second row of the third block
+    monkeypatch.setattr(ingestion, "ROW_BLOCK", 4)
+    bundle = tmp_path / "idx"
+    graph = build_and_embed(random_corpus(random.Random(4), n_passages=8), hash_encoder)
+    assert graph.index.triplet_rows.shape[0] > 12
+    save_index(bundle, graph)
+    write_triplet_row(bundle, 9, 0.0)
+    with pytest.raises(CorruptFile, match=f"{TRIPLET_EMB_FILE}: row 9: .*zero row"):
+        load_index(bundle)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_row_in_a_bundle_fails_the_load(tmp_path, hash_encoder, capsys, value):
     bundle = tmp_path / "idx"
@@ -288,12 +299,13 @@ class TestBundleRoundTrip:
         for name in (*HASHED_FILES, MANIFEST_FILE):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_loaded_rows_are_read_only(self, tmp_path, hash_encoder):
+    def test_unit_rows_are_read_only(self, tmp_path, hash_encoder):
+        # a loaded graph's units from the start, a fresh graph's from its first read
         graph = build_and_embed(random_corpus(random.Random(11), n_passages=25), hash_encoder)
         save_index(tmp_path / "idx", graph)
-        store = load_index(tmp_path / "idx").embeddings
-        assert not store.passage_rows.flags.writeable
-        assert not store.triplet_rows.flags.writeable
+        for store in (load_index(tmp_path / "idx").embeddings, graph.embeddings):
+            assert not store.passage_units.flags.writeable
+            assert not store.triplet_units.flags.writeable
 
     def test_load_parses_the_bytes_it_verified(self, tmp_path, hash_encoder, monkeypatch):
         graph = build_and_embed(random_corpus(random.Random(5), n_passages=6), hash_encoder)
@@ -327,7 +339,7 @@ class TestBundleRoundTrip:
         save_index(tmp_path / "idx", graph)
         loaded = load_index(tmp_path / "idx")
         assert graph_differences(loaded, graph) == []
-        assert loaded.embeddings.triplet_rows.shape == (0, 256)
+        assert float32_rows(loaded.embeddings, "triplet").shape == (0, 256)
 
     def test_retrieval_identical_on_loaded_bundle(self, tmp_path, hash_encoder):
         graph = build_and_embed(random_corpus(random.Random(3), n_passages=25), hash_encoder)
@@ -587,8 +599,8 @@ def test_rows_rebuilt_from_units_and_norms_are_bit_exact(dim, seed, exponent_cap
     units, norms = np.empty(shape), np.empty(shape[0])
     unit_rows_into(rows, units, norms)
     store = EmbeddingStore("id", dim, units=((units, norms), (units[:0], norms[:0])))
-    assert store.passage_rows.tobytes() == rows.tobytes()
-    assert store.triplet_rows.shape == (0, dim)
+    assert float32_rows(store, "passage").tobytes() == rows.tobytes()
+    assert float32_rows(store, "triplet").shape == (0, dim)
 
 
 def bundle_bytes(bundle: Path) -> dict[str, bytes]:
