@@ -20,17 +20,19 @@ hashing its text alone: bit-built signs, floor-divide buckets and integer
 counts are exact, and so is the squared norm below ``2**53`` (see
 :class:`HashEncoder`). Its one counting step, :meth:`HashEncoder.gram_counts`,
 also serves :meth:`HashEncoder.path_counts`, which composes the counts of
-a hop's paths from those of its distinct triplets, each with the joins
-beside it. The other backends read the batch as strings.
+paths from those of their triplets, each with the joins beside it. Each
+such piece is counted once per index and dimension, the first time a
+batch needs it, and kept in the index's :class:`PieceCounts`. The other
+backends read the batch as strings.
 
 Expansion's prune does not build a float64 unit row for every candidate.
 It ranks float32 rows by :func:`screen_distances`, whose error
 :func:`screen_error` bounds, and runs :func:`unit_rows` and the exact
 distances only for the :func:`screen_pool`: the rows that can still reach
-the beam. For the hash encoder the screened rows are the composed gram
-counts, so only the pool is rendered and encoded. Both float64 steps
-reduce each row on its own, so a row's bits do not depend on which rows
-share its matrix.
+the beam. For the hash encoder, on paths of three or more triplets, the
+screened rows are the composed gram counts, one chunk at a time, so only
+the pool is rendered and encoded. Both float64 steps reduce each row on
+its own, so a row's bits do not depend on which rows share its matrix.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from operator import attrgetter
@@ -47,7 +50,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyHyperNode, EncoderFailure, InvalidParams, ServiceReplyError, ServiceUnreachable, ZeroVector
-from .kg import TRIPLET_JOIN, TripleToPassageIndex, Triplet
+from .kg import TRIPLET_JOIN, TripleToPassageIndex, Triplet, distinct
 from .services import ServiceConfig, post_json
 
 # per segment of a triplet's piece (join, head, relation, tail, join): each takes its
@@ -280,20 +283,21 @@ def screen_error(dim: int) -> float:
     return 4 * (dim + 2) * _F32_UNIT
 
 
-def screen_pool(rows: np.ndarray, query: np.ndarray, k: int) -> np.ndarray:
+def screen_pool(approx: np.ndarray, k: int, dim: int) -> np.ndarray:
     """Ascending indices of the rows whose exact distance can be among the k smallest.
 
-    The pool is ``{i : A_i <= A_(k) + 2 eps}``: ``A`` from
-    :func:`screen_distances`, ``A_(k)`` its k-th smallest value, and ``eps``
-    twice :func:`screen_error` for margin. It holds every row whose exact
+    ``approx`` holds each row's :func:`screen_distances` value ``A`` for
+    rows of ``dim`` entries. The pool is ``{i : A_i <= A_(k) + 2 eps}``:
+    ``A_(k)`` is the k-th smallest ``A``, and ``eps`` twice
+    :func:`screen_error` for margin. It holds every row whose exact
     ``d^2`` is at most ``D_k^2``, the k-th smallest: the k rows with the
     smallest ``A`` have ``d^2 <= A_(k) + eps``, so ``D_k^2 <= A_(k) + eps``,
     and a row with ``d^2 <= D_k^2`` has ``A <= d^2 + eps <= A_(k) + 2 eps``.
     So :func:`smallest_k` over the pool's exact distances returns the rows,
     in the order, that it would return over every row. When ``k >=
-    len(rows)``, or when any ``A`` is not finite, the pool is every row.
+    len(approx)``, or when any ``A`` is not finite, the pool is every row.
 
-    The rows may also be the hash encoder's integer gram counts
+    The screened rows may also be the hash encoder's integer gram counts
     (:meth:`HashEncoder.path_counts`), screened for the rows it would
     encode: each count row divided by its norm and rounded once to
     float32. Rounding moves each entry of the unit row ``v`` by at most
@@ -302,12 +306,10 @@ def screen_pool(rows: np.ndarray, query: np.ndarray, k: int) -> np.ndarray:
     argument above then holds with ``eps + 4u``, and the margin covers it:
     ``2 (eps + 4u) <= 4 eps``, since ``eps >= 16u``.
     """
-    n = rows.shape[0]
-    if k < n:
-        approx = screen_distances(rows, query)
-        if np.isfinite(approx).all():
-            kth = np.partition(approx, k - 1)[k - 1]
-            return np.flatnonzero(approx <= kth + 4 * screen_error(rows.shape[1]))
+    n = approx.shape[0]
+    if k < n and np.isfinite(approx).all():
+        kth = np.partition(approx, k - 1)[k - 1]
+        return np.flatnonzero(approx <= kth + 4 * screen_error(dim))
     return np.arange(n)
 
 
@@ -515,31 +517,74 @@ class HashEncoder(Encoder):
         join holds at most 2 bytes of the text on either side, so it is
         one of the two last windows of the piece before the join or of the
         two first of the piece after it. So a path's counts are the sum of
-        its pieces' counts. Each distinct piece of the batch is rendered
-        and counted once, and each row sums its pieces' counts, integers
-        that float32 adds exactly for any path text under ``2**24`` bytes.
+        its pieces' counts. Each piece is rendered and counted once per
+        index and dimension, by the first batch that needs it, and kept in
+        the index's :class:`PieceCounts`; each row gathers its pieces'
+        integer rows and sums them in an integer type that holds the sum,
+        which float32 then holds exactly for any path text under ``2**24``
+        bytes.
         """
+        memo = index._piece_counts.get(self._dim)
+        if memo is None:
+            memo = index._piece_counts.setdefault(self._dim, PieceCounts(index, self._dim))
         # a piece is keyed 4 tid + 2 (join before) + (join after)
         keys = rows * 4
         keys[:, 1:] += 2
         keys[:, :-1] += 1
-        used = np.zeros(4 * index.triplet_rows.shape[0], dtype=bool)
-        used[keys] = True
-        pieces = np.flatnonzero(used)
-        slot_of = np.empty(used.shape[0], dtype=np.intp)
-        slot_of[pieces] = np.arange(pieces.shape[0])
-        slots = slot_of[keys]
-        entries, lengths = _pieces(index, pieces >> 2, pieces >> 1 & 1, pieces & 1)
-        table = np.empty((pieces.shape[0], self._dim), dtype=np.float32)
-        for lo, chunk in _chunks(_gather_texts(index, entries, lengths)):
-            table[lo : lo + len(chunk)] = self.gram_counts(chunk)
-        out = np.empty((len(rows), self._dim), dtype=np.float32)
-        for lo in range(0, len(rows), HASH_CHUNK_TEXTS):
-            part, counts = slots[lo : lo + HASH_CHUNK_TEXTS], out[lo : lo + HASH_CHUNK_TEXTS]
-            np.take(table, part[:, 0], axis=0, out=counts)
-            for column in part.T[1:]:
-                counts += table[column]
-        return out
+        slots = memo.slots_of(index, keys, self)
+        counts = memo.rows.take(slots[:, 0], axis=0).astype(_int_holding(rows.shape[1] * memo.bound), copy=False)
+        for column in slots.T[1:]:
+            counts += memo.rows.take(column, axis=0)
+        return counts.astype(np.float32)
+
+
+def _int_holding(bound: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds every integer of magnitude up to ``bound``."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= bound)
+
+
+class PieceCounts:
+    """The gram counts of one index's triplet pieces at one dimension, each counted on first use.
+
+    A piece is keyed ``4 tid + 2 (join before) + (join after)``, as
+    :func:`_pieces` renders it, and ``slots[key]`` is its row of ``rows``,
+    -1 until it is counted. Rows are stored in first-use order in one arena
+    reserved with ``np.empty`` at one row per key, so only the pages of the
+    rows counted so far are resident. Its dtype is the narrowest signed
+    integer that holds ``bound``, the gram count of the longest piece, which
+    no count of a piece exceeds in magnitude.
+
+    Its :class:`TripleToPassageIndex` holds it, and
+    :meth:`HashEncoder.path_counts` fills it. Concurrent queries may share
+    an index, so pieces are counted under a lock; a row below ``filled`` is
+    never rewritten and its slot is set after it, so gathers take no lock.
+    """
+
+    def __init__(self, index: "TripleToPassageIndex", dim: int):
+        _, _, spans = index.text_bytes
+        # a piece's bytes: its triplet's three entries, less the tail's space, and two joins
+        longest = int(spans[index.triplet_rows].sum(axis=1).max(initial=0)) - 1 + 2 * int(spans[-1])
+        self.bound = max(longest - (_GRAM_WIDTH - 1), 1)
+        keys = 4 * index.triplet_rows.shape[0]
+        self.rows = np.empty((keys, dim), dtype=_int_holding(self.bound))
+        self.slots = np.full(keys, -1, dtype=np.intp)
+        self.filled = 0
+        self._lock = threading.Lock()
+
+    def slots_of(self, index: "TripleToPassageIndex", keys: np.ndarray, encoder: HashEncoder) -> np.ndarray:
+        """The slots of the pieces ``keys``; ``encoder`` first counts those not yet counted."""
+        slots = self.slots[keys]
+        if (slots < 0).any():
+            with self._lock:
+                new = distinct(keys[self.slots[keys] < 0])  # another query may have counted some since
+                entries, lengths = _pieces(index, new >> 2, new >> 1 & 1, new & 1)
+                start = self.filled
+                for lo, chunk in _chunks(_gather_texts(index, entries, lengths)):
+                    self.rows[start + lo : start + lo + len(chunk)] = encoder.gram_counts(chunk)
+                self.slots[new] = np.arange(start, start + new.shape[0])
+                self.filled = start + new.shape[0]
+            slots = self.slots[keys]
+        return slots
 
 
 def hash_twin(encoder: Encoder) -> HashEncoder | None:

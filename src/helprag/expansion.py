@@ -11,13 +11,14 @@ A hop's new candidates are one matrix of ascending catalog ids, a row per
 path, grown and deduplicated with numpy. :class:`Candidates` renders their
 texts only when they are read, and :func:`prune` builds a :class:`HyperNode`
 only for each path it keeps; only iterating :class:`Candidates` yields nodes
-without an embedding. For the hash encoder, prune screens the candidates by
-gram counts composed from their triplets, then renders and encodes only the
-pool its screen keeps; for other encoders it encodes every fresh text and
-screens those rows. The order of a hop's candidates (fresh ones by ascending
-id tuple, then carried ones) changes no output: prune ranks by a total
-order, and each encoder row, count row, screen value and exact distance
-depends on its own text or row alone.
+without an embedding. For the hash encoder, on paths of three or more
+triplets, prune screens the candidates by gram counts composed from their
+triplets' pieces, which each index counts once and keeps, then renders and
+encodes only the pool its screen keeps; on shorter paths, and for other
+encoders, it encodes every fresh text and screens those rows. The order of a
+hop's candidates (fresh ones by ascending id tuple, then carried ones)
+changes no output: prune ranks by a total order, and each encoder row, count
+row, screen value and exact distance depends on its own text or row alone.
 """
 
 from __future__ import annotations
@@ -30,11 +31,13 @@ from itertools import chain
 import numpy as np
 
 from .encoding import (
+    HASH_CHUNK_TEXTS,
     Encoder,
     TextBatch,
     encode_rows,
     hash_twin,
     row_norms,
+    screen_distances,
     screen_pool,
     serialize_rows,
     smallest_k,
@@ -216,6 +219,11 @@ class Candidates:
         return chain(fresh, self.carried)
 
 
+# the fewest triplets per path that prune screens by composed counts: on shorter paths,
+# composing and screening the counts costs more than encoding every path
+COUNT_SCREEN_WIDTH = 3
+
+
 def prune(candidates: Candidates, encoder: Encoder, query_vector: np.ndarray, k: int) -> list[HyperNode]:
     """Keep the k candidates nearest the query by Euclidean distance.
 
@@ -224,12 +232,14 @@ def prune(candidates: Candidates, encoder: Encoder, query_vector: np.ndarray, k:
     rows and distances are made only for those that can reach the beam, and
     for the carried ones:
 
-    - for the hash encoder, keyed by its ``encoder_id``, the screen reads
-      the candidates' gram counts, composed from their triplets
-      (:meth:`HashEncoder.path_counts`); only the pool is rendered and
-      embedded, in one batch, in candidate order;
-    - for any other encoder, every fresh text is embedded in one batch, in
-      candidate order, and the screen reads those rows.
+    - for the hash encoder, keyed by its ``encoder_id``, on paths of at
+      least :data:`COUNT_SCREEN_WIDTH` triplets, the screen reads the
+      candidates' gram counts, composed from their triplets' pieces
+      (:meth:`HashEncoder.path_counts`) and screened
+      :data:`HASH_CHUNK_TEXTS` rows at a time; only the pool is rendered
+      and embedded, in one batch, in candidate order;
+    - otherwise every fresh text is embedded in one batch, in candidate
+      order, and the screen reads those rows.
 
     Orders ascending by (distance, serialized form, catalog ids) and
     builds only the at most k nodes it returns, embedding and distance set.
@@ -238,23 +248,29 @@ def prune(candidates: Candidates, encoder: Encoder, query_vector: np.ndarray, k:
         raise InvalidParams("candidate list must be non-empty")
     if k < 1:
         raise InvalidParams("beam width must be >= 1")
+    index, fresh = candidates.index, candidates.rows
     counter = hash_twin(encoder)
-    if counter is None:
+    if counter is None or fresh.shape[1] < COUNT_SCREEN_WIDTH:
         rows = encode_rows(encoder, candidates.texts)
-        pool = screen_pool(rows, query_vector, k)
+        pool = screen_pool(screen_distances(rows, query_vector), k, rows.shape[1])
         rows, texts = rows[pool], [candidates.texts[i] for i in pool.tolist()]
     else:
-        pool = screen_pool(counter.path_counts(candidates.index, candidates.rows), query_vector, k)
-        texts = serialize_rows(candidates.index, candidates.rows[pool])
+        # each chunk's count rows are screened while they are in cache, then dropped
+        approx = np.empty(fresh.shape[0])
+        for lo in range(0, fresh.shape[0], HASH_CHUNK_TEXTS):
+            counts = counter.path_counts(index, fresh[lo : lo + HASH_CHUNK_TEXTS])
+            approx[lo : lo + HASH_CHUNK_TEXTS] = screen_distances(counts, query_vector)
+        pool = screen_pool(approx, k, counter.dim)
+        texts = serialize_rows(index, fresh[pool])
         rows = encode_rows(encoder, texts)
     # carried nodes join the pool unscreened, with the float64 rows they hold. Only
     # the pool is upcast, so the beam's embeddings view a pool-sized matrix
-    ids = [*map(tuple, candidates.rows[pool].tolist()), *(c.ids for c in candidates.carried)]
+    ids = [*map(tuple, fresh[pool].tolist()), *(c.ids for c in candidates.carried)]
     texts = [*texts, *(c.serialized for c in candidates.carried)]
     units = np.vstack([unit_rows(rows), *(c.embedding for c in candidates.carried)])
     dists = row_norms(units, query_vector)
     return [
-        HyperNode(ids[j], texts[j], candidates.index, units[j], float(dists[j]))
+        HyperNode(ids[j], texts[j], index, units[j], float(dists[j]))
         # distinct triplet sets may render one text; their ids still differ, and catalog ids
         # follow Triplet order, so they order nodes as their sorted triplets do
         for j in smallest_k(dists, k, lambda j: (texts[j], ids[j]))

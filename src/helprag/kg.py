@@ -22,6 +22,7 @@ import numpy as np
 from .errors import EmptyField
 
 if TYPE_CHECKING:
+    from .encoding import PieceCounts
     from .ingestion import EmbeddingStore
 
 
@@ -99,6 +100,8 @@ class TripleToPassageIndex:
     adjacency_triplets: np.ndarray
     # built on access and kept: each triplet's object by id
     _triplets: dict[int, Triplet] = field(default_factory=dict, init=False, repr=False)
+    # built on the hash encoder's first use and kept: its triplet pieces' gram counts, by dimension
+    _piece_counts: dict[int, "PieceCounts"] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def catalog(self) -> "Catalog":

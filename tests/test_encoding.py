@@ -179,7 +179,7 @@ class TestScreenFacts:
         rows = (centers + rng.standard_normal((300, 10, 256)) * 1e-7).reshape(3000, 256).astype(np.float32)
         exact = row_norms(unit_rows(rows), query)
         for k in (3, 5, 15, 55, 505):
-            pool = screen_pool(rows, query, k)
+            pool = screen_pool(screen_distances(rows, query), k, 256)
             kth = np.partition(exact, k - 1)[k - 1]
             assert set(np.flatnonzero(exact <= kth).tolist()) <= set(pool.tolist())
             assert len(pool) < len(rows)

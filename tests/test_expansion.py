@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -25,6 +30,7 @@ from conftest import (
 import helprag.expansion
 from helprag import encoding
 from helprag.encoding import (
+    HASH_CHUNK_TEXTS,
     HashEncoder,
     Encoder,
     encode,
@@ -35,6 +41,7 @@ from helprag.encoding import (
 )
 from helprag.errors import EmptyGraph, InvalidParams, ZeroVector
 from helprag.expansion import (
+    COUNT_SCREEN_WIDTH,
     ExpansionConfig,
     HyperNode,
     _lex_keys,
@@ -474,6 +481,192 @@ class TestComposedCounts:
         assert hash_encoder.path_counts(graph.index, np.zeros((0, 1), dtype=np.int64)).shape == (0, 256)
 
 
+NON_ASCII_NAMES = ["日本", "é", "ß", "🙂", "naïve", "東京 駅", "ü;", "Ωμέγα"]
+
+
+def non_ascii_corpus(rng: random.Random) -> list[CorpusRecord]:
+    """A random graph over multi-byte names, so pieces hold multi-byte characters across their joins."""
+    relations = ["r", "関係", "ё"]
+    return [
+        CorpusRecord(
+            f"u{p:03d}",
+            f"passage {p}",
+            tuple(
+                (rng.choice(NON_ASCII_NAMES), rng.choice(relations), rng.choice(NON_ASCII_NAMES))
+                for _ in range(rng.randint(1, 4))
+            ),
+        )
+        for p in range(rng.randint(1, 12))
+    ]
+
+
+def result_bits(result) -> tuple:
+    return (
+        [(n.ids, n.serialized, n.query_distance.hex(), n.embedding.tobytes()) for n in result.hypernodes],
+        [(p.id, p.score.hex(), p.channel) for p in result.passages],
+    )
+
+
+class TestPieceCounts:
+    """Each index keeps its pieces' counts per dimension: exact, counted once, and only for hops of 3+ triplets."""
+
+    @staticmethod
+    def assert_composed_exactly(counter: HashEncoder, index, rng: random.Random) -> None:
+        n_triplets = len(index.catalog)
+        width = rng.randint(1, min(4, n_triplets))
+        rows = np.array([sorted(rng.sample(range(n_triplets), width)) for _ in range(rng.randint(1, 30))])
+        rendered = counter.gram_counts(serialize_rows(index, rows)).astype(np.float32)
+        assert counter.path_counts(index, rows).tobytes() == rendered.tobytes()
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["random", "colliding", "odd", "non-ascii"]),
+        st.sampled_from([2, 7, 1024]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cold_warm_and_second_dim_memos_compose_the_rendered_counts(self, hash_encoder, seed, corpus, other):
+        rng = random.Random(seed)
+        records = {
+            "random": lambda: random_corpus(rng, n_passages=rng.randint(1, 30), entity_pool=rng.randint(4, 20)),
+            "colliding": lambda: random_corpus(rng, n_passages=rng.randint(1, 10)) + colliding_corpus(),
+            "odd": lambda: odd_corpus(rng),
+            "non-ascii": lambda: non_ascii_corpus(rng),
+        }[corpus]()
+        graph = build_and_embed(records, hash_encoder)
+        index = graph.index
+        if not index.catalog:
+            return
+        assert index._piece_counts == {}
+        self.assert_composed_exactly(hash_encoder, index, rng)  # a cold memo
+        for question in ["q links a", "日本 r é", f"probe {seed}"]:
+            config = ExpansionConfig(hops=rng.randint(3, 4), seed_size=3, beam_size=rng.randint(1, 8))
+            retrieve_result(graph, hash_encoder, question, config)
+        self.assert_composed_exactly(hash_encoder, index, rng)  # warmed by other questions
+        self.assert_composed_exactly(HashEncoder(other), index, rng)  # a second dim on the same index
+        assert sorted(index._piece_counts) == sorted([other, 256])
+
+    def test_a_name_over_127_grams_gets_an_int16_memo_that_does_not_wrap(self, hash_encoder):
+        long = "x" * 140  # 138 equal grams: one bucket's count is past int8's 127
+        triples = [("a", "r", long), (long, "r", "b"), ("b", "r", "c")]
+        index = build_and_embed([passage("p1", *triples)], hash_encoder).index
+        assert len(index.catalog) == 3
+        rows = np.array([[0, 1, 2]])
+        composed = hash_encoder.path_counts(index, rows)
+        assert index._piece_counts[256].rows.dtype == np.int16
+        assert np.abs(composed).max() > 127
+        assert composed.tobytes() == hash_encoder.gram_counts(serialize_rows(index, rows)).astype(np.float32).tobytes()
+        short = build_and_embed(random_corpus(random.Random(8), n_passages=30, entity_pool=12), hash_encoder).index
+        hash_encoder.path_counts(short, np.array([[0, 1, 2]]))
+        assert short._piece_counts[256].rows.dtype == np.int8
+
+    def test_concurrent_queries_count_each_piece_once(self, hash_encoder, monkeypatch):
+        records = random_corpus(random.Random(8), n_passages=60, entity_pool=16)
+        questions = [f"e{i} r1 e{i + 1}" for i in range(8)]
+        config = ExpansionConfig(hops=3, seed_size=3, beam_size=8)
+        serial = build_and_embed(records, hash_encoder)
+        expected = {q: result_bits(retrieve_result(serial, hash_encoder, q, config)) for q in questions}
+        shared = build_and_embed(records, hash_encoder)
+        count = HashEncoder.gram_counts
+
+        def slow_count(self, batch):
+            time.sleep(0.002)  # the other threads reach the pieces this call counts meanwhile
+            return count(self, batch)
+
+        monkeypatch.setattr(HashEncoder, "gram_counts", slow_count)
+        start = threading.Barrier(4, timeout=30)
+
+        def ask(offset: int) -> list[tuple[str, tuple]]:
+            start.wait()
+            # every question, two threads from each starting point
+            order = questions[offset % 2 :] + questions[: offset % 2]
+            return [(q, result_bits(retrieve_result(shared, hash_encoder, q, config))) for q in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often while they race to count the pieces
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                answers = list(pool.map(ask, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(bits == expected[q] for answer in answers for q, bits in answer)
+        memo, alone = shared.index._piece_counts[256], serial.index._piece_counts[256]
+        # every counted piece holds one slot, the slots fill the arena, and its row is the serial one
+        assert sorted(memo.slots[memo.slots >= 0].tolist()) == list(range(memo.filled))
+        assert np.array_equal(memo.slots >= 0, alone.slots >= 0)
+        counted = memo.slots >= 0
+        assert memo.rows[memo.slots[counted]].tobytes() == alone.rows[alone.slots[counted]].tobytes()
+
+    def test_a_repeated_hop_3_prune_renders_and_counts_no_piece(self, hash_encoder, monkeypatch):
+        graph = build_and_embed(random_corpus(random.Random(8), n_passages=30, entity_pool=12), hash_encoder)
+        vq = encode(hash_encoder, ["probe"])[0]
+        beam = prune(expand_candidates(graph, select_seeds(graph, vq, 3)), hash_encoder, vq, 8)
+        candidates = expand_candidates(graph, beam)
+        assert candidates.rows.shape[1] == COUNT_SCREEN_WIDTH
+        inside, calls = [], []
+        path_counts, gather, count = HashEncoder.path_counts, encoding._gather_texts, HashEncoder.gram_counts
+
+        def composing(self, index, rows):
+            inside.append(True)
+            try:
+                return path_counts(self, index, rows)
+            finally:
+                inside.pop()
+
+        def gathering(*args):
+            calls.extend(["_gather_texts"] * bool(inside))
+            return gather(*args)
+
+        def counting(self, batch):
+            calls.extend(["gram_counts"] * bool(inside))
+            return count(self, batch)
+
+        monkeypatch.setattr(HashEncoder, "path_counts", composing)
+        monkeypatch.setattr(encoding, "_gather_texts", gathering)
+        monkeypatch.setattr(HashEncoder, "gram_counts", counting)
+        first = prune(candidates, hash_encoder, vq, 8)
+        assert sorted(set(calls)) == ["_gather_texts", "gram_counts"]
+        calls.clear()
+        assert kept_bits(prune(candidates, hash_encoder, vq, 8)) == kept_bits(first)
+        assert calls == []
+
+    def test_hops_up_to_2_make_no_memo_and_a_loaded_copy_has_its_own(self, hash_encoder, tmp_path):
+        graph = build_and_embed(random_corpus(random.Random(8), n_passages=30, entity_pool=12), hash_encoder)
+        for question, hops in [("e1 r1 e2", 1), ("e3 r2 e4", 2), ("probe", 2)]:
+            retrieve_result(graph, hash_encoder, question, ExpansionConfig(hops=hops))
+        assert graph.index._piece_counts == {}
+        save_index(tmp_path / "idx", graph)
+        loaded = load_index(tmp_path / "idx")
+        retrieve_result(graph, hash_encoder, "probe", ExpansionConfig(hops=3))
+        assert list(graph.index._piece_counts) == [256] and loaded.index._piece_counts == {}
+
+    def test_a_catalog_sweep_fills_at_most_3_rows_per_triplet(self, hash_encoder):
+        graph = build_and_embed(random_corpus(random.Random(8), n_passages=30, entity_pool=12), hash_encoder)
+        catalog = graph.index.catalog
+        for triplet in catalog:
+            retrieve_result(graph, hash_encoder, triplet.as_text(), ExpansionConfig(hops=4, beam_size=20))
+        memo = graph.index._piece_counts[256]
+        # prune's paths have 3+ triplets, so their pieces have a join on at least one side
+        assert 0 < memo.filled <= 3 * len(catalog)
+        assert (memo.slots[0::4] < 0).all()
+
+    def test_a_warm_hop_3_prune_builds_no_hop_sized_count_matrix(self, hash_encoder):
+        graph = build_and_embed(ten_k_triplet_records(random.Random(0x10C)), hash_encoder)
+        vq = encode(hash_encoder, ["which entity ultimately reports to entity 042?"])[0]
+        beam = prune(expand_candidates(graph, select_seeds(graph, vq, 3)), hash_encoder, vq, 50)
+        candidates = expand_candidates(graph, beam)
+        prune(candidates, hash_encoder, vq, 50)  # counts the hop's pieces
+        n = candidates.rows.shape[0]
+        assert candidates.rows.shape[1] == COUNT_SCREEN_WIDTH and n > 4 * HASH_CHUNK_TEXTS
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            prune(candidates, hash_encoder, vq, 50)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < n * hash_encoder.dim * 4
+
+
 class TestPrune:
     """Prune's order; nodes come from a hash-embedded graph, distances from an oracle."""
 
@@ -700,40 +893,64 @@ class TestScreenedPrune:
     @example([3, 2, 3], 1, 2, 0)
     @settings(max_examples=60, deadline=None)
     def test_count_screen_equal_to_unscreened_with_ties_and_carried_nodes(self, hash_encoder, sizes, carried, k, near):
-        graph = build_and_embed(spaced_groups_corpus(sizes), hash_encoder)
-        vq = encode(hash_encoder, [f"g{near} w x y z"])[0]
+        # each fresh path is a group triplet plus the two anchors, which sort after it, so a
+        # group's paths render one text: 3-triplet paths reach the count screen, with exact ties
+        anchors = [("zz1", "r", "s"), ("zz2", "r", "s")]
+        graph = build_and_embed(spaced_groups_corpus(sizes) + [passage("anchors", *anchors)], hash_encoder)
+        vq = encode(hash_encoder, [f"g{near} w x y z; zz1 r s; zz2 r s"])[0]
         catalog = graph.index.catalog
+        anchored = [canonicalize_triplet(*a) for a in anchors]
         carried = min(carried, len(catalog))
         seeds = select_seeds(graph, vq, len(catalog))[:carried]
         held = {s.ids for s in seeds}
-        candidates = candidates_of(graph, [[t] for i, t in enumerate(catalog) if (i,) not in held], seeds)
+        fresh = [[t, *anchored] for i, t in enumerate(catalog) if t not in anchored and (i,) not in held]
+        candidates = candidates_of(graph, fresh, seeds)
+        assert not fresh or candidates.rows.shape[1] == COUNT_SCREEN_WIDTH
         assert kept_bits(prune(candidates, hash_encoder, vq, k)) == unscreened_prune(candidates, hash_encoder, vq, k)
 
     @pytest.mark.parametrize("k", [1, 8, 10_000])
     def test_zero_row_in_a_hop_batch_raises(self, hash_encoder, k):
-        # ZeroesMiddleRow keeps the hash id, so prune screens by composed counts, which
-        # are not zero, and encodes the pool; unit_rows sees the zeroed row of that batch
-        # below, at and above the candidate count
+        # ZeroesMiddleRow keeps the hash id, so prune screens 3-triplet paths by composed
+        # counts, which are not zero, and encodes the pool; unit_rows sees the zeroed row of
+        # that batch below, at and above the candidate count
         graph = build_and_embed(random_corpus(random.Random(8), n_passages=30, entity_pool=12), hash_encoder)
         vq = encode(hash_encoder, ["probe"])[0]
-        candidates = expand_candidates(graph, select_seeds(graph, vq, 3))
+        beam = prune(expand_candidates(graph, select_seeds(graph, vq, 3)), hash_encoder, vq, 8)
+        candidates = expand_candidates(graph, beam)
+        assert candidates.rows.shape[1] == COUNT_SCREEN_WIDTH
         assert 8 < len(candidates.texts) and len(candidates) < 10_000
         with pytest.raises(ZeroVector, match="zero row"):
             prune(candidates, ZeroesMiddleRow(), vq, k)
 
     def test_zero_counts_keep_every_row_and_the_hash_encoder_raises(self):
-        # at dim 2 the path "lm r pm; pm rt hgo" cancels to zero, though neither triplet does:
-        # its count row reads NaN in the screen, so the pool is every row and encoding it raises
+        # at dim 2 the path "bk sk ikm; e r bk; ikm i g" cancels to zero, though none of its
+        # triplets does (found by a search over short random names): its count row reads NaN
+        # in the screen, so the pool is every row and encoding it raises
         encoder = HashEncoder(2)
-        triples = [("lm", "r", "pm"), ("pm", "rt", "hgo"), ("pm", "t", "b"), ("pm", "t", "x")]
+        triples = [("e", "r", "bk"), ("bk", "sk", "ikm"), ("ikm", "i", "g"), ("ikm", "t", "x"), ("bk", "t", "b")]
         graph = build_and_embed([passage("p1", *triples, text="passage one")], encoder)
-        vq = encode(encoder, ["lm r pm"])[0]
-        seed = hypernode(graph, [canonicalize_triplet(*triples[0])], graph.embeddings.triplet_units[0], 0.0)
-        candidates = expand_candidates(graph, [seed])
+        vq = encode(encoder, ["e r bk"])[0]
+        # expand_candidates reads only that the member holds an embedding
+        member = hypernode(graph, [canonicalize_triplet(*t) for t in triples[:2]], np.ones(2), 0.0)
+        candidates = expand_candidates(graph, [member])
         counts = encoder.path_counts(graph.index, candidates.rows)
-        assert len(candidates) == 3 and (~counts.any(axis=1)).sum() == 1
+        assert len(candidates) == 3 and candidates.rows.shape[1] == COUNT_SCREEN_WIDTH
+        assert (~counts.any(axis=1)).sum() == 1
         with pytest.raises(ZeroVector, match="cancelled to zero"):
             prune(candidates, encoder, vq, 1)
+
+    def test_two_triplet_hops_encode_every_candidate(self, hash_encoder):
+        # on 2-triplet paths prune encodes every fresh text and screens those rows, so the
+        # index's piece counts are never made
+        graph = build_and_embed(random_corpus(random.Random(8), n_passages=30, entity_pool=12), hash_encoder)
+        vq = encode(hash_encoder, ["probe"])[0]
+        candidates = expand_candidates(graph, select_seeds(graph, vq, 3))
+        assert candidates.rows.shape[1] == 2 and len(candidates.texts) > 8
+        recorder = RecordingEncoder(hash_encoder)
+        kept = prune(candidates, recorder, vq, 8)
+        assert recorder.calls == [list(candidates.texts)]
+        assert graph.index._piece_counts == {}
+        assert kept_bits(kept) == unscreened_prune(candidates, hash_encoder, vq, 8)
 
 
 class ZeroesMiddleRow(HashEncoder):

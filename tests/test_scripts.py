@@ -40,9 +40,12 @@ def test_case_study_fixture_reproduced_byte_for_byte(tmp_path):
 
 
 def test_hop_sweep_runs():
-    done = run_script("run_hop_sweep.py", "--triplets", "500", "--repeats", "1", "--max-hops", "2")
+    done = run_script("run_hop_sweep.py", "--triplets", "500", "--repeats", "2", "--max-hops", "3")
     assert done.returncode == 0, done.stderr
-    assert "indexed 500 triplets" in done.stdout
+    lines = done.stdout.splitlines()
+    assert "indexed 500 triplets" in lines[0]
+    assert lines[1].split() == ["N", "first", "(ms)", "median", "of", "rest", "(ms)", "paths"]
+    assert [line.split()[0] for line in lines[2:]] == ["1", "2", "3"]
 
 
 def test_every_exported_name_resolves():

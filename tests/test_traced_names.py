@@ -21,8 +21,8 @@ from pathlib import Path
 
 from conftest import RecordingEncoder, RenamedEncoder, hypernode, passage, random_corpus
 import helprag.expansion
-from helprag.encoding import TextBatch, encode, screen_pool
-from helprag.expansion import ExpansionConfig, HyperNode, expand_candidates, prune, select_seeds
+from helprag.encoding import TextBatch, encode, encode_rows, screen_distances, screen_pool
+from helprag.expansion import COUNT_SCREEN_WIDTH, ExpansionConfig, HyperNode, expand_candidates, prune, select_seeds
 from helprag.ingestion import build_and_embed
 from helprag.localization import retrieve_result
 
@@ -104,9 +104,23 @@ def lonely_graph(encoder):
     return build_and_embed(records + [passage("lonely", ("x", "r", "y"))], encoder)
 
 
+def prune_pool(candidates, hash_encoder, vq, k):
+    """The fresh candidates prune's screen keeps for the hash encoder's id, by the branch prune takes.
+
+    Paths of COUNT_SCREEN_WIDTH or more triplets are screened by their composed
+    gram counts; shorter ones by the rows of every fresh text.
+    """
+    if candidates.rows.shape[1] < COUNT_SCREEN_WIDTH:
+        rows = encode_rows(hash_encoder, candidates.texts)
+    else:
+        rows = hash_encoder.path_counts(candidates.index, candidates.rows)
+    return screen_pool(screen_distances(rows, vq), k, hash_encoder.dim)
+
+
 def test_prune_encodes_the_fresh_candidates_in_one_batch(hash_encoder):
-    # one batch per prune, in candidate order: for the hash encoder's id, the fresh texts of
-    # the pool its count screen keeps; for any other id, every fresh text
+    # one batch per prune, in candidate order: for the hash encoder's id, every fresh text
+    # on 2-triplet paths and the pool its count screen keeps on longer ones; for any other
+    # id, every fresh text
     graph = lonely_graph(hash_encoder)
     vq = encode(hash_encoder, ["x r y r1"])[0]  # the lonely triplet is the first seed
     for recording in (RecordingEncoder, RenamedEncoder):
@@ -117,8 +131,8 @@ def test_prune_encodes_the_fresh_candidates_in_one_batch(hash_encoder):
             recorder = recording(hash_encoder)
             beam = prune(candidates, recorder, vq, 8)
             expected = [c.serialized for c in candidates if c.embedding is None]
-            if recording is RecordingEncoder:
-                pool = screen_pool(hash_encoder.path_counts(candidates.index, candidates.rows), vq, 8)
+            if recording is RecordingEncoder and candidates.rows.shape[1] >= COUNT_SCREEN_WIDTH:
+                pool = prune_pool(candidates, hash_encoder, vq, 8)
                 screened_out += len(expected) - len(pool)
                 expected = [expected[i] for i in pool.tolist()]
             assert recorder.calls == [expected]
@@ -164,12 +178,9 @@ def test_final_beam_keeps_no_more_rows_than_the_pool(hash_encoder, monkeypatch):
     result = retrieve_result(graph, hash_encoder, "probe", ExpansionConfig(hops=3, seed_size=3, beam_size=8))
     monkeypatch.undo()
 
-    # a pool is the fresh candidates that pass prune's count screen, plus the carried ones
+    # a pool is the fresh candidates that pass prune's screen, plus the carried ones
     vq = encode(hash_encoder, ["probe"])[0]
-    pools = []
-    for candidates, k in pruned:
-        counts = hash_encoder.path_counts(candidates.index, candidates.rows)
-        pools.append(len(screen_pool(counts, vq, k)) + len(candidates.carried))
+    pools = [len(prune_pool(candidates, hash_encoder, vq, k)) + len(candidates.carried) for candidates, k in pruned]
     assert len(pools) == 2 and max(pools) < min(len(c) for c, _ in pruned)
     seed_rows = graph.embeddings.triplet_units
     for node in result.hypernodes:
