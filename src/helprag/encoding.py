@@ -43,7 +43,8 @@ import math
 import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from operator import attrgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -601,14 +602,35 @@ def hash_twin(encoder: Encoder) -> HashEncoder | None:
     return None
 
 
+# entries normalized together, in two scratch blocks that each table reuses
+_ORACLE_BLOCK = 32
+# the exact types of an oracle table's numbers: bool is an int, and JSON also holds strings and null
+_NUMBER_TYPES = {int, float}
+
+
+def _not_a_number(text: str) -> InvalidParams:
+    return InvalidParams(f"oracle entry for {text!r} holds a value that is not a number")
+
+
 class OracleEncoder(Encoder):
     """Exact string-to-vector table for construction-verified fixtures.
 
     The table maps each known text to a raw vector; unknown texts raise
-    EncoderFailure. Each entry is either a dense list of floats (or array)
-    or a sparse ``{"i": [indices], "v": [values]}`` pair; fixture files are
-    JSON ``{"dim": D, "vectors": {...}}``. Entries are densified and
-    normalized one at a time, so only the float32 table is ever held whole.
+    EncoderFailure. Each entry is either a dense list of ints and floats (or
+    a numeric array) or a sparse ``{"i": [indices], "v": [values]}`` pair;
+    fixture files are JSON ``{"dim": D, "vectors": {...}}``.
+
+    Entries are taken :data:`_ORACLE_BLOCK` at a time in sorted text order.
+    A block of sparse entries with float values is checked over its
+    flattened lists; any other block, entry by entry. A float64 scratch
+    block takes the raw values, one ``ddot`` per row gives the norm
+    ``np.linalg.norm`` gives, and the quotients fill a float32 scratch
+    block, whose rows are copied out. So each row has the bits of
+    ``(raw / norm).astype(np.float32)`` for its entry alone, and the first
+    bad entry in text order decides the error. Each row is its own array of
+    ``4 * dim`` bytes, which fits the heap's free pages where a whole
+    block's array often does not, and nothing table-sized is held but the
+    rows.
     """
 
     def __init__(self, dim: int, vectors: Mapping[str, Sequence[float] | np.ndarray | dict]):
@@ -620,42 +642,122 @@ class OracleEncoder(Encoder):
         self._dim = dim
         self._rows: dict[str, np.ndarray] = {}
         digest = hashlib.sha256()
-        for text in sorted(vectors):
-            entry = vectors[text]
-            try:
-                if isinstance(entry, dict):
-                    raw = self._densify(text, entry)
-                else:
-                    raw = np.asarray(entry, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise InvalidParams(f"oracle entry for {text!r} holds a value that is not a number") from exc
-            if raw.shape != (dim,):
-                raise InvalidParams(f"oracle entry for {text!r} has shape {raw.shape}")
-            norm = np.linalg.norm(raw)
-            # a NaN or Infinity value makes the norm non-finite: one scalar check per entry
-            if not math.isfinite(norm):
-                raise InvalidParams(f"oracle entry for {text!r} has a non-finite norm")
-            if norm == 0.0:
-                raise ZeroVector(f"oracle entry for {text!r} is a zero vector")
-            self._rows[text] = (raw / norm).astype(np.float32)
-            digest.update(text.encode("utf-8") + b"\x00" + self._rows[text].tobytes())
+        texts = sorted(vectors)
+        scratch = np.zeros((_ORACLE_BLOCK, dim))  # raw values; all zeros between blocks, as is units
+        units = np.zeros((_ORACLE_BLOCK, dim), dtype=np.float32)
+        for start in range(0, len(texts), _ORACLE_BLOCK):
+            self._add_block(vectors, texts[start : start + _ORACLE_BLOCK], scratch, units, digest)
         self._table_hash = digest.hexdigest()[:16]
 
-    def _densify(self, text: str, entry: dict) -> np.ndarray:
-        """The dense row of a sparse entry: lists of indices and values, each index an int in [0, dim) once."""
-        if not {"i", "v"} <= entry.keys():
-            raise InvalidParams(f'sparse oracle entry for {text!r} needs "i" and "v"')
-        indices, values = entry["i"], entry["v"]
-        # checked in Python: on a few items each, numpy calls would cost more than the checks
-        if not isinstance(indices, list) or not isinstance(values, list) or len(indices) != len(values):
-            raise InvalidParams(f"sparse oracle entry for {text!r} needs a list of values, one per index")
-        if any(type(i) is not int or not 0 <= i < self._dim for i in indices):
-            raise InvalidParams(f"sparse oracle entry for {text!r} needs int indices in [0, {self._dim})")
-        if len(set(indices)) != len(indices):
-            raise InvalidParams(f"sparse oracle entry for {text!r} repeats an index")
-        raw = np.zeros(self._dim, dtype=np.float64)
-        raw[np.asarray(indices, dtype=np.intp)] = np.asarray(values, dtype=np.float64)
+    def _checked(self, text: str, entry) -> np.ndarray | tuple[list[int], list[float]]:
+        """A dense entry's float64 row, or a sparse entry's indices and values, each index an int in [0, dim) once."""
+        if isinstance(entry, dict):
+            if not {"i", "v"} <= entry.keys():
+                raise InvalidParams(f'sparse oracle entry for {text!r} needs "i" and "v"')
+            indices, values = entry["i"], entry["v"]
+            # checked in Python: on a few items each, numpy calls would cost more than the checks
+            if not isinstance(indices, list) or not isinstance(values, list) or len(indices) != len(values):
+                raise InvalidParams(f"sparse oracle entry for {text!r} needs a list of values, one per index")
+            if any(type(i) is not int or not 0 <= i < self._dim for i in indices):
+                raise InvalidParams(f"sparse oracle entry for {text!r} needs int indices in [0, {self._dim})")
+            if len(set(indices)) != len(indices):
+                raise InvalidParams(f"sparse oracle entry for {text!r} repeats an index")
+            if not set(map(type, values)) <= _NUMBER_TYPES:
+                raise _not_a_number(text)
+            try:
+                return indices, [float(v) for v in values]  # an int float64 cannot hold overflows, as in numpy
+            except OverflowError as exc:
+                raise _not_a_number(text) from exc
+        if isinstance(entry, np.ndarray) and entry.dtype.kind not in "iuf":
+            raise _not_a_number(text)
+        try:
+            raw = np.asarray(entry, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise _not_a_number(text) from exc
+        if raw.shape != (self._dim,):
+            raise InvalidParams(f"oracle entry for {text!r} has shape {raw.shape}")
+        # numpy reads "1.0" and True as numbers: a list's values are checked after it has the shape
+        if not isinstance(entry, np.ndarray) and not set(map(type, entry)) <= _NUMBER_TYPES:
+            raise _not_a_number(text)
         return raw
+
+    def _sparse_block(self, entries: list) -> tuple[list[int], list[int], list[float]] | None:
+        """The entries' index counts, indices and values, or None unless each entry is sparse, holds only
+        floats and passes :meth:`_checked`: its checks, run over the block's flattened lists."""
+        if set(map(type, entries)) != {dict}:
+            return None
+        try:
+            indices = list(map(itemgetter("i"), entries))
+            values = list(map(itemgetter("v"), entries))
+        except KeyError:
+            return None
+        if set(map(type, indices)) != {list} or set(map(type, values)) != {list}:
+            return None
+        lens = list(map(len, indices))
+        cols = list(chain.from_iterable(indices))
+        flat = list(chain.from_iterable(values))
+        if lens != list(map(len, values)) or set(map(type, cols)) != {int} or set(map(type, flat)) != {float}:
+            return None
+        if min(cols) < 0 or max(cols) >= self._dim or sum(map(len, map(set, indices))) != len(cols):
+            return None
+        return lens, cols, flat
+
+    def _add_block(
+        self, vectors: Mapping, texts: list[str], scratch: np.ndarray, units: np.ndarray, digest
+    ) -> None:
+        """Check, normalize and keep a block of entries in text order; both scratch blocks are left zero."""
+        entries = list(map(vectors.__getitem__, texts))
+        dense: list[int] = []
+        failure = None
+        sparse = self._sparse_block(entries)
+        if sparse is None:  # entry by entry: a dense entry, or the first bad one, which the error names
+            lens, cols, values = [], [], []
+            for r, (text, entry) in enumerate(zip(texts, entries)):
+                try:
+                    checked = self._checked(text, entry)
+                except InvalidParams as exc:
+                    # the entries before it are normalized first: one of them may fail first
+                    texts, failure = texts[:r], exc
+                    break
+                if isinstance(checked, np.ndarray):
+                    scratch[r] = checked
+                    dense.append(r)
+                    checked = [], []
+                lens.append(len(checked[0]))
+                cols += checked[0]
+                values += checked[1]
+        else:
+            lens, cols, values = sparse
+        n = len(texts)
+        rows = np.repeat(np.arange(n), lens)
+        cells = rows * self._dim + np.asarray(cols, dtype=np.intp)  # sparse values' offsets in the flat block
+        flat = scratch.reshape(-1)
+        flat[cells] = values
+        raw = scratch[:n]
+        # one ddot per row, the call np.linalg.norm makes on a single row
+        norms = np.sqrt(np.matmul(raw[:, None, :], raw[:, :, None]).ravel())
+        # a NaN or Infinity value makes the norm non-finite: two checks per block
+        if not (np.isfinite(norms).all() and norms.all()):
+            for text, norm in zip(texts, norms):
+                if not math.isfinite(norm):
+                    raise InvalidParams(f"oracle entry for {text!r} has a non-finite norm")
+                if norm == 0.0:
+                    raise ZeroVector(f"oracle entry for {text!r} is a zero vector")
+                text.encode("utf-8")  # a text that UTF-8 cannot encode fails before a later entry, as below
+        # each quotient is rounded to float32 once; a sparse row's other values stay 0.0, as 0.0 / norm is
+        flat_units = units.reshape(-1)
+        flat_units[cells] = flat[cells] / norms[rows]
+        if dense:
+            units[dense] = raw[dense] / norms[dense, None]
+        for text, row in zip(texts, units):
+            row = self._rows[text] = row.copy()
+            digest.update(text.encode("utf-8") + b"\x00")
+            digest.update(row)
+        flat[cells] = flat_units[cells] = 0.0
+        if dense:
+            raw[dense] = units[dense] = 0.0
+        if failure is not None:
+            raise failure
 
     @classmethod
     def from_table(cls, spec: dict) -> "OracleEncoder":
@@ -666,8 +768,12 @@ class OracleEncoder(Encoder):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "OracleEncoder":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_table(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                table = json.load(fh)
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            raise InvalidParams(f"oracle table {str(path)!r} is not UTF-8 JSON: {exc}") from exc
+        return cls.from_table(table)
 
     @property
     def dim(self) -> int:

@@ -162,6 +162,19 @@ class TestIndex:
 
 
 class TestQuery:
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"dim": 2, "vectors": {"t": [1.0, 0.0]}\n"u": 1}\n', b'{"dim": 2, "vectors": {"\xff": [1.0, 0.0]}}\n'],
+        ids=["not-json", "not-utf-8"],
+    )
+    def test_unreadable_oracle_file_exit_2_names_it(self, content, tmp_path, capsys):
+        vectors = tmp_path / "bad.json"
+        vectors.write_bytes(content)
+        code = main(["query", "--index", str(tmp_path / "idx"), "--question", "q", "--encoder", f"oracle:{vectors}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"oracle table '{vectors}' is not UTF-8 JSON" in err
+
     def test_json_output_schema(self, bundle_dir, capsys):
         code = main(
             ["query", "--index", str(bundle_dir), "--question", "what does alpha feed?",

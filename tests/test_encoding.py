@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -39,6 +42,7 @@ from helprag.errors import (
     InvalidParams,
     ZeroVector,
 )
+from helprag.evaluation import gen_synthetic
 from helprag.kg import Triplet
 from helprag.services import ServiceConfig
 
@@ -281,16 +285,57 @@ class TestOracleEncoder:
             pytest.param({"dim": 2, "vectors": {"t": {"i": [0, 1], "v": [1.0]}}}, id="fewer-values"),
             pytest.param({"dim": 2, "vectors": {"t": {"i": [0, 0], "v": [1.0, 2.0]}}}, id="repeated-index"),
             pytest.param({"dim": 2, "vectors": {"t": {"i": [0.0], "v": [1.0]}}}, id="float-index"),
+            pytest.param({"dim": 2, "vectors": {"t": {"i": (0,), "v": [1.0]}}}, id="tuple-indices"),
             pytest.param({"dim": None, "vectors": {"t": [1.0, 0.0]}}, id="null-dim"),
             pytest.param({"dim": 2.5, "vectors": {"t": [1.0, 0.0]}}, id="fractional-dim"),
             pytest.param({"dim": True, "vectors": {"t": [1.0]}}, id="bool-dim"),
             pytest.param({"dim": 2, "vectors": "ab"}, id="string-vectors"),
             pytest.param({"dim": 2, "vectors": {"t": [{}, 1.0]}}, id="object-value"),
+            pytest.param({"dim": 2, "vectors": {"t": ["1.0", "0.0"]}}, id="string-values"),
+            pytest.param({"dim": 2, "vectors": {"t": [True, False]}}, id="bool-values"),
+            pytest.param({"dim": 2, "vectors": {"t": [None, 1.0]}}, id="null-value"),
+            pytest.param({"dim": 2, "vectors": {"t": {"i": [0], "v": ["2.5"]}}}, id="sparse-string-value"),
+            pytest.param({"dim": 2, "vectors": {"t": {"i": [0], "v": [True]}}}, id="sparse-bool-value"),
         ],
     )
     def test_malformed_table_rejected(self, table):
         with pytest.raises(InvalidParams):
             OracleEncoder.from_table(table)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ["1.0", "0.0"],
+            [True, False],
+            [None, 1.0],
+            [1.0, 10**400],
+            {"i": [0], "v": ["2.5"]},
+            {"i": [0], "v": [True]},
+            {"i": [0], "v": [None]},
+            {"i": [1], "v": [10**400]},
+            np.array([True, False]),
+            np.array([1.0, 0.0], dtype=complex),
+            np.array([1.0, 0.0], dtype=object),
+        ],
+        ids=[
+            "strings", "bools", "null", "int-past-float64", "sparse-string", "sparse-bool", "sparse-null",
+            "sparse-int-past-float64", "bool-array", "complex-array", "object-array",
+        ],
+    )
+    def test_value_that_is_not_a_number_rejected(self, entry):
+        with pytest.raises(InvalidParams, match="'bad' holds a value that is not a number"):
+            OracleEncoder(2, {"a fine entry": {"i": [0], "v": [1.0]}, "bad": entry})
+
+    def test_ints_and_numeric_arrays_are_numbers(self):
+        entries = {
+            "ints": [3, 4],
+            "sparse ints": {"i": [0, 1], "v": [3, 4]},
+            "int array": np.array([3, 4]),
+            "uint8 array": np.array([3, 4], dtype=np.uint8),
+            "float32 array": np.array([3, 4], dtype=np.float32),
+        }
+        rows = OracleEncoder(2, entries).encode_batch(TextBatch.of(list(entries)))
+        assert rows.tobytes() == np.tile(np.array([0.6, 0.8]).astype(np.float32), (5, 1)).tobytes()
 
     def test_zero_vector_rejected_at_construction(self):
         with pytest.raises(ZeroVector):
@@ -327,6 +372,105 @@ class TestOracleEncoder:
         a = OracleEncoder(2, {"t": [1.0, 0.0]})
         b = OracleEncoder(2, {"t": [0.0, 1.0]})
         assert a.encoder_id != b.encoder_id
+
+    def test_case_study_id_is_pinned(self):
+        path = Path(__file__).resolve().parent.parent / "fixtures" / "case_study" / "vectors.json"
+        assert OracleEncoder.from_file(path).encoder_id == "oracle-f3f1bcfefaafc028"
+
+    def test_chain_qa_table_id_and_memory(self, chain_qa_table):
+        # the perfbench chain-qa table: 13,800 sparse entries at dim 900
+        dim, count = chain_qa_table["dim"], len(chain_qa_table["vectors"])
+        tracemalloc.start()
+        try:
+            encoder = OracleEncoder.from_table(chain_qa_table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert encoder.encoder_id == "oracle-cfadde51c59cf6f2"
+        # the float32 rows, plus nothing table-sized: no float64 staging matrix and no second copy
+        rows_bytes = count * dim * 4
+        assert rows_bytes <= peak < 1.1 * rows_bytes
+
+    @pytest.mark.parametrize("first", ["zero", "malformed"])
+    @pytest.mark.parametrize(
+        "where", [(3, 5), (encoding._ORACLE_BLOCK - 1, encoding._ORACLE_BLOCK)], ids=["within", "across"]
+    )
+    def test_first_bad_entry_in_text_order_decides_the_error(self, first, where):
+        bad = {"zero": {"i": [1], "v": [0.0]}, "malformed": {"i": [3], "v": [1.0]}}
+        second = "malformed" if first == "zero" else "zero"
+        vectors = {f"entry {k:03d}": {"i": [k % 3], "v": [1.0]} for k in range(2 * encoding._ORACLE_BLOCK + 1)}
+        vectors[f"entry {where[0]:03d}"], vectors[f"entry {where[1]:03d}"] = bad[first], bad[second]
+        error = ZeroVector if first == "zero" else InvalidParams
+        with pytest.raises(error, match=f"'entry {where[0]:03d}'"):
+            OracleEncoder(3, vectors)
+
+
+@pytest.fixture(scope="module")
+def chain_qa_table():
+    return gen_synthetic(300, 2, 20, 1).oracle_table
+
+
+def per_entry_table(dim: int, vectors: dict) -> tuple[dict[str, np.ndarray], str]:
+    """The oracle table's float32 rows and id, built and checked one entry at a time in text order."""
+    rows, digest = {}, hashlib.sha256()
+    for text in sorted(vectors):
+        entry = vectors[text]
+        if isinstance(entry, dict):
+            raw = np.zeros(dim)
+            raw[entry["i"]] = entry["v"]
+        else:
+            raw = np.asarray(entry, dtype=np.float64)
+        norm = np.linalg.norm(raw)
+        if not math.isfinite(norm):
+            raise InvalidParams(f"oracle entry for {text!r} has a non-finite norm")
+        if norm == 0.0:
+            raise ZeroVector(f"oracle entry for {text!r} is a zero vector")
+        rows[text] = (raw / norm).astype(np.float32)
+        digest.update(text.encode("utf-8") + b"\x00" + rows[text].tobytes())
+    return rows, f"oracle-{digest.hexdigest()[:16]}"
+
+
+@st.composite
+def oracle_tables(draw):
+    """Sparse, dense or mixed tables of values at 1e-300 to 1e300, some holding one all-zero entry."""
+    dim = draw(st.sampled_from([1, 2, 3, 31, 32, 33, 900, 1025]))
+    count = draw(st.integers(0, 2 * encoding._ORACLE_BLOCK + 2))
+    spread = draw(st.sampled_from([20, 150, 300]))  # squares under- or overflow past about 1e154
+    kinds = draw(st.sampled_from([(False,), (True,), (False, True)]))  # dense or not: sparse, dense, mixed
+    zero_at = draw(st.none() | st.integers(0, max(count - 1, 0)))
+    tail = draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = {}
+    for k in range(count):
+        dense = draw(st.sampled_from(kinds))
+        nnz = dim if dense else int(rng.integers(0 if k == zero_at else 1, min(dim, 4) + 1))
+        values = rng.standard_normal(nnz) * 10.0 ** (draw(st.integers(-spread, spread)) + rng.integers(-3, 4, nnz))
+        values[1:][rng.random(max(nnz - 1, 0)) < 0.3] = -0.0
+        if k == zero_at:
+            values[:] = rng.choice([0.0, -0.0], nnz)
+        if dense:
+            vectors[f"entry {k:03d}{tail}"] = values.tolist()
+        else:
+            cols = rng.choice(dim, nnz, replace=False)
+            vectors[f"entry {k:03d}{tail}"] = {"i": cols.tolist(), "v": values.tolist()}
+    return dim, vectors
+
+
+@settings(max_examples=120, deadline=None)
+@given(oracle_tables())
+def test_oracle_rows_and_id_equal_the_per_entry_reference(table):
+    dim, vectors = table
+    try:
+        rows, encoder_id = per_entry_table(dim, vectors)
+    except (InvalidParams, ZeroVector) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            OracleEncoder(dim, vectors)
+        return
+    encoder = OracleEncoder(dim, vectors)
+    assert encoder.encoder_id == encoder_id
+    if rows:
+        got = encoder.encode_batch(TextBatch.of(list(rows)))
+        assert got.tobytes() == np.stack(list(rows.values())).tobytes()
 
 
 class TestEncoderSpec:
