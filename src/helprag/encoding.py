@@ -43,8 +43,7 @@ import math
 import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -604,8 +603,15 @@ def hash_twin(encoder: Encoder) -> HashEncoder | None:
 
 # entries normalized together, in two scratch blocks that each table reuses
 _ORACLE_BLOCK = 32
-# the exact types of an oracle table's numbers: bool is an int, and JSON also holds strings and null
+# the exact types most of an oracle table's numbers have; bool is an int, and JSON also holds strings and null
 _NUMBER_TYPES = {int, float}
+_NUMBER_CLASSES = (int, float, np.integer, np.floating)
+
+
+def _numbers(values: Iterable) -> bool:
+    """Whether each value is a real number: an int or float that is not a bool, or a numpy int or float scalar."""
+    types = set(map(type, values))
+    return types <= _NUMBER_TYPES or all(issubclass(t, _NUMBER_CLASSES) and t is not bool for t in types)
 
 
 def _not_a_number(text: str) -> InvalidParams:
@@ -620,17 +626,15 @@ class OracleEncoder(Encoder):
     a numeric array) or a sparse ``{"i": [indices], "v": [values]}`` pair;
     fixture files are JSON ``{"dim": D, "vectors": {...}}``.
 
-    Entries are taken :data:`_ORACLE_BLOCK` at a time in sorted text order.
-    A block of sparse entries with float values is checked over its
-    flattened lists; any other block, entry by entry. A float64 scratch
-    block takes the raw values, one ``ddot`` per row gives the norm
-    ``np.linalg.norm`` gives, and the quotients fill a float32 scratch
-    block, whose rows are copied out. So each row has the bits of
-    ``(raw / norm).astype(np.float32)`` for its entry alone, and the first
-    bad entry in text order decides the error. Each row is its own array of
-    ``4 * dim`` bytes, which fits the heap's free pages where a whole
-    block's array often does not, and nothing table-sized is held but the
-    rows.
+    Entries are taken :data:`_ORACLE_BLOCK` at a time in sorted text order
+    and checked one by one. A float64 scratch block takes a block's raw
+    values, one ``ddot`` per row gives the norm ``np.linalg.norm`` gives,
+    and the quotients fill a float32 scratch block, whose rows are copied
+    out. So each row has the bits of ``(raw / norm).astype(np.float32)`` for
+    its entry alone, and the first bad entry in text order decides the
+    error. Each row is its own array of ``4 * dim`` bytes, which fits the
+    heap's free pages where a whole block's array often does not, and
+    nothing table-sized is held but the rows.
     """
 
     def __init__(self, dim: int, vectors: Mapping[str, Sequence[float] | np.ndarray | dict]):
@@ -643,10 +647,24 @@ class OracleEncoder(Encoder):
         self._rows: dict[str, np.ndarray] = {}
         digest = hashlib.sha256()
         texts = sorted(vectors)
-        scratch = np.zeros((_ORACLE_BLOCK, dim))  # raw values; all zeros between blocks, as is units
-        units = np.zeros((_ORACLE_BLOCK, dim), dtype=np.float32)
+        blocks = None  # the scratch blocks, made once some entry has passed its checks
         for start in range(0, len(texts), _ORACLE_BLOCK):
-            self._add_block(vectors, texts[start : start + _ORACLE_BLOCK], scratch, units, digest)
+            block = texts[start : start + _ORACLE_BLOCK]
+            checked: list[np.ndarray | tuple[list[int], list[float]]] = []
+            failure = None
+            for text in block:
+                try:
+                    checked.append(self._checked(text, vectors[text]))
+                except InvalidParams as exc:
+                    failure = exc  # the entries before it are normalized first: one of them may fail first
+                    break
+            if checked:
+                if blocks is None:
+                    size = min(_ORACLE_BLOCK, len(texts))
+                    blocks = np.zeros((size, dim)), np.zeros((size, dim), dtype=np.float32)
+                self._add_block(block[: len(checked)], checked, *blocks, digest)
+            if failure is not None:
+                raise failure
         self._table_hash = digest.hexdigest()[:16]
 
     def _checked(self, text: str, entry) -> np.ndarray | tuple[list[int], list[float]]:
@@ -658,14 +676,14 @@ class OracleEncoder(Encoder):
             # checked in Python: on a few items each, numpy calls would cost more than the checks
             if not isinstance(indices, list) or not isinstance(values, list) or len(indices) != len(values):
                 raise InvalidParams(f"sparse oracle entry for {text!r} needs a list of values, one per index")
-            if any(type(i) is not int or not 0 <= i < self._dim for i in indices):
+            if indices and not (set(map(type, indices)) == {int} and min(indices) >= 0 and max(indices) < self._dim):
                 raise InvalidParams(f"sparse oracle entry for {text!r} needs int indices in [0, {self._dim})")
             if len(set(indices)) != len(indices):
                 raise InvalidParams(f"sparse oracle entry for {text!r} repeats an index")
-            if not set(map(type, values)) <= _NUMBER_TYPES:
+            if not _numbers(values):
                 raise _not_a_number(text)
             try:
-                return indices, [float(v) for v in values]  # an int float64 cannot hold overflows, as in numpy
+                return indices, list(map(float, values))  # an int float64 cannot hold overflows, as in numpy
             except OverflowError as exc:
                 raise _not_a_number(text) from exc
         if isinstance(entry, np.ndarray) and entry.dtype.kind not in "iuf":
@@ -677,57 +695,23 @@ class OracleEncoder(Encoder):
         if raw.shape != (self._dim,):
             raise InvalidParams(f"oracle entry for {text!r} has shape {raw.shape}")
         # numpy reads "1.0" and True as numbers: a list's values are checked after it has the shape
-        if not isinstance(entry, np.ndarray) and not set(map(type, entry)) <= _NUMBER_TYPES:
+        if not isinstance(entry, np.ndarray) and not _numbers(entry):
             raise _not_a_number(text)
         return raw
 
-    def _sparse_block(self, entries: list) -> tuple[list[int], list[int], list[float]] | None:
-        """The entries' index counts, indices and values, or None unless each entry is sparse, holds only
-        floats and passes :meth:`_checked`: its checks, run over the block's flattened lists."""
-        if set(map(type, entries)) != {dict}:
-            return None
-        try:
-            indices = list(map(itemgetter("i"), entries))
-            values = list(map(itemgetter("v"), entries))
-        except KeyError:
-            return None
-        if set(map(type, indices)) != {list} or set(map(type, values)) != {list}:
-            return None
-        lens = list(map(len, indices))
-        cols = list(chain.from_iterable(indices))
-        flat = list(chain.from_iterable(values))
-        if lens != list(map(len, values)) or set(map(type, cols)) != {int} or set(map(type, flat)) != {float}:
-            return None
-        if min(cols) < 0 or max(cols) >= self._dim or sum(map(len, map(set, indices))) != len(cols):
-            return None
-        return lens, cols, flat
-
     def _add_block(
-        self, vectors: Mapping, texts: list[str], scratch: np.ndarray, units: np.ndarray, digest
+        self, texts: list[str], checked: list, scratch: np.ndarray, units: np.ndarray, digest
     ) -> None:
-        """Check, normalize and keep a block of entries in text order; both scratch blocks are left zero."""
-        entries = list(map(vectors.__getitem__, texts))
-        dense: list[int] = []
-        failure = None
-        sparse = self._sparse_block(entries)
-        if sparse is None:  # entry by entry: a dense entry, or the first bad one, which the error names
-            lens, cols, values = [], [], []
-            for r, (text, entry) in enumerate(zip(texts, entries)):
-                try:
-                    checked = self._checked(text, entry)
-                except InvalidParams as exc:
-                    # the entries before it are normalized first: one of them may fail first
-                    texts, failure = texts[:r], exc
-                    break
-                if isinstance(checked, np.ndarray):
-                    scratch[r] = checked
-                    dense.append(r)
-                    checked = [], []
-                lens.append(len(checked[0]))
-                cols += checked[0]
-                values += checked[1]
-        else:
-            lens, cols, values = sparse
+        """Normalize and keep a block of checked entries in text order; both scratch blocks are left zero."""
+        lens, cols, values, dense = [], [], [], []
+        for r, entry in enumerate(checked):
+            if isinstance(entry, np.ndarray):
+                scratch[r] = entry
+                dense.append(r)
+                entry = [], []
+            lens.append(len(entry[0]))
+            cols += entry[0]
+            values += entry[1]
         n = len(texts)
         rows = np.repeat(np.arange(n), lens)
         cells = rows * self._dim + np.asarray(cols, dtype=np.intp)  # sparse values' offsets in the flat block
@@ -756,8 +740,6 @@ class OracleEncoder(Encoder):
         flat[cells] = flat_units[cells] = 0.0
         if dense:
             raw[dense] = units[dense] = 0.0
-        if failure is not None:
-            raise failure
 
     @classmethod
     def from_table(cls, spec: dict) -> "OracleEncoder":

@@ -296,6 +296,8 @@ class TestOracleEncoder:
             pytest.param({"dim": 2, "vectors": {"t": [None, 1.0]}}, id="null-value"),
             pytest.param({"dim": 2, "vectors": {"t": {"i": [0], "v": ["2.5"]}}}, id="sparse-string-value"),
             pytest.param({"dim": 2, "vectors": {"t": {"i": [0], "v": [True]}}}, id="sparse-bool-value"),
+            # the entry's shape is checked before any block of dim values is allocated
+            pytest.param({"dim": 2**40, "vectors": {"t": [1.0, 0.0]}}, id="huge-dim"),
         ],
     )
     def test_malformed_table_rejected(self, table):
@@ -336,6 +338,29 @@ class TestOracleEncoder:
         }
         rows = OracleEncoder(2, entries).encode_batch(TextBatch.of(list(entries)))
         assert rows.tobytes() == np.tile(np.array([0.6, 0.8]).astype(np.float32), (5, 1)).tobytes()
+
+    def test_numpy_scalars_are_numbers(self):
+        plain = OracleEncoder(2, {"dense": [3.0, 4.0], "sparse": {"i": [0, 1], "v": [3.0, 4.0]}})
+        for values in (
+            list(np.array([3.0, 4.0])),
+            list(np.array([3.0, 4.0], dtype=np.float32)),
+            list(np.array([3, 4])),
+            [np.uint8(3), np.float16(4.0)],
+        ):
+            enc = OracleEncoder(2, {"dense": values, "sparse": {"i": [0, 1], "v": values}})
+            assert enc.encoder_id == plain.encoder_id
+
+    def test_scratch_blocks_are_no_larger_than_the_table(self):
+        assert OracleEncoder(2**40, {}).encoder_id == OracleEncoder(2**40, {}).encoder_id
+        dim = 100_000
+        tracemalloc.start()
+        try:
+            OracleEncoder(dim, {"t": {"i": [7], "v": [1.0]}})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one row of each scratch block and the row kept, not a 32-row block of each
+        assert peak < 2 * (8 + 4 + 4) * dim
 
     def test_zero_vector_rejected_at_construction(self):
         with pytest.raises(ZeroVector):
